@@ -77,9 +77,6 @@ class PosetP:
         # a = (u', e'), b = (u, e): need e on the u'..u path and e' off it.
         return a[0] in self._n_side[b] and b[0] not in self._n_side[a]
 
-    def comparable(self, a: Pair, b: Pair) -> bool:
-        return a == b or self.precedes(a, b) or self.precedes(b, a)
-
     def interval(self, top: Pair, bottom: Pair) -> tuple[Pair, ...]:
         """All pairs p with top >= p >= bottom, ordered from top to bottom."""
         if top != bottom and not self.precedes(bottom, top):
@@ -243,9 +240,9 @@ def characteristic_numbers(
     poset: PosetP | None = None,
 ) -> CharacteristicTable:
     """Characteristic numbers and their derived quantities, bottom-up over
-    the pair poset.  Integrality of M, p/c and p'/c is asserted: it is a
-    theorem for valid minimally complete trees, so a failure signals a bug
-    or an input that should not have validated."""
+    the pair poset.  That c divides N, p and p' (so M = N/c is a positive
+    integer) is a theorem for valid minimally complete trees; the audit
+    check `characteristic-divisibility` owns it."""
     if table is None:
         table = multiplicities(tree)
     if info is None:
@@ -287,14 +284,7 @@ def characteristic_numbers(
         p_prime = sum(table.x_hat[(v, alpha)] for alpha in ones if alpha not in beyond)
 
         c = c_of[pair]
-        N_u = table.N[u]
-        if not rational_divides(c, N_u):
-            raise InternalInconsistencyError(f"c(u,e) does not divide N at {pair}")
-        if not rational_divides(c, p) or not rational_divides(c, p_prime):
-            raise InternalInconsistencyError(f"c(u,e) does not divide p/p' at {pair}")
-        M = int(Fraction(N_u) / c)
-        if M <= 0:
-            raise InternalInconsistencyError(f"nonpositive M at {pair}")
+        M = int(table.N[u] / c)
 
         n_side = poset.n_side(pair)
         dt = sum(per[x].delta_tilde for x in n_side)
@@ -348,15 +338,3 @@ def delta_bar(
         cells |= chars.pairs[(u, e)].n_side
     return ledger.delta_tilde(cells)
 
-
-def R_and_delta_bar(
-    tree: DecoratedRootedTree,
-    ledger: VertexLedger,
-    chars: CharacteristicTable,
-    u: CellRef,
-    A: Sequence[Edge],
-) -> tuple[Rational, int]:
-    return (
-        R_of(tree, ledger, chars, u, A),
-        delta_bar(ledger, chars, u, A),
-    )

@@ -4,8 +4,10 @@ The audit registry is data driven: every check carries an id, an
 applicability predicate and an evaluator returning failure witnesses.  Each
 check encodes a proven statement about valid minimally complete trees, so on
 such input every applicable check passes; a failure therefore flags either an
-engine bug or a report whose stored values were tampered with.  The same
-registry doubles as the property suite run over generated corpora.
+engine bug or a report whose stored values were tampered with.  The
+registry is the only place that re-checks a proven identity: the engine
+modules compute and do not re-prove.  It doubles as the property suite run
+over generated corpora.
 
 One check is deliberately gated: the root-degree lower bound
 delta_tilde(N) >= (deg(root)-1)(deg(root)-2) is checked only when the root
@@ -32,7 +34,12 @@ from .characteristic import (
 )
 from .errors import InternalInconsistencyError
 from .report import Analysis
-from .structure import is_comb_over, quotient_tree_H
+from .structure import (
+    _maximal_trivial_walk,
+    comb_decomposition,
+    is_comb_over,
+    quotient_tree_H,
+)
 from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 
@@ -132,9 +139,9 @@ def divisor_trichotomy(analysis: Analysis, u: CellRef) -> str | None:
 def root_fan_data(analysis: Analysis) -> RootFanData:
     """The per-edge table at the root when the skeleton is a single vertex.
 
-    The identity `defect = 2 + sum[(deg-2)a(e) - 1]d(e)` is asserted, the
-    defect parity is asserted when script-N is a single vertex, and the
-    equivalence `defect > 0 <=> defect >= 2 <=> root valency > 2` is asserted.
+    The fan identity `defect = 2 + sum[(deg-2)a(e) - 1]d(e)` and the
+    equivalence `defect > 0 <=> defect >= 2 <=> root valency > 2` are checked
+    by `single-skeleton-fan`, the defect parity by `single-vertex-parity`.
     """
     if len(analysis.struct.S) != 1:
         raise ValueError("root fan data requires a single-vertex skeleton")
@@ -160,15 +167,7 @@ def root_fan_data(analysis: Analysis) -> RootFanData:
         entries.append(
             RootFanEdge(edge=e, far_end=far, a=a, d=d, k=N // d, x=e.q_near(far))
         )
-    delta = tree.valency(root)
-    dt = analysis.glob.delta_tilde_N
-    if dt != 2 + sum(((delta - 2) * en.a - 1) * en.d for en in entries):
-        raise InternalInconsistencyError("fan defect identity failed")
-    if len(analysis.glob.script_N) == 1 and dt % 2 != 0:
-        raise InternalInconsistencyError("single-vertex defect must be even")
-    if not ((dt > 0) == (dt >= 2) == (delta > 2)):
-        raise InternalInconsistencyError("fan defect/valency equivalence failed")
-    return RootFanData(N=N, delta=delta, entries=tuple(entries))
+    return RootFanData(N=N, delta=tree.valency(root), entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +291,6 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
         (z,) = sorted(st.Omega)
         dec = analysis.decompositions.get(z)
         if dec is None:
-            from .structure import comb_decomposition
-
             dec = comb_decomposition(
                 tree, z, analysis.table, analysis.info, analysis.ledger,
                 analysis.chars, st,
@@ -865,8 +862,6 @@ def _chk_sharp_bound(a: Analysis) -> list[str]:
 def _chk_trivial_chain_c(a: Analysis) -> list[str]:
     out = []
     per = a.ledger.per_vertex
-    from .structure import _maximal_trivial_walk
-
     script_N = set(per)
     for start in sorted(script_N):
         walk = _maximal_trivial_walk(a.tree, per, script_N, start)
@@ -895,6 +890,16 @@ def _chk_tooth_facts(a: Analysis) -> list[str]:
         )
         if not ok:
             out.append(f"tooth {u}|{e}")
+    # A descending maximal trivial walk from a start of defect <= 0 qualifies
+    # exactly when its far end has positive defect.
+    script_N = set(per)
+    for start in sorted(script_N):
+        walk = _maximal_trivial_walk(a.tree, per, script_N, start)
+        if walk is None or per[start].delta_tilde > 0:
+            continue
+        if a.tree.less_than(walk[-1], walk[-2]):
+            if (walk in a.struct.Gamma) != (per[walk[-1]].delta_tilde > 0):
+                out.append(f"walk from {start!r}: Gamma membership")
     return out
 
 
@@ -918,8 +923,6 @@ def _chk_omega(a: Analysis) -> list[str]:
     per = a.ledger.per_vertex
     if len(st.Omega) > 2:
         out.append(f"|Omega|={len(st.Omega)}")
-    from .structure import _maximal_trivial_walk
-
     script_N = set(per)
     spanning = None
     for start in sorted(script_N):
@@ -1010,11 +1013,16 @@ def _chk_fan(a: Analysis) -> list[str]:
     except InternalInconsistencyError as exc:
         return [str(exc)]
     N = fan.N
+    dt = a.glob.delta_tilde_N
     for en in fan.entries:
         if en.a < 1 or en.d < 1 or en.k < 1 or N != en.k * en.d:
             out.append(f"entry at {en.edge}")
     if N != sum(en.a * en.d for en in fan.entries):
         out.append("N != sum a*d")
+    if dt != 2 + sum(((fan.delta - 2) * en.a - 1) * en.d for en in fan.entries):
+        out.append("fan defect identity failed")
+    if not ((dt > 0) == (dt >= 2) == (fan.delta > 2)):
+        out.append("fan defect/valency equivalence failed")
     degs = [a.info.degree[u] for u in sorted(a.glob.script_D)]
     if degs and gcd(*degs) == 1 and gcd(*(en.d for en in fan.entries)) != 1:
         out.append("degree gcd transfer failed")
@@ -1023,7 +1031,6 @@ def _chk_fan(a: Analysis) -> list[str]:
     if R != sum((1 - Fraction(1, en.k) for en in fan.entries), Fraction(0)):
         out.append("R(root) != sum(1 - 1/k)")
     if fan.delta > 3:
-        dt = a.glob.delta_tilde_N
         sum_d = sum(en.d for en in fan.entries)
         if not (
             fan.delta <= fan.delta * (fan.delta - 3) <= (fan.delta - 3) * sum_d <= dt - 2
@@ -1131,10 +1138,8 @@ def _chk_decompositions(a: Analysis) -> list[str]:
                 )
                 if total != dt_N:
                     out.append(f"{tag}: statistics identity")
-                try:
-                    quotient_tree_H(dec)
-                except InternalInconsistencyError as exc:
-                    out.append(f"{tag}: {exc}")
+                if quotient_tree_H(dec) != s.H:
+                    out.append(f"{tag}: quotient-tree H")
         if len(st.Omega) == 2:
             other = sorted(st.Omega - {z})
             if n_classes != 1 or dec.classes[0].c_dot != 0 or [dec.u0] != other:
@@ -1160,17 +1165,23 @@ def _chk_decompositions(a: Analysis) -> list[str]:
 
 
 def _chk_comb_relation(a: Analysis) -> list[str]:
-    # Reflexivity, symmetry-by-definition and total order inside classes are
-    # re-verified through the pairwise relation on the skeleton pair set.
+    # Two pairs share a class exactly when the upper one is a comb over the
+    # lower one, for every two pairs of the decomposition.
     out = []
+    poset = a.poset
     for z in sorted(a.decompositions):
         dec = a.decompositions[z]
-        for cls in dec.classes:
-            top, bottom = cls.greatest, cls.least
-            if not is_comb_over(a.tree, a.ledger, a.chars, a.struct, top, top):
-                out.append(f"z={z!r}: reflexivity at {top}")
-            if not is_comb_over(a.tree, a.ledger, a.chars, a.struct, top, bottom):
-                out.append(f"z={z!r}: class extremes not comb-related")
+        class_of = {p: i for i, cls in enumerate(dec.classes) for p in cls.pairs}
+        for i, p in enumerate(dec.O):
+            for q in dec.O[i + 1 :]:
+                if poset.precedes(p, q):
+                    related = is_comb_over(a.tree, a.ledger, a.chars, a.struct, q, p)
+                elif poset.precedes(q, p):
+                    related = is_comb_over(a.tree, a.ledger, a.chars, a.struct, p, q)
+                else:
+                    related = False
+                if (class_of.get(p) == class_of.get(q)) != related:
+                    out.append(f"z={z!r}: classes disagree with the relation at {p} / {q}")
     return out
 
 

@@ -1,22 +1,20 @@
 """Command-line front end.
 
 Subcommands: validate, analyze, combs, audit, dot, gen.  Exit codes:
-0 success, 1 validation failure (diagnostics printed), 2 usage error,
-3 internal inconsistency (an audit failed on valid input).
+0 success, 1 invalid input (unparsable or undecodable file, or validation
+diagnostics printed), 2 usage error (bad arguments, unreadable path, a
+`--z` that is not an initial vertex), 3 internal inconsistency (an audit
+failed on valid input, or the engine raised).
 
 Reports are byte-deterministic for a given input and flags; rationals print
-reduced as "p/q" and mappings are key-sorted.  `audit --gen` fans the trees
-out across worker threads; NEWTON_FOREST_THREADS overrides the worker count
-and the output order stays the seed order either way.
+reduced as "p/q" and mappings are key-sorted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .classify_audit import (
     audit_failures,
@@ -28,6 +26,7 @@ from .errors import (
     GenerationError,
     InternalInconsistencyError,
     NewtonForestError,
+    NotInitialVertexError,
     NotMinimallyCompleteError,
     ParseError,
     TreeStructureError,
@@ -41,7 +40,11 @@ from .tree_model import validate_axioms
 
 def _read_tree(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse(text)
 
 
 def _classification_line(info) -> str:
@@ -126,26 +129,14 @@ def _audit_one_file(args) -> int:
 
 
 def _audit_generated(args) -> int:
-    seeds = list(range(args.seed, args.seed + args.gen))
-    threads = int(os.environ.get("NEWTON_FOREST_THREADS", "1") or "1")
-
-    def one(seed: int):
+    seeds = range(args.seed, args.seed + args.gen)
+    total_bad = 0
+    for seed in seeds:
         tree = generate(GeneratorConfig(seed=seed, max_cells=args.max_cells))
         bad = audit_failures(theorem_audit(tree))
-        return seed, len(tree.cells), [(r.check_id, r.witness) for r in bad]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, seeds))
-    else:
-        rows = [one(s) for s in seeds]
-
-    total_bad = 0
-    for seed, n_cells, bad in rows:
-        if bad:
-            total_bad += len(bad)
-            for check_id, witness in bad:
-                print(f"seed {seed}: FAIL {check_id} [{witness}]")
+        total_bad += len(bad)
+        for r in bad:
+            print(f"seed {seed}: FAIL {r.check_id} [{r.witness}]")
     print(f"{len(seeds)} trees audited, {total_bad} failures")
     return 3 if total_bad else 0
 
@@ -239,15 +230,12 @@ def run(argv: list[str]) -> int:
     except GenerationError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except InternalInconsistencyError as exc:
+    except (NotInitialVertexError, OSError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except (InternalInconsistencyError, ValueError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:  # e.g. --z naming a non-initial vertex
-        print(str(exc), file=sys.stderr)
-        return 2
     except NewtonForestError as exc:
         print(str(exc), file=sys.stderr)
         return 1

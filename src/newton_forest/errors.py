@@ -26,6 +26,10 @@ class NotMinimallyCompleteError(NewtonForestError):
     """An analysis that assumes a minimally complete tree was given one that is not."""
 
 
+class NotInitialVertexError(NewtonForestError, ValueError):
+    """A comb decomposition was asked for at a vertex outside the initial set."""
+
+
 class InternalInconsistencyError(NewtonForestError):
     """A proven identity failed at runtime: an engine bug or impossible input state."""
 

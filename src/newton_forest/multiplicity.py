@@ -13,34 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InternalInconsistencyError
 from .tree_model import CellRef, DecoratedRootedTree, Edge
-
-
-def compute_x(tree: DecoratedRootedTree, v: CellRef, alpha: CellRef) -> int:
-    """x(v,alpha) per the defining product.  `alpha` must be a (1)-arrow."""
-    return _path_product(tree, v, alpha, skip_source=False)
-
-
-def compute_x_hat(tree: DecoratedRootedTree, v: CellRef, alpha: CellRef) -> int:
-    """x-hat(v,alpha): as compute_x but ignoring edges incident to `v`."""
-    return _path_product(tree, v, alpha, skip_source=True)
-
-
-def _path_product(
-    tree: DecoratedRootedTree, v: CellRef, alpha: CellRef, skip_source: bool
-) -> int:
-    if alpha not in tree.arrows1:
-        raise ValueError(f"{alpha!r} is not an arrow decorated (1)")
-    if v not in tree.vertices and v not in tree.arrows0:
-        raise ValueError(f"{v!r} is neither a vertex nor a (0)-arrow")
-    cells = tree.path(v, alpha)
-    prod = 1
-    for e, c in tree.incident_edges_of_path(cells):
-        if skip_source and c == v:
-            continue
-        prod *= e.q_near(c)
-    return prod
 
 
 @dataclass(frozen=True)
@@ -58,8 +31,8 @@ class MultiplicityTable:
 def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
     """Compute the full multiplicity table for a structurally valid tree.
 
-    Cross-checks the dead-end relation N_v = q(e,v) * N_alpha, which holds by
-    pure bookkeeping for any decorated tree; a mismatch is an engine bug.
+    The dead-end relation N_v = q(e,v) * N_alpha is not re-checked here; the
+    audit check `dead-end-multiplicity` owns it.
     """
     sources = sorted(tree.vertices | tree.arrows0)
     ones = tree.arrows1
@@ -94,15 +67,6 @@ def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
 
     root = tree.root
     points = tree.valency(root) - (1 if tree.dead_ends(root) else 0)
-
-    for v in sorted(tree.vertices):
-        for e in tree.dead_ends(v):
-            alpha = e.other(v)
-            if N[v] != e.q_near(v) * N[alpha]:
-                raise InternalInconsistencyError(
-                    f"dead-end relation failed at {v!r}: "
-                    f"N={N[v]} vs {e.q_near(v)}*{N[alpha]}"
-                )
 
     return MultiplicityTable(
         N=N, x=x, x_hat=x_hat, M_of_T=M, points_at_infinity=points

@@ -13,15 +13,15 @@ sets, the quotient tree and its shape statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .characteristic import (
     CharacteristicTable,
     Pair,
+    R_of,
     characteristic_numbers,
 )
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, NotInitialVertexError
 from .local_invariants import VertexLedger, vertex_ledger
 from .multiplicity import DicriticalInfo, MultiplicityTable, classify, multiplicities
 from .tree_model import CellRef, DecoratedRootedTree, Edge
@@ -88,7 +88,6 @@ def structure_ledger(
     )
 
     gamma: list[tuple[CellRef, ...]] = []
-    gamma_lemma_form: list[tuple[CellRef, ...]] = []
     for start in sorted(script_N):
         walk = _maximal_trivial_walk(tree, per, script_N, start)
         if walk is None:
@@ -96,12 +95,6 @@ def structure_ledger(
         descends = tree.less_than(walk[-1], walk[-2])
         if per[start].delta_tilde <= 0 < ledger.delta_tilde(walk) and descends:
             gamma.append(walk)
-        if per[start].delta_tilde <= 0 < per[walk[-1]].delta_tilde and descends:
-            gamma_lemma_form.append(walk)
-    if gamma != gamma_lemma_form:
-        raise InternalInconsistencyError(
-            "the two characterizations of the qualifying chains disagree"
-        )
 
     W = frozenset(w[-1] for w in gamma)
     V: dict[CellRef, frozenset[CellRef]] = {}
@@ -160,14 +153,24 @@ def structure_ledger(
     )
 
 
-def _R_single(ledger: VertexLedger, chars: CharacteristicTable, v: CellRef, f: Edge) -> Fraction:
-    data = ledger.per_vertex[v]
-    total = Fraction(0)
-    for x in data.dicriticals:
-        total += 1 - Fraction(1, data.k[x])
-    total += 1 - Fraction(1, data.a)
-    total += 1 - Fraction(1, chars.M(v, f))
-    return total
+def _comb_step(tree, ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
+    """Comb test of `pair` against the pair just above it in the poset; the
+    edge of `upper` joins the two vertices."""
+    v, f = pair
+    eps = ledger.per_vertex[v].epsilon
+    if eps not in (2, 3):
+        return False
+    r1 = R_of(tree, ledger, chars, v, [f])
+    if eps == 2:
+        return r1 < 1
+    if r1 != 0:
+        return False
+    candidates = [e for e in chars.edges_at[v] if e != f and e != upper[1]]
+    if len(candidates) != 1:
+        raise InternalInconsistencyError(
+            f"expected a unique third edge at {v!r}, found {len(candidates)}"
+        )
+    return (v, candidates[0]) in struct.teeth
 
 
 def is_comb_over(
@@ -180,34 +183,13 @@ def is_comb_over(
 ) -> bool:
     """Whether `top` is a comb over `bottom` (top must be >= bottom in the poset)."""
     poset = chars.poset
-    if top != bottom and not poset.precedes(bottom, top):
-        if poset.precedes(top, bottom):
-            raise ValueError("first pair must lie above the second")
-        raise ValueError("pairs are not comparable")
+    if poset.precedes(top, bottom):
+        raise ValueError("first pair must lie above the second")
     chain = poset.interval(top, bottom)
-    u = top[0]
-    for v, f in chain[1:]:
-        eps = ledger.per_vertex[v].epsilon
-        if eps not in (2, 3):
-            return False
-        r1 = _R_single(ledger, chars, v, f)
-        if eps == 2:
-            if not r1 < 1:
-                return False
-        else:
-            if r1 != 0:
-                return False
-            path_edge_at_v = tree.edge_between(v, tree.path(u, v)[-2])
-            candidates = [
-                e for e in chars.edges_at[v] if e != f and e != path_edge_at_v
-            ]
-            if len(candidates) != 1:
-                raise InternalInconsistencyError(
-                    f"expected a unique third edge at {v!r}, found {len(candidates)}"
-                )
-            if (v, candidates[0]) not in struct.teeth:
-                return False
-    return True
+    return all(
+        _comb_step(tree, ledger, chars, struct, upper, pair)
+        for upper, pair in zip(chain, chain[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -269,14 +251,15 @@ def comb_decomposition(
     """Decompose the skeleton pairs pointing at `z` into comb classes.
 
     The classes are produced by joining skeleton-adjacent pairs that pass the
-    single-step comb test, then verified against the pairwise comb relation;
-    a mismatch is an engine bug.
+    single-step comb test.  Their agreement with the pairwise comb relation
+    is checked by the audit check `comb-relation`, and the statistics
+    identity by `comb-decomposition`.
     """
     table, info, ledger, chars = _context(tree, table, info, ledger, chars)
     if struct is None:
         struct = structure_ledger(tree, table, info, ledger, chars)
     if z not in struct.In:
-        raise ValueError(f"{z!r} is not an initial vertex")
+        raise NotInitialVertexError(f"{z!r} is not an initial vertex")
 
     S = struct.S
     members = sorted(S - {z})
@@ -311,7 +294,7 @@ def comb_decomposition(
         p = toward_z[u]
         if p == z:
             continue
-        if _single_step_comb(tree, ledger, chars, struct, pair_of[u], pair_of[p]):
+        if _comb_step(tree, ledger, chars, struct, pair_of[u], pair_of[p]):
             union(u, p)
 
     groups: dict[CellRef, list[CellRef]] = {}
@@ -321,16 +304,11 @@ def comb_decomposition(
     dist = {u: len(tree.path(z, u)) for u in members}
     classes: list[CombClass] = []
     class_index_of: dict[CellRef, int] = {}
-    per = ledger.per_vertex
     for key in sorted(groups, key=lambda k: min(dist[u] for u in groups[k])):
         us = sorted(groups[key], key=lambda u: dist[u])
         pairs = tuple(pair_of[u] for u in us)
         least, greatest = pairs[0], pairs[-1]
         c_drop = chars.pairs[least].c - chars.pairs[greatest].c
-        if c_drop.denominator != 1 or c_drop < 0:
-            raise InternalInconsistencyError(
-                f"characteristic drop {c_drop} is not a nonnegative integer"
-            )
         u_C = greatest[0]
         Y = frozenset(
             struct.V_bar[u_C]
@@ -343,8 +321,6 @@ def comb_decomposition(
         )
         for u in us:
             class_index_of[u] = idx
-
-    _verify_classes(tree, ledger, chars, struct, O, class_index_of)
 
     z_prime = [u for u in members if toward_z[u] == z]
     if len(z_prime) != 1:
@@ -363,7 +339,7 @@ def comb_decomposition(
 
     stats = None
     if len(classes) > 1:
-        stats = _stats(tree, ledger, chars, struct, classes, c0_index)
+        stats = _stats(ledger, chars, struct, classes, c0_index)
     return CombDecomposition(
         z=z,
         O=O,
@@ -374,47 +350,7 @@ def comb_decomposition(
     )
 
 
-def _single_step_comb(tree, ledger, chars, struct, upper: Pair, lower: Pair) -> bool:
-    """Comb test between a pair and its immediate predecessor (at v = lower[0])."""
-    v, f = lower
-    u = upper[0]
-    eps = ledger.per_vertex[v].epsilon
-    if eps not in (2, 3):
-        return False
-    r1 = _R_single(ledger, chars, v, f)
-    if eps == 2:
-        return r1 < 1
-    if r1 != 0:
-        return False
-    edge_up = tree.edge_between(v, u)
-    candidates = [e for e in chars.edges_at[v] if e != f and e != edge_up]
-    if len(candidates) != 1:
-        raise InternalInconsistencyError(
-            f"expected a unique third edge at {v!r}, found {len(candidates)}"
-        )
-    return (v, candidates[0]) in struct.teeth
-
-
-def _verify_classes(tree, ledger, chars, struct, O, class_index_of) -> None:
-    poset = chars.poset
-    pairs = list(O)
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            a, b = pairs[i], pairs[j]
-            same = class_index_of[a[0]] == class_index_of[b[0]]
-            if poset.precedes(a, b):
-                expected = is_comb_over(tree, ledger, chars, struct, b, a)
-            elif poset.precedes(b, a):
-                expected = is_comb_over(tree, ledger, chars, struct, a, b)
-            else:
-                expected = False
-            if same != expected:
-                raise InternalInconsistencyError(
-                    f"comb classes disagree with the pairwise relation at {a} / {b}"
-                )
-
-
-def _stats(tree, ledger, chars, struct, classes: Sequence[CombClass], c0: int) -> CombStats:
+def _stats(ledger, chars, struct, classes: Sequence[CombClass], c0: int) -> CombStats:
     per = ledger.per_vertex
     dt = ledger.delta_tilde
     u0_class = classes[c0]
@@ -425,7 +361,6 @@ def _stats(tree, ledger, chars, struct, classes: Sequence[CombClass], c0: int) -
     n1 = n2 = n_gt2 = 0
     T = 0
     x_C: list[int] = []
-    total_rest = 0
     for i, cls in enumerate(classes):
         if i == c0:
             continue
@@ -440,20 +375,12 @@ def _stats(tree, ledger, chars, struct, classes: Sequence[CombClass], c0: int) -
         else:
             n_gt2 += 1
             T += tt
-        x = dt(struct.V_bar[cls.u]) - max(1, per[cls.u].epsilon - 2)
-        x_C.append(x)
-        total_rest += cls.c_dot + x
+        x_C.append(dt(struct.V_bar[cls.u]) - max(1, per[cls.u].epsilon - 2))
 
     x0 = dt(
         struct.V_bar[u0] | chars.pairs[u0_class.greatest].n_side
     ) - abs(ds_u0 - 3)
     H = B + 2 * (L - 2) + n2
-    total = B + 2 * (L - 2) + n2 + T + x0 + total_rest
-    dt_N = dt(per.keys())
-    if total != dt_N:
-        raise InternalInconsistencyError(
-            f"comb statistics identity failed: {total} != {dt_N}"
-        )
     return CombStats(B=B, L=L, n1=n1, n2=n2, n_gt2=n_gt2, T=T, x0=x0, x_C=tuple(x_C), H=H)
 
 
@@ -470,13 +397,8 @@ def rooted_tree_H(n: int, edges: Sequence[tuple[int, int]], root: int) -> int:
 
 
 def quotient_tree_H(decomp: CombDecomposition) -> int:
-    """H of the quotient tree; asserted equal to B + 2(L-2) + n2."""
+    """H of the quotient tree.  The audit check `comb-decomposition` compares
+    it with stats.H = B + 2(L-2) + n2."""
     if len(decomp.classes) <= 1:
         raise ValueError("the quotient statistic needs at least two classes")
-    h = rooted_tree_H(len(decomp.classes), decomp.quotient_edges, decomp.c0_index)
-    assert decomp.stats is not None
-    if h != decomp.stats.H:
-        raise InternalInconsistencyError(
-            f"quotient shape H={h} disagrees with B+2(L-2)+n2={decomp.stats.H}"
-        )
-    return h
+    return rooted_tree_H(len(decomp.classes), decomp.quotient_edges, decomp.c0_index)

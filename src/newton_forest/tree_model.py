@@ -218,18 +218,6 @@ class DecoratedRootedTree:
             self.edge_between(cells[i], cells[i + 1]) for i in range(len(cells) - 1)
         )
 
-    def incident_edges_of_path(self, cells: tuple[CellRef, ...]) -> list[tuple[Edge, CellRef]]:
-        """Edges incident to (but not in) the path, each with its attach cell."""
-        on_path = set()
-        for i in range(len(cells) - 1):
-            on_path.add(self.edge_between(cells[i], cells[i + 1]))
-        out = []
-        for c in cells:
-            for e in self.incident_edges(c):
-                if e not in on_path:
-                    out.append((e, c))
-        return out
-
     def less_than(self, x: CellRef, y: CellRef) -> bool:
         """Tree order: x < y iff x lies on the path from the root to y, x != y."""
         if x == y:

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from newton_forest.characteristic import (
-    R_and_delta_bar,
+    R_of,
     build_poset,
     characteristic_numbers,
+    delta_bar,
     h_products,
     path_dead_end_product,
     rational_divides,
@@ -50,7 +51,8 @@ def test_poset_T_D():
     e = t.edge_between("v0", "w")
     assert set(poset.elements) == {("v0", e), ("w", e)}
     assert poset.minimal == {("v0", e), ("w", e)}
-    assert not poset.comparable(("v0", e), ("w", e))
+    assert not poset.precedes(("v0", e), ("w", e))
+    assert not poset.precedes(("w", e), ("v0", e))
 
 
 def test_alpha_products_T_D():
@@ -100,14 +102,11 @@ def test_R_and_delta_bar_T_D():
     ledger = vertex_ledger(t)
     chars = characteristic_numbers(t, ledger=ledger)
     e = t.edge_between("v0", "w")
-    R, bar = R_and_delta_bar(t, ledger, chars, "w", [e])
-    assert R == 1
-    assert bar == -4
-    R, bar = R_and_delta_bar(t, ledger, chars, "v0", [e])
-    assert R == Fraction(3, 4)
-    R, bar = R_and_delta_bar(t, ledger, chars, "v0", [])
-    assert R == 0
-    assert bar == -5
+    assert R_of(t, ledger, chars, "w", [e]) == 1
+    assert delta_bar(ledger, chars, "w", [e]) == -4
+    assert R_of(t, ledger, chars, "v0", [e]) == Fraction(3, 4)
+    assert R_of(t, ledger, chars, "v0", []) == 0
+    assert delta_bar(ledger, chars, "v0", []) == -5
 
 
 def test_R_rejects_foreign_edges():
@@ -116,18 +115,18 @@ def test_R_rejects_foreign_edges():
     chars = characteristic_numbers(t, ledger=ledger)
     dead = t.edge_between("w", "ow")
     with pytest.raises(ValueError):
-        R_and_delta_bar(t, ledger, chars, "w", [dead])
+        R_of(t, ledger, chars, "w", [dead])
 
 
 def test_h_products_singleton_is_x():
-    from newton_forest.multiplicity import compute_x, compute_x_hat
+    from newton_forest.oracle_gen import _oracle_x
 
     for t in (fixture_T_B(1, 2), fixture_T_C((1, 2, 3)), fixture_T_D()):
         for w in sorted(t.vertices):
             for alpha in sorted(t.arrows1):
                 h, h_hat = h_products(t, w, [alpha])
-                assert h == compute_x(t, w, alpha)
-                assert h_hat == compute_x_hat(t, w, alpha)
+                assert h == _oracle_x(t, w, alpha, hat=False)
+                assert h_hat == _oracle_x(t, w, alpha, hat=True)
 
 
 def test_h_products_T_B_both_arrows():

@@ -157,3 +157,88 @@ def test_root_degree_bound_gated_out_on_T_D():
     assert "root-degree-bound" not in results
     results = {r.check_id for r in theorem_audit(fixture_T_C((1, 2, 3)))}
     assert "root-degree-bound" in results
+
+
+def _generated(predicate):
+    for seed in range(300):
+        a = analysis(generate(GeneratorConfig(seed=seed, max_cells=40)))
+        if predicate(a):
+            return a
+    raise AssertionError("no generated tree has the wanted shape")
+
+
+def _dead_end_N():
+    a = analysis(fixture_T_D())  # w carries the dead end ow
+    N = {**a.table.N, "w": a.table.N["w"] + 1}
+    return dataclasses.replace(a, table=dataclasses.replace(a.table, N=N))
+
+
+def _D_prime():
+    a = analysis(fixture_T_D())
+    glob = dataclasses.replace(a.glob, D_prime_of_T=a.glob.D_prime_of_T + 1)
+    return dataclasses.replace(a, glob=glob)
+
+
+def _gamma_walk_dropped():
+    a = _generated(lambda a: a.struct.Gamma)
+    struct = dataclasses.replace(a.struct, Gamma=a.struct.Gamma[1:])
+    return dataclasses.replace(a, struct=struct)
+
+
+def _comb_class_split():
+    def multi_pair(dec):
+        return any(len(cls.pairs) > 1 for cls in dec.classes)
+
+    a = _generated(lambda a: any(map(multi_pair, a.decompositions.values())))
+    z = next(z for z, dec in sorted(a.decompositions.items()) if multi_pair(dec))
+    dec = a.decompositions[z]
+    i = next(i for i, cls in enumerate(dec.classes) if len(cls.pairs) > 1)
+    cls = dec.classes[i]
+    head = dataclasses.replace(cls, pairs=cls.pairs[:1])
+    tail = dataclasses.replace(cls, pairs=cls.pairs[1:])
+    classes = dec.classes[:i] + (head,) + dec.classes[i + 1 :] + (tail,)
+    split = dataclasses.replace(dec, classes=classes)
+    return dataclasses.replace(a, decompositions={**a.decompositions, z: split})
+
+
+def _comb_stat_bumped(field):
+    a = _generated(lambda a: any(dec.stats for dec in a.decompositions.values()))
+    z = next(z for z, dec in sorted(a.decompositions.items()) if dec.stats)
+    dec = a.decompositions[z]
+    stats = dataclasses.replace(dec.stats, **{field: getattr(dec.stats, field) + 1})
+    bumped = dataclasses.replace(dec, stats=stats)
+    return dataclasses.replace(a, decompositions={**a.decompositions, z: bumped})
+
+
+def _fan_degree():
+    a = analysis(fixture_T_C((1, 2, 3)))
+    (u,) = [u for u in sorted(a.info.dicriticals) if a.info.degree[u] == 1]
+    assert u in a.tree.neighbors(a.tree.root)
+    degree = {**a.info.degree, u: 2}
+    return dataclasses.replace(a, info=dataclasses.replace(a.info, degree=degree))
+
+
+def _fan_defect():
+    # defect 4 keeps the defect/valency equivalence at root valency 3, so
+    # only the fan defect identity ties the defect to the fan entries
+    a = analysis(fixture_T_C((1, 2, 3)))
+    glob = dataclasses.replace(a.glob, delta_tilde_N=a.glob.delta_tilde_N + 2)
+    return dataclasses.replace(a, glob=glob)
+
+
+@pytest.mark.parametrize(
+    "corrupt, owner",
+    [
+        pytest.param(_dead_end_N, "dead-end-multiplicity", id="dead-end-N"),
+        pytest.param(_D_prime, "global-defect-routes", id="D-prime"),
+        pytest.param(_gamma_walk_dropped, "tooth-facts", id="gamma-walk-dropped"),
+        pytest.param(_comb_class_split, "comb-relation", id="comb-class-split"),
+        pytest.param(lambda: _comb_stat_bumped("x0"), "comb-decomposition", id="stats-x0"),
+        pytest.param(lambda: _comb_stat_bumped("H"), "comb-decomposition", id="quotient-H"),
+        pytest.param(_fan_degree, "single-skeleton-fan", id="fan-degree"),
+        pytest.param(_fan_defect, "single-skeleton-fan", id="fan-defect"),
+    ],
+)
+def test_moved_identity_owned_by_registry(corrupt, owner):
+    failed = {r.check_id for r in audit_failures(audit_analysis(corrupt()))}
+    assert owner in failed, failed

@@ -1,11 +1,7 @@
 import pytest
 
 from newton_forest.errors import NotMinimallyCompleteError
-from newton_forest.local_invariants import (
-    global_ledger,
-    nd_star_and_xi,
-    vertex_ledger,
-)
+from newton_forest.local_invariants import global_ledger, vertex_ledger
 from newton_forest.tree_io import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
 from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
 
@@ -72,18 +68,19 @@ def test_fixture_defect_table():
 
 
 def test_nd_star_and_xi():
-    nd_star, xi, xi_total = nd_star_and_xi(fixture_T_A())
-    assert nd_star == {"v0"}
-    assert xi["v0"] == 1
-    assert xi_total == 1
+    t = fixture_T_A()
+    g = global_ledger(t)
+    assert g.nd_star == {"v0"}
+    assert vertex_ledger(t).per_vertex["v0"].xi == 1
+    assert g.xi_N == 1
 
-    nd_star, xi, xi_total = nd_star_and_xi(fixture_T_D())
-    assert nd_star == frozenset()
-    assert xi_total == 0
+    g = global_ledger(fixture_T_D())
+    assert g.nd_star == frozenset()
+    assert g.xi_N == 0
 
-    nd_star, xi, xi_total = nd_star_and_xi(fixture_T_B(1, 1))
-    assert nd_star == {"v0"}
-    assert xi["v0"] == 2  # two unit entries in the type
+    t = fixture_T_B(1, 1)
+    assert global_ledger(t).nd_star == {"v0"}
+    assert vertex_ledger(t).per_vertex["v0"].xi == 2  # two unit entries in the type
 
 
 def test_epsilon_prime_components():

@@ -1,51 +1,44 @@
-import pytest
-
-from newton_forest.multiplicity import (
-    classify,
-    compute_x,
-    compute_x_hat,
-    multiplicities,
-)
+from newton_forest.multiplicity import classify, multiplicities
 from newton_forest.tree_io import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
 from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
 
 
 def test_x_values_T_A():
-    t = fixture_T_A()
-    assert compute_x(t, "v0", "t1") == 1
-    assert compute_x(t, "u", "t1") == 0
+    x = multiplicities(fixture_T_A()).x
+    assert x[("v0", "t1")] == 1
+    assert x[("u", "t1")] == 0
 
 
 def test_x_values_T_B():
-    t = fixture_T_B(1, 2)
-    assert compute_x(t, "v0", "t1") == 1  # a1
-    assert compute_x(t, "u1", "t2") == 2  # a1 * a2 along (u1, v0, u2, t2)
-    t = fixture_T_B(2, 3)
-    assert compute_x(t, "v0", "t1") == 2
-    assert compute_x(t, "u1", "t2") == 6
+    x = multiplicities(fixture_T_B(1, 2)).x
+    assert x[("v0", "t1")] == 1  # a1
+    assert x[("u1", "t2")] == 2  # a1 * a2 along (u1, v0, u2, t2)
+    x = multiplicities(fixture_T_B(2, 3)).x
+    assert x[("v0", "t1")] == 2
+    assert x[("u1", "t2")] == 6
 
 
 def test_x_hat_T_D():
-    t = fixture_T_D()
+    x_hat = multiplicities(fixture_T_D()).x_hat
     for b in ("t1", "t2", "t3"):
-        assert compute_x_hat(t, "v0", b) == 2
+        assert x_hat[("v0", b)] == 2
 
 
 def test_x_rejects_zero_arrows():
-    t = fixture_T_A()
-    with pytest.raises(ValueError):
-        compute_x(t, "v0", "o1")
+    # x is indexed by (1)-arrows only: a (0)-arrow never appears as a target
+    tab = multiplicities(fixture_T_A())
+    assert ("v0", "o1") not in tab.x and ("v0", "o1") not in tab.x_hat
+    assert {b for _, b in tab.x} == {"t1"}
 
 
 def test_x_factorization():
     # x(v, b) = Q(e, v) * x-hat(v, b) with e the first path edge
     for t in (fixture_T_B(2, 3), fixture_T_C((1, 2, 3)), fixture_T_D()):
+        tab = multiplicities(t)
         for v in sorted(t.vertices):
             for b in sorted(t.arrows1):
-                e = t.edge_between(v, t.path(v, b)[1]) if t.path(v, b)[1:] else None
-                if e is None:
-                    continue
-                assert compute_x(t, v, b) == t.Q(e, v) * compute_x_hat(t, v, b)
+                e = t.edge_between(v, t.path(v, b)[1])
+                assert tab.x[(v, b)] == t.Q(e, v) * tab.x_hat[(v, b)]
 
 
 def test_multiplicities_T_A():

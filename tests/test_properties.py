@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from newton_forest.characteristic import rational_divides, rational_gcd
 from newton_forest.classify_audit import audit_failures, theorem_audit
-from newton_forest.multiplicity import compute_x, compute_x_hat, multiplicities
-from newton_forest.oracle_gen import GeneratorConfig, generate
+from newton_forest.multiplicity import multiplicities
+from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate
 from newton_forest.report import Analysis
 from newton_forest.tree_io import parse, serialize
 from newton_forest.tree_model import validate_axioms
@@ -83,8 +83,9 @@ def test_x_factorization_property(seed):
         for b in sorted(tree.arrows1)[:5]:
             step = tree.path(v, b)[1]
             e = tree.edge_between(v, step)
-            assert compute_x(tree, v, b) == tree.Q(e, v) * compute_x_hat(tree, v, b)
-            assert table.x[(v, b)] == compute_x(tree, v, b)
+            assert table.x[(v, b)] == tree.Q(e, v) * table.x_hat[(v, b)]
+            assert table.x[(v, b)] == _oracle_x(tree, v, b, hat=False)
+            assert table.x_hat[(v, b)] == _oracle_x(tree, v, b, hat=True)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
