@@ -304,7 +304,6 @@ def characteristic_numbers(
 
 
 def R_of(
-    tree: DecoratedRootedTree,
     ledger: VertexLedger,
     chars: CharacteristicTable,
     u: CellRef,

@@ -343,7 +343,7 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
         v = chain[i]
         f = tree.edge_between(v, chain[i - 1])
         eps = per[v].epsilon
-        r1 = R_of(tree, analysis.ledger, analysis.chars, v, [f])
+        r1 = R_of(analysis.ledger, analysis.chars, v, [f])
         ok = eps in (2, 3) and (r1 < 1 if eps == 2 else r1 == 0)
         _clause(clauses, "interior-comb", ok, f"{v!r}: epsilon={eps}, R={r1}")
         _clause(clauses, "interior-epsilon-prime", per[v].epsilon_prime <= 3,
@@ -775,7 +775,7 @@ def _chk_R_identity(a: Analysis) -> list[str]:
         edges = a.chars.edges_at[u]
         for size in range(0, min(3, len(edges)) + 1):
             for A in combinations(edges, size):
-                R = R_of(a.tree, a.ledger, a.chars, u, A)
+                R = R_of(a.ledger, a.chars, u, A)
                 bar = delta_bar(a.ledger, a.chars, u, A)
                 eta_sum = sum((a.chars.eta(u, e) for e in A), Fraction(0))
                 lhs = R + (per[u].epsilon - len(A) - 1) * (1 - Fraction(1, N))
@@ -792,7 +792,7 @@ def _chk_global_R(a: Analysis) -> list[str]:
     dt_N = a.glob.delta_tilde_N
     for u in sorted(per):
         edges = a.chars.edges_at[u]
-        R = R_of(a.tree, a.ledger, a.chars, u, edges)
+        R = R_of(a.ledger, a.chars, u, edges)
         eta_sum = sum((a.chars.eta(u, e) for e in edges), Fraction(0))
         if dt_N != (R - 2) * a.table.N[u] + 2 + eta_sum:
             out.append(f"{u!r}")
@@ -1027,7 +1027,7 @@ def _chk_fan(a: Analysis) -> list[str]:
     if degs and gcd(*degs) == 1 and gcd(*(en.d for en in fan.entries)) != 1:
         out.append("degree gcd transfer failed")
     edges_at_root = a.chars.edges_at.get(a.tree.root, ())
-    R = R_of(a.tree, a.ledger, a.chars, a.tree.root, edges_at_root)
+    R = R_of(a.ledger, a.chars, a.tree.root, edges_at_root)
     if R != sum((1 - Fraction(1, en.k) for en in fan.entries), Fraction(0)):
         out.append("R(root) != sum(1 - 1/k)")
     if fan.delta > 3:
@@ -1091,7 +1091,7 @@ def _chk_decompositions(a: Analysis) -> list[str]:
                 out.append(f"{tag}: class {ci} upward bound")
             if ds >= 3 and top_side == ds - 3:
                 e_top = cls.greatest[1]
-                r1 = R_of(a.tree, a.ledger, a.chars, cls.u, [e_top])
+                r1 = R_of(a.ledger, a.chars, cls.u, [e_top])
                 if (
                     r1 != 0
                     or st.t[cls.u] != 0
@@ -1175,9 +1175,9 @@ def _chk_comb_relation(a: Analysis) -> list[str]:
         for i, p in enumerate(dec.O):
             for q in dec.O[i + 1 :]:
                 if poset.precedes(p, q):
-                    related = is_comb_over(a.tree, a.ledger, a.chars, a.struct, q, p)
+                    related = is_comb_over(a.ledger, a.chars, a.struct, q, p)
                 elif poset.precedes(q, p):
-                    related = is_comb_over(a.tree, a.ledger, a.chars, a.struct, p, q)
+                    related = is_comb_over(a.ledger, a.chars, a.struct, p, q)
                 else:
                     related = False
                 if (class_of.get(p) == class_of.get(q)) != related:
@@ -1246,7 +1246,7 @@ def _chk_defect2(a: Analysis) -> list[str]:
             e0 = dec.classes[dec.c0_index].greatest[1]
             if st.delta_star[u0] != 3 or st.t[u0] != 0:
                 out.append(f"{tag}: hub shape")
-            if R_of(a.tree, a.ledger, a.chars, u0, [e0]) != 0:
+            if R_of(a.ledger, a.chars, u0, [e0]) != 0:
                 out.append(f"{tag}: hub R")
             for i, cls in enumerate(dec.classes):
                 if i == dec.c0_index:
@@ -1263,7 +1263,7 @@ def _chk_defect2(a: Analysis) -> list[str]:
             A = [dec.classes[dec.c0_index].greatest[1]] + [
                 e for e in a.chars.edges_at[u0] if (u0, e) in st.teeth
             ]
-            if R_of(a.tree, a.ledger, a.chars, u0, A) != 1:
+            if R_of(a.ledger, a.chars, u0, A) != 1:
                 out.append(f"{tag}: hub R(A) != 1")
             for i, cls in enumerate(dec.classes):
                 if i == dec.c0_index:
@@ -1281,12 +1281,16 @@ def _chk_defect2(a: Analysis) -> list[str]:
                 out.append(f"{tag}: single-class budget")
     degs = [a.info.degree[u] for u in sorted(a.glob.script_D)]
     if len(st.S) == 1 and degs and gcd(*degs) == 1:
-        fan = root_fan_data(a)
-        if fan.delta != 3 or any(en.a != 1 for en in fan.entries):
-            out.append("defect-2 fan shape")
-        d_sorted = tuple(sorted(en.d for en in fan.entries))
-        if d_sorted not in ((1, 1, 1), (1, 1, 2), (1, 2, 3)):
-            out.append(f"defect-2 fan degrees {d_sorted}")
+        try:
+            fan = root_fan_data(a)
+        except InternalInconsistencyError as exc:
+            out.append(str(exc))
+        else:
+            if fan.delta != 3 or any(en.a != 1 for en in fan.entries):
+                out.append("defect-2 fan shape")
+            d_sorted = tuple(sorted(en.d for en in fan.entries))
+            if d_sorted not in ((1, 1, 1), (1, 1, 2), (1, 2, 3)):
+                out.append(f"defect-2 fan degrees {d_sorted}")
         if len(a.glob.script_N) == 1:
             match = recognize_canonical(a)
             if match is None or match.family != "T_C":

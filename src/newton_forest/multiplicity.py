@@ -5,7 +5,10 @@ taken near the path from v to b, of all edges incident to but not in that
 path; the hatted variant drops the edges incident to v itself.  N_v sums
 x(v,b) over all (1)-arrows.  Multiplicity tables are computed with one
 product-carrying walk per source cell so shared path prefixes are not
-recomputed; the oracle module recomputes everything per arrow.
+recomputed; the oracle module recomputes everything per arrow.  Each visit
+costs O(deg): the product over the other outgoing edges comes from prefix
+and suffix products, and edges are compared by identity (a tree holds one
+`Edge` object per edge).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .tree_model import CellRef, DecoratedRootedTree, Edge
+from .tree_model import CellRef, DecoratedRootedTree, Edge, products_but_one
 
 
 @dataclass(frozen=True)
@@ -49,13 +52,9 @@ def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
                 x[(v, c)] = full
                 x_hat[(v, c)] = hat
                 continue
-            for e_out in tree.incident_edges(c):
-                if e_in is not None and e_out == e_in:
-                    continue
-                here = 1
-                for e in tree.incident_edges(c):
-                    if e != e_out and (e_in is None or e != e_in):
-                        here *= e.q_near(c)
+            outgoing = [e for e in tree.incident_edges(c) if e is not e_in]
+            heres = products_but_one([e.q_near(c) for e in outgoing])
+            for e_out, here in zip(outgoing, heres):
                 d = e_out.other(c)
                 if c == v:
                     stack.append((d, e_out, full * here, hat))

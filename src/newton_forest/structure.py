@@ -153,14 +153,14 @@ def structure_ledger(
     )
 
 
-def _comb_step(tree, ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
+def _comb_step(ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
     """Comb test of `pair` against the pair just above it in the poset; the
     edge of `upper` joins the two vertices."""
     v, f = pair
     eps = ledger.per_vertex[v].epsilon
     if eps not in (2, 3):
         return False
-    r1 = R_of(tree, ledger, chars, v, [f])
+    r1 = R_of(ledger, chars, v, [f])
     if eps == 2:
         return r1 < 1
     if r1 != 0:
@@ -174,7 +174,6 @@ def _comb_step(tree, ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
 
 
 def is_comb_over(
-    tree: DecoratedRootedTree,
     ledger: VertexLedger,
     chars: CharacteristicTable,
     struct: StructureLedger,
@@ -187,7 +186,7 @@ def is_comb_over(
         raise ValueError("first pair must lie above the second")
     chain = poset.interval(top, bottom)
     return all(
-        _comb_step(tree, ledger, chars, struct, upper, pair)
+        _comb_step(ledger, chars, struct, upper, pair)
         for upper, pair in zip(chain, chain[1:])
     )
 
@@ -294,7 +293,7 @@ def comb_decomposition(
         p = toward_z[u]
         if p == z:
             continue
-        if _comb_step(tree, ledger, chars, struct, pair_of[u], pair_of[p]):
+        if _comb_step(ledger, chars, struct, pair_of[u], pair_of[p]):
             union(u, p)
 
     groups: dict[CellRef, list[CellRef]] = {}

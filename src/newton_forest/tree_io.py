@@ -62,6 +62,8 @@ def parse(text: str) -> DecoratedRootedTree:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("document: JSON nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise ParseError("document: expected a JSON object")

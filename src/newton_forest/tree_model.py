@@ -9,9 +9,11 @@ other modules assume a validated tree.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import TreeStructureError
 
@@ -56,6 +58,11 @@ class Edge:
 
     def __str__(self) -> str:
         return "{%s,%s}" % self.ends
+
+
+# The dataclass order of Edge as a sort key: one tuple per edge instead of
+# two per comparison.
+_EDGE_ORDER = attrgetter("ends", "q")
 
 
 def make_edge(a: CellRef, qa: int, b: CellRef, qb: int) -> Edge:
@@ -297,18 +304,17 @@ def build_tree(
     if problems:
         raise TreeStructureError(problems)
 
-    kept = sorted(seen_pairs)
-    if len(kept) != len(by_id) - 1:
+    if len(seen_pairs) != len(by_id) - 1:
         problems.append(
-            f"not a tree: {len(by_id)} cells need {len(by_id) - 1} edges, got {len(kept)}"
+            f"not a tree: {len(by_id)} cells need {len(by_id) - 1} edges, got {len(seen_pairs)}"
         )
 
     # Rooted orientation by BFS; detects disconnection.
     parent_edge: dict[CellRef, Edge | None] = {root: None}
     depth: dict[CellRef, int] = {root: 0}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         for e in incident[c]:
             d = e.other(c)
             if d not in depth:
@@ -343,10 +349,10 @@ def build_tree(
     if problems:
         raise TreeStructureError(problems)
 
-    incident_sorted = {c: tuple(sorted(es)) for c, es in incident.items()}
+    incident_sorted = {c: tuple(sorted(es, key=_EDGE_ORDER)) for c, es in incident.items()}
     return DecoratedRootedTree(
         cells=final,
-        edges=tuple(sorted(set(edge_input))),
+        edges=tuple(sorted(edge_input, key=_EDGE_ORDER)),
         root=root,
         _incident=incident_sorted,
         _parent_edge=parent_edge,
@@ -357,8 +363,51 @@ def build_tree(
     )
 
 
-def _coprime(a: int, b: int) -> bool:
-    return math.gcd(a, b) == 1
+def products_but_one(values: Sequence[int]) -> list[int]:
+    """Entry i is the product of every value but `values[i]`.
+
+    Prefix times suffix products, O(len(values)) multiplications and no
+    division, so a zero value stays exact.
+    """
+    out = []
+    acc = 1
+    for q in values:
+        out.append(acc)
+        acc *= q
+    acc = 1
+    for i in range(len(values) - 1, -1, -1):
+        out[i] *= acc
+        acc *= values[i]
+    return out
+
+
+def _coprime_diagnostics(
+    v: CellRef, inc: tuple[Edge, ...]
+) -> list[ValidationDiagnostic]:
+    """Axiom 5's coprimality clause at `v`, one diagnostic per failing pair.
+
+    A decoration of +-1 is coprime to everything, so only the others are
+    paired, in incidence order.  When each is coprime to the product of
+    those before it they are pairwise coprime, and the pair loop is skipped.
+    """
+    big = [(e, e.q_near(v)) for e in inc if abs(e.q_near(v)) != 1]
+    acc = 1
+    for _, q in big:
+        if math.gcd(q, acc) != 1:
+            break
+        acc *= q
+    else:
+        return []
+    out = []
+    for i, (ei, qi) in enumerate(big):
+        for ej, qj in big[i + 1:]:
+            if math.gcd(qi, qj) != 1:
+                out.append(
+                    ValidationDiagnostic(
+                        5, (v, str(ei), str(ej)), f"decorations {qi} and {qj} are not coprime"
+                    )
+                )
+    return out
 
 
 def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
@@ -372,13 +421,29 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
        positive with at most one exceeding 1, and the dead-end decoration
        equal to the maximum upward decoration;
     6. every vertex-vertex edge has negative determinant.
+
+    Cost, for n cells, apart from sorting the cell ids and the arithmetic
+    on large decorations: axiom 1 walks up from each (1)-arrow and stops at
+    the first cell already covered, so each cell is passed once, O(n).
+    Axioms 2-4 read each incidence once, O(n).  Axiom 5 decides "upward"
+    from the parent pointers, O(deg) per vertex; its coprimality clause
+    pairs only the k decorations other than +-1, O(k) when they pass and
+    O(k^2) when one pair fails.  Axiom 6 reads both Q values from
+    prefix/suffix products made once per vertex, O(n).  The diagnostics
+    themselves can outnumber the cells only through axiom 5's pairs.
     """
     out: list[ValidationDiagnostic] = []
     root = tree.root
+    parent_edge = tree._parent_edge
 
+    # Walk up from each (1)-arrow until a covered cell: the covered set is
+    # closed under going down towards the root, so its ancestors are too.
     covered: set[CellRef] = set()
     for alpha in sorted(tree.arrows1):
-        covered.update(tree.path(root, alpha)[:-1])
+        c = tree.parent(alpha)
+        while c is not None and c not in covered:
+            covered.add(c)
+            c = tree.parent(c)
     for v in sorted(tree.vertices):
         if v not in covered:
             out.append(
@@ -413,18 +478,8 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
 
     for v in sorted(tree.vertices):
         inc = tree.incident_edges(v)
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                qi, qj = inc[i].q_near(v), inc[j].q_near(v)
-                if not _coprime(qi, qj):
-                    out.append(
-                        ValidationDiagnostic(
-                            5,
-                            (v, str(inc[i]), str(inc[j])),
-                            f"decorations {qi} and {qj} are not coprime",
-                        )
-                    )
-        upward = [e for e in inc if tree.less_than(v, e.other(v))]
+        out.extend(_coprime_diagnostics(v, inc))
+        upward = [e for e in inc if parent_edge[e.other(v)] is e]
         big = [e for e in upward if e.q_near(v) > 1]
         for e in upward:
             if e.q_near(v) < 1:
@@ -451,8 +506,23 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
                     )
                 )
 
+    # Q(e, x) for each end x of each vertex-vertex edge e.  The edges to
+    # arrows enter as one factor, so only the wanted products are kept.
+    vertices = tree.vertices
+    Q: dict[tuple[CellRef, CellRef], int] = {}
+    for x in vertices:
+        to_vertex = [e for e in tree.incident_edges(x) if e.other(x) in vertices]
+        if not to_vertex:
+            continue
+        to_arrows = math.prod(
+            e.q_near(x) for e in tree.incident_edges(x) if e.other(x) not in vertices
+        )
+        qs = products_but_one([e.q_near(x) for e in to_vertex] + [to_arrows])
+        for e, q in zip(to_vertex, qs):
+            Q[(x, e.other(x))] = q
     for e in tree.iter_vertex_edges():
-        det = tree.edge_determinant(e)
+        x, y = e.ends
+        det = e.q[0] * e.q[1] - Q[(x, y)] * Q[(y, x)]
         if det >= 0:
             out.append(
                 ValidationDiagnostic(6, (str(e),), f"edge determinant {det} is not negative")

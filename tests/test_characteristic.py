@@ -102,10 +102,10 @@ def test_R_and_delta_bar_T_D():
     ledger = vertex_ledger(t)
     chars = characteristic_numbers(t, ledger=ledger)
     e = t.edge_between("v0", "w")
-    assert R_of(t, ledger, chars, "w", [e]) == 1
+    assert R_of(ledger, chars, "w", [e]) == 1
     assert delta_bar(ledger, chars, "w", [e]) == -4
-    assert R_of(t, ledger, chars, "v0", [e]) == Fraction(3, 4)
-    assert R_of(t, ledger, chars, "v0", []) == 0
+    assert R_of(ledger, chars, "v0", [e]) == Fraction(3, 4)
+    assert R_of(ledger, chars, "v0", []) == 0
     assert delta_bar(ledger, chars, "v0", []) == -5
 
 
@@ -115,7 +115,7 @@ def test_R_rejects_foreign_edges():
     chars = characteristic_numbers(t, ledger=ledger)
     dead = t.edge_between("w", "ow")
     with pytest.raises(ValueError):
-        R_of(t, ledger, chars, "w", [dead])
+        R_of(ledger, chars, "w", [dead])
 
 
 def test_h_products_singleton_is_x():

@@ -210,11 +210,11 @@ def _comb_stat_bumped(field):
     return dataclasses.replace(a, decompositions={**a.decompositions, z: bumped})
 
 
-def _fan_degree():
+def _fan_degree(d):
     a = analysis(fixture_T_C((1, 2, 3)))
     (u,) = [u for u in sorted(a.info.dicriticals) if a.info.degree[u] == 1]
     assert u in a.tree.neighbors(a.tree.root)
-    degree = {**a.info.degree, u: 2}
+    degree = {**a.info.degree, u: d}
     return dataclasses.replace(a, info=dataclasses.replace(a.info, degree=degree))
 
 
@@ -235,7 +235,9 @@ def _fan_defect():
         pytest.param(_comb_class_split, "comb-relation", id="comb-class-split"),
         pytest.param(lambda: _comb_stat_bumped("x0"), "comb-decomposition", id="stats-x0"),
         pytest.param(lambda: _comb_stat_bumped("H"), "comb-decomposition", id="quotient-H"),
-        pytest.param(_fan_degree, "single-skeleton-fan", id="fan-degree"),
+        pytest.param(lambda: _fan_degree(2), "single-skeleton-fan", id="fan-degree"),
+        # 4 does not divide N = 6, so root_fan_data raises inside the check
+        pytest.param(lambda: _fan_degree(4), "defect-two-structure", id="fan-degree-not-dividing"),
         pytest.param(_fan_defect, "single-skeleton-fan", id="fan-defect"),
     ],
 )

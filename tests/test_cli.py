@@ -1,10 +1,19 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 from newton_forest.cli import run
 from newton_forest.oracle_gen import GeneratorConfig, generate
-from newton_forest.tree_io import serialize
+from newton_forest.tree_io import parse, serialize
+from newton_forest.tree_model import (
+    ARROW,
+    VERTEX,
+    Cell,
+    build_tree,
+    make_edge,
+    validate_axioms,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -45,6 +54,98 @@ def test_undecodable_file_exit_1(tmp_path, capsys):
     bad.write_bytes((FIXTURES / "T_A.ntree").read_bytes() + b"\xff\xfe")
     assert run(["validate", str(bad)]) == 1
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_exit_1(tmp_path, capsys):
+    deep = tmp_path / "deep.ntree"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert run(["validate", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+# Large inputs: validation is linear in the number of cells, so each of these
+# takes a second or two; a check quadratic in depth or degree would take about
+# a minute on the caterpillar or the star.
+LARGE_INPUT_SECONDS = 5.0
+
+
+def _caterpillar(spine):
+    """Spine v0..v{spine-1} with one (1)-arrow per spine vertex, and a side
+    vertex w whose only arrow is a dead end: axiom 1 fails at w alone."""
+    cells = [Cell(f"v{i}", VERTEX) for i in range(spine)]
+    cells += [Cell(f"t{i}", ARROW, 1) for i in range(spine)]
+    cells += [Cell("w", VERTEX), Cell("o", ARROW, 0)]
+    edges = [make_edge(f"v{i}", 1, f"t{i}", 1) for i in range(spine)]
+    # decorations near v{i} on its parent edge fall, so each determinant is < 0
+    edges += [make_edge(f"v{i - 1}", 1, f"v{i}", -i) for i in range(1, spine)]
+    j = spine // 2
+    edges += [make_edge(f"v{j}", 1, "w", -j - 1), make_edge("w", 1, "o", 1)]
+    return build_tree(cells, edges, "v0")
+
+
+def _star(arms):
+    """Root r over a vertex c with `arms` (1)-arrows; near c the root edge is
+    decorated -2 and one arm 2, so axiom 5 fails at that one pair."""
+    k = arms // 3
+    cells = [Cell("r", VERTEX), Cell("c", VERTEX)]
+    cells += [Cell(f"t{i}", ARROW, 1) for i in range(arms)]
+    edges = [make_edge("r", 1, "c", -2)]
+    edges += [make_edge("c", 2 if i == k else 1, f"t{i}", 1) for i in range(arms)]
+    return build_tree(cells, edges, "r"), k
+
+
+def _broom(handles):
+    """A root with `handles` children, each carrying a (1)-arrow and a dead
+    end, decorated like T_A: a valid tree."""
+    cells = [Cell("r", VERTEX)]
+    edges = []
+    for i in range(handles):
+        cells += [Cell(f"u{i}", VERTEX), Cell(f"t{i}", ARROW, 1), Cell(f"o{i}", ARROW, 0)]
+        edges += [
+            make_edge("r", 1, f"u{i}", 0),
+            make_edge(f"u{i}", 1, f"t{i}", 1),
+            make_edge(f"u{i}", 1, f"o{i}", 1),
+        ]
+    return build_tree(cells, edges, "r")
+
+
+def _timed_validate(tmp_path, tree):
+    path = tmp_path / "large.ntree"
+    path.write_text(serialize(tree))
+    start = time.perf_counter()
+    code = run(["validate", str(path)])
+    return code, time.perf_counter() - start
+
+
+def test_validate_large_caterpillar(tmp_path, capsys):
+    tree = _caterpillar(16000)
+    assert len(tree.cells) == 32002
+    code, seconds = _timed_validate(tmp_path, tree)
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "axiom 1 at (w): no arrow decorated (1) above this vertex\n"
+    )
+    assert seconds < LARGE_INPUT_SECONDS
+
+
+def test_validate_large_star(tmp_path, capsys):
+    tree, k = _star(16000)
+    code, seconds = _timed_validate(tmp_path, tree)
+    assert code == 1
+    assert capsys.readouterr().out == (
+        f"axiom 5 at (c, {{c,r}}, {{c,t{k}}}): decorations -2 and 2 are not coprime\n"
+    )
+    assert seconds < LARGE_INPUT_SECONDS
+
+
+def test_validate_axioms_large_broom():
+    text = serialize(_broom(16000))
+    start = time.perf_counter()
+    tree = parse(text)
+    assert validate_axioms(tree) == []
+    assert time.perf_counter() - start < LARGE_INPUT_SECONDS
+    assert len(tree.cells) == 48001
 
 
 def test_engine_value_error_exit_3(monkeypatch, capsys):

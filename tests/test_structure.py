@@ -38,9 +38,9 @@ def test_comb_over_reflexive_and_incomparable():
     t = fixture_T_D()
     a = Analysis.build(t)
     e = t.edge_between("v0", "w")
-    assert is_comb_over(t, a.ledger, a.chars, a.struct, ("w", e), ("w", e))
+    assert is_comb_over(a.ledger, a.chars, a.struct, ("w", e), ("w", e))
     with pytest.raises(ValueError, match="not comparable"):
-        is_comb_over(t, a.ledger, a.chars, a.struct, ("w", e), ("v0", e))
+        is_comb_over(a.ledger, a.chars, a.struct, ("w", e), ("v0", e))
 
 
 def test_decomposition_T_D():

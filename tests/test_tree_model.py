@@ -1,11 +1,15 @@
+import hashlib
+
 import pytest
 
 from newton_forest.errors import TreeStructureError
+from newton_forest.oracle_gen import GeneratorConfig, generate
 from newton_forest.tree_io import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
 from newton_forest.tree_model import (
     ARROW,
     VERTEX,
     Cell,
+    Edge,
     build_tree,
     make_edge,
     validate_axioms,
@@ -190,3 +194,42 @@ def test_valency_rules_on_validated_trees():
         for v in t.vertices:
             if v != t.root:
                 assert t.valency(v) >= 2
+
+
+# sha256 over the outcome of every mutant of generator seeds 0..59 at
+# max_cells=40: each edge end's decoration set to each of MUTANT_DECORATIONS,
+# each arrow's 0/1 decoration flipped, and each edge dropped.  The outcome is
+# the `validate_axioms` diagnostics in order, or the `TreeStructureError`
+# text.  Any change to a diagnostic's text or order moves it.
+PINNED_VALIDATE_SHA256 = "2f6b809e6fb30ceff10d6189f23fc295a2ae077170e8f69ac5117aa92bf85078"
+MUTANT_DECORATIONS = (-2, 0, 2, 3, 6)
+
+
+def _mutants(tree):
+    cells = list(tree.cells.values())
+    edges = list(tree.edges)
+    for i, e in enumerate(edges):
+        for end in (0, 1):
+            for q in MUTANT_DECORATIONS:
+                qs = list(e.q)
+                qs[end] = q
+                yield cells, edges[:i] + [Edge(e.ends, tuple(qs))] + edges[i + 1:]
+    for i, c in enumerate(cells):
+        if c.kind == ARROW:
+            flipped = Cell(c.id, ARROW, 1 - c.arrow_decoration)
+            yield cells[:i] + [flipped] + cells[i + 1:], edges
+    for i in range(len(edges)):
+        yield cells, edges[:i] + edges[i + 1:]
+
+
+def test_validate_bytes_pinned():
+    digest = hashlib.sha256()
+    for seed in range(60):
+        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
+        for cells, edges in _mutants(tree):
+            try:
+                lines = [str(d) for d in validate_axioms(build_tree(cells, edges, tree.root))]
+            except TreeStructureError as exc:
+                lines = [f"structure: {exc}"]
+            digest.update(("\n".join(lines) + "\0").encode("utf-8"))
+    assert digest.hexdigest() == PINNED_VALIDATE_SHA256
