@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     TreeStructureError,
 )
-from .multiplicity import classify, multiplicities
+from .multiplicity import classify
 from .oracle_gen import GeneratorConfig, generate
 from .report import Analysis, ValidationFailedError, analysis_to_dict, render_text
 from .tree_io import export_dot, parse, serialize
@@ -64,7 +64,7 @@ def _cmd_validate(args) -> int:
         for d in diagnostics:
             print(str(d))
         return 1
-    info = classify(tree, multiplicities(tree))
+    info = classify(tree)
     print(_classification_line(info))
     for reason in info.reasons:
         print(f"  - {reason}")
@@ -168,6 +168,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newton-forest",
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run the theorem audits")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--gen", type=int, default=None, metavar="N")
+    p.add_argument("--gen", type=_count, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--max-cells", type=int, default=40, metavar="K")
     p.set_defaults(func=_cmd_audit)

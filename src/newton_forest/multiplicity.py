@@ -3,12 +3,13 @@
 For a cell v and a (1)-arrow b, x(v,b) is the product of the decorations,
 taken near the path from v to b, of all edges incident to but not in that
 path; the hatted variant drops the edges incident to v itself.  N_v sums
-x(v,b) over all (1)-arrows.  Multiplicity tables are computed with one
-product-carrying walk per source cell so shared path prefixes are not
-recomputed; the oracle module recomputes everything per arrow.  Each visit
-costs O(deg): the product over the other outgoing edges comes from prefix
-and suffix products, and edges are compared by identity (a tree holds one
-`Edge` object per edge).
+x(v,b) over all (1)-arrows.  N for every source comes from one rerooting
+pass over the directed edges, O(n) for n cells; classification needs only
+N.  The x/x-hat tables are computed with one product-carrying walk per
+source cell so shared path prefixes are not recomputed; the oracle module
+recomputes everything per arrow.  Each visit costs O(deg): the product over
+the other outgoing edges comes from prefix and suffix products, and edges
+are compared by identity (a tree holds one `Edge` object per edge).
 """
 
 from __future__ import annotations
@@ -29,6 +30,71 @@ class MultiplicityTable:
     x_hat: Mapping[tuple[CellRef, CellRef], int]
     M_of_T: int
     points_at_infinity: int
+
+
+def _sums_but_one(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """For pairs (q_i, F_i), S = sum over j of F_j times the product of every
+    other q_i: S over all pairs, and S with each pair left out in turn.
+
+    Pairs combine as (Q1, S1).(Q2, S2) = (Q1*Q2, S1*Q2 + Q1*S2), so the
+    left-out values come from prefix and suffix combinations, with no
+    division: a zero q stays exact.
+    """
+    n = len(pairs)
+    pre_Q = [1] * (n + 1)
+    pre_S = [0] * (n + 1)
+    for i, (q, F) in enumerate(pairs):
+        pre_Q[i + 1] = pre_Q[i] * q
+        pre_S[i + 1] = pre_S[i] * q + pre_Q[i] * F
+    but_one = [0] * n
+    suf_Q, suf_S = 1, 0
+    for i in range(n - 1, -1, -1):
+        but_one[i] = pre_S[i] * suf_Q + pre_Q[i] * suf_S
+        q, F = pairs[i]
+        suf_Q, suf_S = q * suf_Q, F * suf_Q + q * suf_S
+    return pre_S[n], but_one
+
+
+def source_multiplicities(tree: DecoratedRootedTree) -> dict[CellRef, int]:
+    """N over vertices and (0)-arrows, in sorted order, in O(n).
+
+    For an edge e directed from c to d, F(c->d) sums, over the (1)-arrows b
+    on d's side, the part of x(c,b) that the cells from d to b contribute:
+    1 when d is a (1)-arrow, 0 when d is a (0)-arrow, and otherwise the sum
+    S over the pairs (q(e',d), F(d->d')) of d's other edges e' = {d,d'}.
+    N_v is S over the pairs of all edges at v.  One pass up the tree gives
+    F on the edges directed away from the root, one pass down gives the
+    rest, each visit O(deg) through `_sums_but_one`.
+    """
+    ones = tree.arrows1
+    parent_edge = tree._parent_edge
+    children: dict[CellRef, list[Edge]] = {}
+    order = [tree.root]  # every parent before its children
+    for c in order:
+        kids = [e for e in tree.incident_edges(c) if e is not parent_edge[c]]
+        children[c] = kids
+        order.extend(e.other(c) for e in kids)
+
+    F_away: dict[CellRef, int] = {}  # F(parent(d) -> d)
+    for d in reversed(order):
+        if tree.is_arrow(d):
+            F_away[d] = 1 if d in ones else 0
+        else:
+            F_away[d], _ = _sums_but_one(
+                [(e.q_near(d), F_away[e.other(d)]) for e in children[d]]
+            )
+
+    F_back: dict[CellRef, int] = {}  # F(d -> parent(d))
+    N: dict[CellRef, int] = {}
+    for c in order:
+        kids = children[c]
+        pairs = [(e.q_near(c), F_away[e.other(c)]) for e in kids]
+        if parent_edge[c] is not None:
+            pairs.append((parent_edge[c].q_near(c), F_back[c]))
+        N[c], but_one = _sums_but_one(pairs)
+        for e, F in zip(kids, but_one):
+            F_back[e.other(c)] = F
+    return {v: N[v] for v in sorted(tree.vertices | tree.arrows0)}
 
 
 def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
@@ -61,7 +127,7 @@ def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
                 else:
                     stack.append((d, e_out, full * here, hat * here))
 
-    N = {v: sum(x[(v, b)] for b in ones) for v in sources}
+    N = source_multiplicities(tree)
     M = -sum(N[v] * (tree.valency(v) - 2) for v in sources)
 
     root = tree.root
@@ -87,12 +153,15 @@ class DicriticalInfo:
 def classify(
     tree: DecoratedRootedTree, table: MultiplicityTable | None = None
 ) -> DicriticalInfo:
-    """Genericity, completeness and minimal completeness of a validated tree."""
-    if table is None:
-        table = multiplicities(tree)
+    """Genericity, completeness and minimal completeness of a validated tree.
+
+    Only N is read: from `table` when given, else from
+    :func:`source_multiplicities`, so no x table is built.
+    """
+    N = table.N if table is not None else source_multiplicities(tree)
     reasons: list[str] = []
 
-    dicriticals = frozenset(v for v in tree.vertices if table.N[v] == 0)
+    dicriticals = frozenset(v for v in tree.vertices if N[v] == 0)
     degree = {
         u: sum(1 for n in tree.neighbors(u) if n in tree.arrows1)
         for u in sorted(dicriticals)
@@ -100,9 +169,9 @@ def classify(
 
     generic = True
     for v in sorted(tree.vertices):
-        if table.N[v] < 0:
+        if N[v] < 0:
             generic = False
-            reasons.append(f"vertex {v!r} has negative multiplicity {table.N[v]}")
+            reasons.append(f"vertex {v!r} has negative multiplicity {N[v]}")
 
     complete = generic
     for alpha in sorted(tree.arrows1):

@@ -11,6 +11,14 @@ solves the one linear condition per dicritical (the decoration on its
 supporting edge that makes its multiplicity vanish), and keeps the tree only
 if the real validator and classifier accept it.  Everything is reproducible
 from the seed.
+
+An attempt runs in this order: draw a plan; screen the plan on the axiom
+clauses that read no support (coprimality near each skeleton vertex, and
+the determinant of each skeleton edge); solve the supports; assemble the
+tree; and `_screen` it with `validate_axioms` and `classify`.  `_screen` is
+the gate: every tree returned passes it.  The plan screen draws nothing
+from the RNG and rejects only plans that `_screen` would reject on the same
+clause, so it changes neither the attempt count nor the seed->tree mapping.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import GenerationError
-from .multiplicity import classify, multiplicities
+from .multiplicity import classify
 from .tree_model import (
     ARROW,
     VERTEX,
@@ -31,6 +39,8 @@ from .tree_model import (
     Edge,
     build_tree,
     make_edge,
+    pairwise_coprime,
+    products_but_one,
     validate_axioms,
 )
 
@@ -251,6 +261,48 @@ def _decorate_vertex(
     ]
 
 
+def _up_q(plan: list[_VertexPlan], i: int) -> int:
+    """Decoration near the parent of skeleton vertex `i` on the edge to `i`."""
+    parent_plan = plan[plan[i].parent]
+    return parent_plan.up_big if parent_plan.big_child == i else 1
+
+
+def _plan_screen(plan: list[_VertexPlan]) -> bool:
+    """Whether the plan passes the axiom clauses that read no support.
+
+    Near a skeleton vertex the decorations are its `down_q`, the `up_q` of
+    each child edge, its dead end, and 1 on each dicritical edge; axiom 5
+    wants them pairwise coprime.  Axiom 6 wants each skeleton edge's
+    determinant negative, with Q read from the same decorations.  A plan
+    that fails here fails `validate_axioms` once assembled, whatever the
+    supports.
+    """
+    children: list[list[int]] = [[] for _ in plan]
+    for i, p in enumerate(plan):
+        if p.parent is not None:
+            children[p.parent].append(i)
+    Q_parent = [0] * len(plan)  # Q near the parent of i, on the edge to i
+    Q_child = [0] * len(plan)  # Q near i, on the edge to its parent
+    for i, p in enumerate(plan):
+        near = [_up_q(plan, c) for c in children[i]]
+        if p.parent is not None:
+            near.append(p.down_q)
+        if p.dead_end:
+            near.append(p.dead_end)
+        if not pairwise_coprime(near):
+            return False
+        Qs = products_but_one(near)
+        for c, Q in zip(children[i], Qs):
+            Q_parent[c] = Q
+        if p.parent is not None:
+            Q_child[i] = Qs[len(children[i])]
+    return all(
+        _up_q(plan, i) * p.down_q - Q_parent[i] * Q_child[i] < 0
+        for i, p in enumerate(plan)
+        if p.parent is not None
+    )
+
+
 def _assemble(
     plan: list[_VertexPlan], supports: dict[tuple[int, int], int]
 ) -> DecoratedRootedTree:
@@ -260,11 +312,7 @@ def _assemble(
         v = f"v{i}"
         cells.append(Cell(v, VERTEX))
         if p.parent is not None:
-            up_q = 1
-            parent_plan = plan[p.parent]
-            if parent_plan.big_child == i:
-                up_q = parent_plan.up_big
-            edges.append(make_edge(f"v{p.parent}", up_q, v, p.down_q))
+            edges.append(make_edge(f"v{p.parent}", _up_q(plan, i), v, p.down_q))
         if p.dead_end:
             o = f"o{i}"
             cells.append(Cell(o, ARROW, 0))
@@ -302,7 +350,7 @@ def _attempt(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | 
         plan = _plan_star(rng, cfg)
     else:
         plan = _plan_random(rng, cfg)
-    if _plan_cells(plan) > cfg.max_cells:
+    if _plan_cells(plan) > cfg.max_cells or not _plan_screen(plan):
         return None
     supports = _solve_supports(plan)
     if supports is None:
@@ -442,9 +490,7 @@ def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedT
 def _screen(tree: DecoratedRootedTree) -> DecoratedRootedTree | None:
     if validate_axioms(tree):
         return None
-    table = multiplicities(tree)
-    info = classify(tree, table)
-    if not info.minimally_complete:
+    if not classify(tree).minimally_complete:
         return None
     return tree
 

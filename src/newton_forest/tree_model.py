@@ -381,22 +381,31 @@ def products_but_one(values: Sequence[int]) -> list[int]:
     return out
 
 
+def pairwise_coprime(values: Iterable[int]) -> bool:
+    """Whether the values are pairwise coprime (0 is coprime to +-1 only).
+
+    Each value is tested against the product of those before it, so the
+    cost is O(len(values)) gcds.
+    """
+    acc = 1
+    for q in values:
+        if math.gcd(q, acc) != 1:
+            return False
+        acc *= q
+    return True
+
+
 def _coprime_diagnostics(
     v: CellRef, inc: tuple[Edge, ...]
 ) -> list[ValidationDiagnostic]:
     """Axiom 5's coprimality clause at `v`, one diagnostic per failing pair.
 
     A decoration of +-1 is coprime to everything, so only the others are
-    paired, in incidence order.  When each is coprime to the product of
-    those before it they are pairwise coprime, and the pair loop is skipped.
+    paired, in incidence order.  When they are pairwise coprime the pair
+    loop is skipped.
     """
     big = [(e, e.q_near(v)) for e in inc if abs(e.q_near(v)) != 1]
-    acc = 1
-    for _, q in big:
-        if math.gcd(q, acc) != 1:
-            break
-        acc *= q
-    else:
+    if pairwise_coprime(q for _, q in big):
         return []
     out = []
     for i, (ei, qi) in enumerate(big):

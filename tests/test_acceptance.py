@@ -3,6 +3,7 @@
 The corpus for criteria 3-5 is the fixed seed set 0..999 at up to 40 cells.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -50,6 +51,33 @@ def corpus():
     ]
     _timings["generate"] = time.perf_counter() - t0
     return trees
+
+
+def _serialized_sha256(trees) -> str:
+    digest = hashlib.sha256()
+    for tree in trees:
+        digest.update(serialize(tree).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_generator_corpus_a_pinned(corpus):
+    """The seed->tree mapping of the default config: seeds 0..999 at 40 cells.
+
+    Equal to the benchmark's `corpus-small` input digest for seed 0."""
+    assert _serialized_sha256(corpus) == (
+        "bf5ccd8a6619b4256d5724e7cc51e9afea25f3e67c498010fe5d39fab4667498"
+    )
+
+
+def test_generator_corpus_b_pinned():
+    """Wide fans: seeds 0..39 at 400 cells and dicritical degree up to 120."""
+    trees = (
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(40)
+    )
+    assert _serialized_sha256(trees) == (
+        "3a82e618fdf162b8a29867b1ac1ef049491b9341e7b3d2c9db4aec7c3f11127c"
+    )
 
 
 def test_criterion_1_fixture_exactness():

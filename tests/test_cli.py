@@ -139,6 +139,20 @@ def test_validate_large_star(tmp_path, capsys):
     assert seconds < LARGE_INPUT_SECONDS
 
 
+def test_validate_large_valid_broom(tmp_path, capsys):
+    # classifying a valid tree reads N only; no x table is built
+    tree = _broom(1000)
+    assert len(tree.cells) == 3001
+    code, seconds = _timed_validate(tmp_path, tree)
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "generic (not complete)"
+    assert out[1] == "  - (1)-arrow 't0' is not adjacent to a dicritical"
+    assert out[-1] == "  - dead end decorated 1 at non-dicritical 'u999'"
+    assert len(out) == 2001
+    assert seconds < LARGE_INPUT_SECONDS
+
+
 def test_validate_axioms_large_broom():
     text = serialize(_broom(16000))
     start = time.perf_counter()
@@ -267,6 +281,15 @@ def test_audit_gen(capsys):
     assert run(["audit", "--gen", "12", "--seed", "3", "--max-cells", "40"]) == 0
     out = capsys.readouterr().out
     assert "12 trees audited, 0 failures" in out
+
+
+def test_audit_gen_negative_exit_2(capsys):
+    assert run(["audit", "--gen", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not be negative" in captured.err
+    assert run(["audit", "--gen", "0"]) == 0
+    assert capsys.readouterr().out == "0 trees audited, 0 failures\n"
 
 
 def test_dot_output(capsys):

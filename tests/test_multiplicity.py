@@ -1,5 +1,12 @@
-from newton_forest.multiplicity import classify, multiplicities
-from newton_forest.tree_io import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
+from newton_forest.multiplicity import classify, multiplicities, source_multiplicities
+from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_N
+from newton_forest.tree_io import (
+    fixture_corpus,
+    fixture_T_A,
+    fixture_T_B,
+    fixture_T_C,
+    fixture_T_D,
+)
 from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
 
 
@@ -103,3 +110,17 @@ def test_classify_non_generic():
     info = classify(t)
     assert not info.generic
     assert not info.minimally_complete
+
+
+def test_source_multiplicities_match_oracle():
+    # generated trees carry zero decorations, which the pass must keep exact
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(60)]
+    trees += [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(4)
+    ]
+    for tree in trees:
+        N = source_multiplicities(tree)
+        assert N == {v: oracle_N(tree, v) for v in tree.vertices | tree.arrows0}
+        assert list(N) == sorted(N)

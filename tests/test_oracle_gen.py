@@ -113,3 +113,31 @@ def test_coverage_over_a_small_corpus():
         seen[f"omega{len(a.struct.Omega)}"] += 1
         seen["multi"] += any(len(d.classes) >= 2 for d in a.decompositions.values())
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_plan_screen_is_sound():
+    """Every plan the support-free screen rejects is also rejected after
+    solving its supports, assembling it and screening the tree, and the
+    assembled tree breaks axiom 5 or 6."""
+    import random
+
+    from newton_forest import oracle_gen as og
+
+    planners = (og._plan_fan, og._plan_chain, og._plan_star, og._plan_random)
+    rejected = passed = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(seed=seed)
+        for k in range(12):
+            plan = planners[k % len(planners)](rng, cfg)
+            if og._plan_screen(plan):
+                passed += 1
+                continue
+            rejected += 1
+            supports = og._solve_supports(plan)
+            if supports is None:
+                continue
+            tree = og._assemble(plan, supports)
+            assert og._screen(tree) is None, (seed, k)
+            assert {d.axiom_id for d in validate_axioms(tree)} & {5, 6}, (seed, k)
+    assert rejected > 600 and passed > 300, (rejected, passed)
