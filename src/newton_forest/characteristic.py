@@ -4,7 +4,8 @@ P collects the pairs (u, e) where u has positive multiplicity and e is an
 edge of the positive subtree incident to u.  (u', e') precedes (u, e) when
 the path from u' to u traverses e but not e'.  The characteristic number
 c(u, e) is defined by induction over this poset via gcds of rationals; the
-derived quantities M, p, p', eta, R and Delta-bar all live here.
+derived quantities M, p, p', eta, R and Delta-bar all live here.  For e =
+{u, v}, p = F(u->v) and p' = F(v->u) are read from the multiplicity table.
 
 All rational arithmetic is exact (`fractions.Fraction`).
 """
@@ -57,7 +58,6 @@ class PosetP:
     minimal: frozenset[Pair]
     _pred: Mapping[Pair, tuple[Pair, ...]]  # immediate predecessors
     _n_side: Mapping[Pair, frozenset[CellRef]]  # script-N cells beyond e from u
-    _beyond: Mapping[Pair, frozenset[CellRef]]  # all cells beyond e from u
 
     def immediate_predecessors(self, pair: Pair) -> tuple[Pair, ...]:
         return self._pred[pair]
@@ -65,10 +65,6 @@ class PosetP:
     def n_side(self, pair: Pair) -> frozenset[CellRef]:
         """script-N(u, e): the positive vertices x with e on the path u -> x."""
         return self._n_side[pair]
-
-    def beyond(self, pair: Pair) -> frozenset[CellRef]:
-        """Every cell x (of any kind) with e on the path u -> x."""
-        return self._beyond[pair]
 
     def precedes(self, a: Pair, b: Pair) -> bool:
         """Strictly: a < b in the poset."""
@@ -123,7 +119,6 @@ def build_poset(
 
     pred: dict[Pair, tuple[Pair, ...]] = {}
     n_side: dict[Pair, frozenset[CellRef]] = {}
-    beyond_of: dict[Pair, frozenset[CellRef]] = {}
     minimal = set()
     for u, e in elements:
         u0 = e.other(u)
@@ -144,7 +139,6 @@ def build_poset(
                 if n not in beyond and not (c == u0 and n == u):
                     beyond.add(n)
                     stack.append(n)
-        beyond_of[(u, e)] = frozenset(beyond)
         n_side[(u, e)] = frozenset(beyond & script_N)
 
     return PosetP(
@@ -152,7 +146,6 @@ def build_poset(
         minimal=frozenset(minimal),
         _pred=pred,
         _n_side=n_side,
-        _beyond=beyond_of,
     )
 
 
@@ -254,7 +247,6 @@ def characteristic_numbers(
 
     per = ledger.per_vertex
     script_N = set(per)
-    ones = sorted(tree.arrows1)
 
     c_of: dict[Pair, Rational] = {}
     # Predecessor n-sides are strictly smaller, so size order is evaluation order.
@@ -278,11 +270,6 @@ def characteristic_numbers(
     for pair in poset.elements:
         u, e = pair
         v = e.other(u)
-        beyond = poset.beyond(pair)
-        A = [alpha for alpha in ones if alpha in beyond]
-        p = sum(table.x_hat[(u, alpha)] for alpha in A)
-        p_prime = sum(table.x_hat[(v, alpha)] for alpha in ones if alpha not in beyond)
-
         c = c_of[pair]
         M = int(table.N[u] / c)
 
@@ -292,8 +279,8 @@ def characteristic_numbers(
         pairs[pair] = PairData(
             c=c,
             M=M,
-            p=p,
-            p_prime=p_prime,
+            p=table.F[u, v],
+            p_prime=table.F[v, u],
             eta=eta,
             nonpositive=dt <= 0,
             n_side=n_side,

@@ -33,6 +33,7 @@ from .characteristic import (
     rational_divides,
 )
 from .errors import InternalInconsistencyError
+from .multiplicity import source_multiplicities
 from .report import Analysis
 from .structure import (
     _maximal_trivial_walk,
@@ -485,30 +486,43 @@ def _chk_unit_edge(a: Analysis) -> list[str]:
     return out
 
 
-def _chk_linear_paths(a: Analysis) -> list[str]:
-    # both determinant identities on every linear path between vertices
+def _linear_paths(
+    tree: DecoratedRootedTree,
+) -> list[tuple[CellRef, CellRef, CellRef, CellRef]]:
+    """(v, v', first, last) for every path v..v' between vertices, v < v',
+    whose inner cells all have valency 2; first and last are the cells next
+    to v and v' on it.  Sorted by (v, v')."""
     out = []
-    tree = a.tree
-    verts = sorted(tree.vertices)
-    ones = sorted(tree.arrows1)
-    for i, v in enumerate(verts):
-        for vp in verts[i + 1 :]:
-            cells = tree.path(v, vp)
-            if any(tree.valency(c) != 2 for c in cells[1:-1]):
-                continue
-            e = tree.edge_between(cells[0], cells[1])
-            ep = tree.edge_between(cells[-1], cells[-2])
-            q, qp = e.q_near(v), ep.q_near(vp)
-            Q, Qp = tree.Q(e, v), tree.Q(ep, vp)
-            det = q * qp - Q * Qp
-            # split the arrows by whether their path from v passes vp
-            side = [b for b in ones if vp in tree.path(v, b)]
-            lhs1 = q * a.table.N[vp] - Qp * a.table.N[v]
-            rhs1 = det * sum(a.table.x_hat[(v, b)] for b in side)
-            lhs2 = qp * a.table.N[v] - Q * a.table.N[vp]
-            rhs2 = det * sum(a.table.x_hat[(vp, b)] for b in ones if b not in side)
-            if lhs1 != rhs1 or lhs2 != rhs2:
-                out.append(f"linear path {v!r}..{vp!r}")
+    for v in tree.vertices:
+        for e in tree.incident_edges(v):
+            prev, cur = v, e.other(v)
+            first = cur
+            while tree.is_vertex(cur):
+                if v < cur:
+                    out.append((v, cur, first, prev))
+                if tree.valency(cur) != 2:
+                    break
+                prev, cur = cur, next(n for n in tree.neighbors(cur) if n != prev)
+    out.sort()
+    return out
+
+
+def _chk_linear_paths(a: Analysis) -> list[str]:
+    # both determinant identities on every linear path between vertices; the
+    # x-hat sums over the arrows on each side are F of its two end edges
+    out = []
+    tree, N, F = a.tree, a.table.N, a.table.F
+    for v, vp, first, last in _linear_paths(tree):
+        e = tree.edge_between(v, first)
+        ep = tree.edge_between(vp, last)
+        q, qp = e.q_near(v), ep.q_near(vp)
+        Q, Qp = tree.Q(e, v), tree.Q(ep, vp)
+        det = q * qp - Q * Qp
+        if (
+            q * N[vp] - Qp * N[v] != det * F[v, first]
+            or qp * N[v] - Q * N[vp] != det * F[vp, last]
+        ):
+            out.append(f"linear path {v!r}..{vp!r}")
     return out
 
 
@@ -744,6 +758,8 @@ def _chk_char_chain_div(a: Analysis) -> list[str]:
 
 
 def _chk_dic_sum_div(a: Analysis) -> list[str]:
+    # sums of x and x-hat over a node's arrows come from one pass summing
+    # over those arrows only: N[w] and the F of w's edges
     out = []
     tree = a.tree
     for z in sorted(a.glob.nd):
@@ -754,11 +770,12 @@ def _chk_dic_sum_div(a: Analysis) -> list[str]:
             for alpha in tree.neighbors(u)
             if alpha in tree.arrows1
         )
+        N, F = source_multiplicities(tree, frozenset(arrows))
         d = dz.d
         for w in sorted(tree.vertices):
             h, h_hat = h_products(tree, w, arrows)
-            sx = sum(a.table.x[(w, alpha)] for alpha in arrows)
-            sxh = sum(a.table.x_hat[(w, alpha)] for alpha in arrows)
+            sx = N[w]
+            sxh = sum(F[w, n] for n in tree.neighbors(w))
             if not rational_divides(h * d, sx) or not rational_divides(h_hat * d, sxh):
                 out.append(f"node {z!r}, base {w!r}")
             aw = tree.a_value(w)

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--gen", type=_count, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--max-cells", type=int, default=40, metavar="K")
+    p.add_argument("--max-cells", type=_count, default=40, metavar="K")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("dot", help="Graphviz export")
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated tree document")
     p.add_argument("--seed", type=int, required=True, metavar="S")
-    p.add_argument("--max-cells", type=int, default=40, metavar="K")
+    p.add_argument("--max-cells", type=_count, default=40, metavar="K")
     p.add_argument("--rational", action="store_true")
     p.set_defaults(func=_cmd_gen)
 

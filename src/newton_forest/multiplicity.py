@@ -3,31 +3,30 @@
 For a cell v and a (1)-arrow b, x(v,b) is the product of the decorations,
 taken near the path from v to b, of all edges incident to but not in that
 path; the hatted variant drops the edges incident to v itself.  N_v sums
-x(v,b) over all (1)-arrows.  N for every source comes from one rerooting
-pass over the directed edges, O(n) for n cells; classification needs only
-N.  The x/x-hat tables are computed with one product-carrying walk per
-source cell so shared path prefixes are not recomputed; the oracle module
-recomputes everything per arrow.  Each visit costs O(deg): the product over
-the other outgoing edges comes from prefix and suffix products, and edges
-are compared by identity (a tree holds one `Edge` object per edge).
+x(v,b) over all (1)-arrows.  No table of x is kept: for an edge directed
+from c to d, F(c->d) is the sum of x-hat(c,b) over the (1)-arrows b beyond
+d, so N_c is the sum of Q(e,c) F(c->d) over the edges e = {c,d} at c.  One
+rerooting pass over the directed edges computes N for every source and F
+on every directed edge in O(n) for n cells; the pair numbers p and p' and
+the audit checks read their sums of x-hat from F.  The oracle module
+recomputes x arrow by arrow from the definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
-from .tree_model import CellRef, DecoratedRootedTree, Edge, products_but_one
+from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """N over vertices and (0)-arrows, the x/x-hat tables, M(T), and the
-    number of points at infinity."""
+    """N over vertices and (0)-arrows, F on every directed edge (c, d), M(T),
+    and the number of points at infinity."""
 
     N: Mapping[CellRef, int]
-    x: Mapping[tuple[CellRef, CellRef], int]
-    x_hat: Mapping[tuple[CellRef, CellRef], int]
+    F: Mapping[tuple[CellRef, CellRef], int]
     M_of_T: int
     points_at_infinity: int
 
@@ -55,18 +54,20 @@ def _sums_but_one(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return pre_S[n], but_one
 
 
-def source_multiplicities(tree: DecoratedRootedTree) -> dict[CellRef, int]:
-    """N over vertices and (0)-arrows, in sorted order, in O(n).
+def source_multiplicities(
+    tree: DecoratedRootedTree, arrows: AbstractSet[CellRef]
+) -> tuple[dict[CellRef, int], dict[tuple[CellRef, CellRef], int]]:
+    """N over vertices and (0)-arrows, in sorted order, and F on every
+    directed edge, both summed over the (1)-arrows in `arrows`, in O(n).
 
-    For an edge e directed from c to d, F(c->d) sums, over the (1)-arrows b
-    on d's side, the part of x(c,b) that the cells from d to b contribute:
-    1 when d is a (1)-arrow, 0 when d is a (0)-arrow, and otherwise the sum
-    S over the pairs (q(e',d), F(d->d')) of d's other edges e' = {d,d'}.
-    N_v is S over the pairs of all edges at v.  One pass up the tree gives
-    F on the edges directed away from the root, one pass down gives the
-    rest, each visit O(deg) through `_sums_but_one`.
+    For an edge e directed from c to d, F(c->d) sums x-hat(c,b) over the
+    arrows b in `arrows` on d's side: 1 when d is such an arrow, 0 when d is
+    any other arrow, and otherwise the sum S over the pairs
+    (q(e',d), F(d->d')) of d's other edges e' = {d,d'}.  N_v is S over the
+    pairs of all edges at v.  One pass up the tree gives F on the edges
+    directed away from the root, one pass down gives the rest, each visit
+    O(deg) through `_sums_but_one`.
     """
-    ones = tree.arrows1
     parent_edge = tree._parent_edge
     children: dict[CellRef, list[Edge]] = {}
     order = [tree.root]  # every parent before its children
@@ -75,67 +76,42 @@ def source_multiplicities(tree: DecoratedRootedTree) -> dict[CellRef, int]:
         children[c] = kids
         order.extend(e.other(c) for e in kids)
 
-    F_away: dict[CellRef, int] = {}  # F(parent(d) -> d)
-    for d in reversed(order):
+    F: dict[tuple[CellRef, CellRef], int] = {}
+    for d in reversed(order[1:]):
+        c = parent_edge[d].other(d)
         if tree.is_arrow(d):
-            F_away[d] = 1 if d in ones else 0
+            F[c, d] = 1 if d in arrows else 0
         else:
-            F_away[d], _ = _sums_but_one(
-                [(e.q_near(d), F_away[e.other(d)]) for e in children[d]]
+            F[c, d], _ = _sums_but_one(
+                [(e.q_near(d), F[d, e.other(d)]) for e in children[d]]
             )
 
-    F_back: dict[CellRef, int] = {}  # F(d -> parent(d))
     N: dict[CellRef, int] = {}
     for c in order:
         kids = children[c]
-        pairs = [(e.q_near(c), F_away[e.other(c)]) for e in kids]
-        if parent_edge[c] is not None:
-            pairs.append((parent_edge[c].q_near(c), F_back[c]))
+        pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
+        up = parent_edge[c]
+        if up is not None:
+            pairs.append((up.q_near(c), F[c, up.other(c)]))
         N[c], but_one = _sums_but_one(pairs)
-        for e, F in zip(kids, but_one):
-            F_back[e.other(c)] = F
-    return {v: N[v] for v in sorted(tree.vertices | tree.arrows0)}
+        for e, s in zip(kids, but_one):
+            F[e.other(c), c] = s
+    return {v: N[v] for v in sorted(tree.vertices | tree.arrows0)}, F
 
 
 def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
-    """Compute the full multiplicity table for a structurally valid tree.
+    """Compute the multiplicity table for a structurally valid tree.
 
     The dead-end relation N_v = q(e,v) * N_alpha is not re-checked here; the
     audit check `dead-end-multiplicity` owns it.
     """
-    sources = sorted(tree.vertices | tree.arrows0)
-    ones = tree.arrows1
-    x: dict[tuple[CellRef, CellRef], int] = {}
-    x_hat: dict[tuple[CellRef, CellRef], int] = {}
-
-    for v in sources:
-        # One walk from v visits every path prefix exactly once, carrying the
-        # product of decorations contributed by the cells already passed.
-        stack: list[tuple[CellRef, Edge | None, int, int]] = [(v, None, 1, 1)]
-        while stack:
-            c, e_in, full, hat = stack.pop()
-            if c in ones:
-                x[(v, c)] = full
-                x_hat[(v, c)] = hat
-                continue
-            outgoing = [e for e in tree.incident_edges(c) if e is not e_in]
-            heres = products_but_one([e.q_near(c) for e in outgoing])
-            for e_out, here in zip(outgoing, heres):
-                d = e_out.other(c)
-                if c == v:
-                    stack.append((d, e_out, full * here, hat))
-                else:
-                    stack.append((d, e_out, full * here, hat * here))
-
-    N = source_multiplicities(tree)
-    M = -sum(N[v] * (tree.valency(v) - 2) for v in sources)
+    N, F = source_multiplicities(tree, tree.arrows1)
+    M = -sum(N[v] * (tree.valency(v) - 2) for v in N)
 
     root = tree.root
     points = tree.valency(root) - (1 if tree.dead_ends(root) else 0)
 
-    return MultiplicityTable(
-        N=N, x=x, x_hat=x_hat, M_of_T=M, points_at_infinity=points
-    )
+    return MultiplicityTable(N=N, F=F, M_of_T=M, points_at_infinity=points)
 
 
 @dataclass(frozen=True)
@@ -156,9 +132,9 @@ def classify(
     """Genericity, completeness and minimal completeness of a validated tree.
 
     Only N is read: from `table` when given, else from
-    :func:`source_multiplicities`, so no x table is built.
+    :func:`source_multiplicities`.
     """
-    N = table.N if table is not None else source_multiplicities(tree)
+    N = table.N if table is not None else source_multiplicities(tree, tree.arrows1)[0]
     reasons: list[str] = []
 
     dicriticals = frozenset(v for v in tree.vertices if N[v] == 0)

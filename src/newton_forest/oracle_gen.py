@@ -68,6 +68,16 @@ def oracle_N(tree: DecoratedRootedTree, v: CellRef) -> int:
     return sum(_oracle_x(tree, v, alpha, hat=False) for alpha in sorted(tree.arrows1))
 
 
+def oracle_F(tree: DecoratedRootedTree, c: CellRef, d: CellRef) -> int:
+    """Sum of x-hat(c, alpha) over the (1)-arrows alpha whose path from c
+    passes the neighbour d of c."""
+    return sum(
+        _oracle_x(tree, c, alpha, hat=True)
+        for alpha in sorted(tree.arrows1)
+        if d in tree.path(c, alpha)
+    )
+
+
 def _oracle_positive(tree: DecoratedRootedTree) -> set[CellRef]:
     return {v for v in tree.vertices if oracle_N(tree, v) > 0}
 

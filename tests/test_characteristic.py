@@ -13,8 +13,15 @@ from newton_forest.characteristic import (
     rational_gcd,
 )
 from newton_forest.local_invariants import vertex_ledger
+from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate
 from newton_forest.report import Analysis
-from newton_forest.tree_io import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
+from newton_forest.tree_io import (
+    fixture_corpus,
+    fixture_T_A,
+    fixture_T_B,
+    fixture_T_C,
+    fixture_T_D,
+)
 
 
 def test_rational_gcd_basic():
@@ -97,6 +104,40 @@ def test_p_and_p_prime_split():
     assert chars.pairs[("w", e)].p_prime == 6
 
 
+def _far_side(tree, u, v):
+    """Cells reached from v without crossing the edge back to u."""
+    seen, stack = {v}, [v]
+    while stack:
+        c = stack.pop()
+        for n in tree.neighbors(c):
+            if n not in seen and n != u:
+                seen.add(n)
+                stack.append(n)
+    return seen
+
+
+def test_p_and_p_prime_match_oracle():
+    # p(u, e) sums x-hat(u, .) over the (1)-arrows beyond e, p'(u, e) sums
+    # x-hat(v, .) over the rest, for e = {u, v}
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(60)]
+    trees += [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(4)
+    ]
+    checked = 0
+    for tree in trees:
+        for (u, e), data in characteristic_numbers(tree).pairs.items():
+            v = e.other(u)
+            beyond = _far_side(tree, u, v)
+            ones = sorted(tree.arrows1)
+            p = sum(_oracle_x(tree, u, b, hat=True) for b in ones if b in beyond)
+            p_prime = sum(_oracle_x(tree, v, b, hat=True) for b in ones if b not in beyond)
+            assert (data.p, data.p_prime) == (p, p_prime), (u, str(e))
+            checked += 1
+    assert checked > 100
+
+
 def test_R_and_delta_bar_T_D():
     t = fixture_T_D()
     ledger = vertex_ledger(t)
@@ -119,8 +160,6 @@ def test_R_rejects_foreign_edges():
 
 
 def test_h_products_singleton_is_x():
-    from newton_forest.oracle_gen import _oracle_x
-
     for t in (fixture_T_B(1, 2), fixture_T_C((1, 2, 3)), fixture_T_D()):
         for w in sorted(t.vertices):
             for alpha in sorted(t.arrows1):

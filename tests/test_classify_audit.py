@@ -173,6 +173,20 @@ def _dead_end_N():
     return dataclasses.replace(a, table=dataclasses.replace(a.table, N=N))
 
 
+def _linear_path_N():
+    a = analysis(fixture_T_D())  # v0..w is a linear path: one edge
+    N = {**a.table.N, "v0": a.table.N["v0"] + 1}
+    return dataclasses.replace(a, table=dataclasses.replace(a.table, N=N))
+
+
+def _node_d():
+    a = analysis(fixture_T_D())  # w is the one node, with d = 3
+    per = a.ledger.per_vertex
+    w = dataclasses.replace(per["w"], d=4)  # 4 does not divide N_w = 6
+    ledger = dataclasses.replace(a.ledger, per_vertex={**per, "w": w})
+    return dataclasses.replace(a, ledger=ledger)
+
+
 def _D_prime():
     a = analysis(fixture_T_D())
     glob = dataclasses.replace(a.glob, D_prime_of_T=a.glob.D_prime_of_T + 1)
@@ -230,6 +244,8 @@ def _fan_defect():
     "corrupt, owner",
     [
         pytest.param(_dead_end_N, "dead-end-multiplicity", id="dead-end-N"),
+        pytest.param(_linear_path_N, "linear-path-determinants", id="linear-path-N"),
+        pytest.param(_node_d, "dicritical-sum-divisibility", id="node-d"),
         pytest.param(_D_prime, "global-defect-routes", id="D-prime"),
         pytest.param(_gamma_walk_dropped, "tooth-facts", id="gamma-walk-dropped"),
         pytest.param(_comb_class_split, "comb-relation", id="comb-class-split"),

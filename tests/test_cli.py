@@ -235,6 +235,24 @@ def test_output_bytes_pinned(tmp_path, capsys):
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
+# The same digest over roadmap corpus B (seeds 0..39 at max_cells=400,
+# max_dicritical_degree=120), whose large fans carry most of p, p' and the
+# sums of x-hat that the audit reads.
+PINNED_CORPUS_B_SHA256 = "621de4b97f0fcd0cf5f6ed74fac025084c4e6357efebde062a049f3fb0da99b7"
+
+
+def test_corpus_b_bytes_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for seed in range(40):
+        config = GeneratorConfig(seed=seed, max_cells=400, max_dicritical_degree=120)
+        path = tmp_path / f"seed{seed}.ntree"
+        path.write_text(serialize(generate(config)))
+        code = run(["analyze", str(path), "--format", "json"])
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        digest.update(f"\0exit {code}\0".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_CORPUS_B_SHA256
+
+
 def test_analyze_not_minimally_complete_exit_1(tmp_path, capsys):
     doc = {
         "root": "v0",
@@ -284,10 +302,15 @@ def test_audit_gen(capsys):
 
 
 def test_audit_gen_negative_exit_2(capsys):
-    assert run(["audit", "--gen", "-3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must not be negative" in captured.err
+    for argv in (
+        ["audit", "--gen", "-3"],
+        ["audit", "--gen", "1", "--max-cells", "-3"],
+        ["gen", "--seed", "1", "--max-cells", "-3"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must not be negative" in captured.err
     assert run(["audit", "--gen", "0"]) == 0
     assert capsys.readouterr().out == "0 trees audited, 0 failures\n"
 

@@ -1,5 +1,5 @@
 from newton_forest.multiplicity import classify, multiplicities, source_multiplicities
-from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_N
+from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F, oracle_N
 from newton_forest.tree_io import (
     fixture_corpus,
     fixture_T_A,
@@ -10,42 +10,67 @@ from newton_forest.tree_io import (
 from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
 
 
+def _assert_F_sums_x(tree, table):
+    # F(c->d) sums x-hat(c, .) over the (1)-arrows beyond d, and
+    # N_c = sum over the edges e = {c, d} at c of Q(e, c) F(c->d)
+    for c in tree.cell_ids():
+        edges = tree.incident_edges(c)
+        for e in edges:
+            assert table.F[c, e.other(c)] == oracle_F(tree, c, e.other(c))
+        if c in table.N:
+            assert table.N[c] == sum(tree.Q(e, c) * table.F[c, e.other(c)] for e in edges)
+
+
 def test_x_values_T_A():
-    x = multiplicities(fixture_T_A()).x
-    assert x[("v0", "t1")] == 1
-    assert x[("u", "t1")] == 0
+    t = fixture_T_A()
+    tab = multiplicities(t)
+    assert tab.F["v0", "u"] == 1  # x(v0, t1) = 1
+    # x(u, t1) = 0: Q near u carries the zero decoration toward v0
+    assert t.Q(t.edge_between("u", "t1"), "u") * tab.F["u", "t1"] == 0
+    _assert_F_sums_x(t, tab)
 
 
 def test_x_values_T_B():
-    x = multiplicities(fixture_T_B(1, 2)).x
-    assert x[("v0", "t1")] == 1  # a1
-    assert x[("u1", "t2")] == 2  # a1 * a2 along (u1, v0, u2, t2)
-    x = multiplicities(fixture_T_B(2, 3)).x
-    assert x[("v0", "t1")] == 2
-    assert x[("u1", "t2")] == 6
+    t = fixture_T_B(1, 2)
+    tab = multiplicities(t)
+    assert tab.F["v0", "u1"] == 1  # x(v0, t1) = a1
+    # x(u1, t2) = a1 * a2 along (u1, v0, u2, t2); t2 is the one arrow beyond v0
+    assert t.Q(t.edge_between("u1", "v0"), "u1") * tab.F["u1", "v0"] == 2
+    _assert_F_sums_x(t, tab)
+    t = fixture_T_B(2, 3)
+    tab = multiplicities(t)
+    assert tab.F["v0", "u1"] == 2
+    assert tab.F["u1", "v0"] == 3
+    assert t.Q(t.edge_between("u1", "v0"), "u1") * tab.F["u1", "v0"] == 6
+    _assert_F_sums_x(t, tab)
 
 
 def test_x_hat_T_D():
-    x_hat = multiplicities(fixture_T_D()).x_hat
-    for b in ("t1", "t2", "t3"):
-        assert x_hat[("v0", b)] == 2
+    t = fixture_T_D()
+    tab = multiplicities(t)
+    # x-hat(v0, b) = 2 for each of the three arrows, all beyond w
+    assert tab.F["v0", "w"] == 3 * 2
+    assert tab.F["w", "u"] == 3
+    assert all(tab.F["u", b] == 1 for b in ("t1", "t2", "t3"))
+    _assert_F_sums_x(t, tab)
 
 
 def test_x_rejects_zero_arrows():
-    # x is indexed by (1)-arrows only: a (0)-arrow never appears as a target
-    tab = multiplicities(fixture_T_A())
-    assert ("v0", "o1") not in tab.x and ("v0", "o1") not in tab.x_hat
-    assert {b for _, b in tab.x} == {"t1"}
+    # only (1)-arrows are summed over: F toward a (0)-arrow is 0
+    t = fixture_T_A()
+    tab = multiplicities(t)
+    assert tab.F["u", "o1"] == 0 and tab.F["u", "t1"] == 1
+    # and only the (1)-arrows the pass is given
+    N, F = source_multiplicities(t, frozenset())
+    assert set(N.values()) == set(F.values()) == {0}
+    N, F = source_multiplicities(fixture_T_D(), frozenset({"t1"}))
+    assert F["v0", "w"] == 2 and F["u", "t2"] == 0
+    assert N["v0"] == 2
 
 
 def test_x_factorization():
-    # x(v, b) = Q(e, v) * x-hat(v, b) with e the first path edge
     for t in (fixture_T_B(2, 3), fixture_T_C((1, 2, 3)), fixture_T_D()):
-        tab = multiplicities(t)
-        for v in sorted(t.vertices):
-            for b in sorted(t.arrows1):
-                e = t.edge_between(v, t.path(v, b)[1])
-                assert tab.x[(v, b)] == t.Q(e, v) * tab.x_hat[(v, b)]
+        _assert_F_sums_x(t, multiplicities(t))
 
 
 def test_multiplicities_T_A():
@@ -121,6 +146,6 @@ def test_source_multiplicities_match_oracle():
         for s in range(4)
     ]
     for tree in trees:
-        N = source_multiplicities(tree)
+        N, _ = source_multiplicities(tree, tree.arrows1)
         assert N == {v: oracle_N(tree, v) for v in tree.vertices | tree.arrows0}
         assert list(N) == sorted(N)

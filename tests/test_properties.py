@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from newton_forest.characteristic import rational_divides, rational_gcd
 from newton_forest.classify_audit import audit_failures, theorem_audit
 from newton_forest.multiplicity import multiplicities
-from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate
+from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F
 from newton_forest.report import Analysis
 from newton_forest.tree_io import parse, serialize
 from newton_forest.tree_model import validate_axioms
@@ -77,15 +77,14 @@ def test_path_properties(seed):
 @TREE_SETTINGS
 @given(st.integers(0, 5000))
 def test_x_factorization_property(seed):
+    # F(c->d) is the oracle's x-hat sum beyond d; N_c = sum of Q(e,c) F(c->d)
     tree = _tree(seed)
     table = multiplicities(tree)
-    for v in sorted(tree.vertices)[:5]:
-        for b in sorted(tree.arrows1)[:5]:
-            step = tree.path(v, b)[1]
-            e = tree.edge_between(v, step)
-            assert table.x[(v, b)] == tree.Q(e, v) * table.x_hat[(v, b)]
-            assert table.x[(v, b)] == _oracle_x(tree, v, b, hat=False)
-            assert table.x_hat[(v, b)] == _oracle_x(tree, v, b, hat=True)
+    for c in sorted(tree.vertices)[:5]:
+        edges = tree.incident_edges(c)
+        for e in edges:
+            assert table.F[c, e.other(c)] == oracle_F(tree, c, e.other(c))
+        assert table.N[c] == sum(tree.Q(e, c) * table.F[c, e.other(c)] for e in edges)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
