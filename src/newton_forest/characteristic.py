@@ -6,6 +6,9 @@ the path from u' to u traverses e but not e'.  The characteristic number
 c(u, e) is defined by induction over this poset via gcds of rationals; the
 derived quantities M, p, p', eta, R and Delta-bar all live here.  For e =
 {u, v}, p = F(u->v) and p' = F(v->u) are read from the multiplicity table.
+For a set A of arrows, `node_h_products` gives h(w,A) and h-hat(w,A) for
+every vertex w in one O(n) walk outward from the hull of A; the oracle
+module keeps the path-by-path definition.
 
 All rational arithmetic is exact (`fractions.Fraction`).
 """
@@ -14,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm, prod
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistencyError
 from .local_invariants import VertexLedger, vertex_ledger
@@ -25,7 +28,7 @@ from .multiplicity import (
     classify,
     multiplicities,
 )
-from .tree_model import CellRef, DecoratedRootedTree, Edge
+from .tree_model import CellRef, DecoratedRootedTree, Edge, products_but_one
 
 Rational = Fraction
 
@@ -171,31 +174,61 @@ def path_dead_end_product(
     return prod
 
 
-def h_products(
-    tree: DecoratedRootedTree, w: CellRef, A: Sequence[CellRef]
-) -> tuple[int, int]:
-    """(h(w,A), h-hat(w,A)): products over the edge pairs shared by all the
-    paths from w to the arrows in A.  A must be nonempty."""
-    if not A:
+def node_h_products(
+    tree: DecoratedRootedTree, arrows: AbstractSet[CellRef]
+) -> dict[CellRef, tuple[int, int]]:
+    """(h(w,A), h-hat(w,A)) for every vertex w and a nonempty arrow set A,
+    in O(n).
+
+    h multiplies, over the vertices u on every path from w to A, the
+    decorations near u of the edges on none of those paths; h-hat leaves
+    out u = w.  Call an edge at u arrow-free when no arrow of A lies beyond
+    it.  A vertex with two or more arrow directions is on the hull of A:
+    h is its arrow-free product and h-hat = 1.  Any other vertex w has one
+    arrow direction, towards a neighbour n, so h-hat(w) is h-hat(n) times
+    n's arrow-free product without the edge to w (1 when n is the lone
+    arrow of A), and h(w) is h-hat(w) times w's arrow-free product.  One
+    pass up counts the arrows below each cell, and a walk outward from the
+    hull fills in the rest, each visit O(deg) through `products_but_one`.
+    """
+    if not arrows:
         raise ValueError("h-products need a nonempty arrow set")
-    paths = {alpha: tree.path(w, alpha) for alpha in A}
-    common = set(paths[A[0]])
-    for alpha in A[1:]:
-        common &= set(paths[alpha])
-    edge_sets = {
-        alpha: set(tree.path_edges(w, alpha)) for alpha in A
-    }
-    h = 1
-    h_hat = 1
-    for u in sorted(common):
-        if not tree.is_vertex(u):
-            continue
-        for e in tree.incident_edges(u):
-            if all(e not in edge_sets[alpha] for alpha in A):
-                h *= e.q_near(u)
-                if u != w:
-                    h_hat *= e.q_near(u)
-    return h, h_hat
+    parent_edge = tree._parent_edge
+    order = [tree.root]  # every parent before its children
+    for c in order:
+        order.extend(e.other(c) for e in tree.incident_edges(c) if e is not parent_edge[c])
+    below = dict.fromkeys(order, 0)  # arrows of A in each rooted subtree
+    for c in reversed(order[1:]):
+        if c in arrows:
+            below[c] = 1
+        below[parent_edge[c].other(c)] += below[c]
+    total = below[tree.root]
+
+    free: dict[CellRef, list[tuple[CellRef, int]]] = {}  # arrow-free neighbours
+    h_hat: dict[CellRef, int] = {}
+    for w in tree.vertices:
+        free[w] = []
+        directions = 0
+        for e in tree.incident_edges(w):
+            n = e.other(w)
+            beyond = below[n] if parent_edge[n] is e else total - below[w]
+            if beyond:
+                directions += 1
+                if n in arrows and total == 1:
+                    h_hat[w] = 1
+            else:
+                free[w].append((n, e.q_near(w)))
+        if directions > 1:
+            h_hat[w] = 1
+
+    walk = list(h_hat)  # the hull, or the vertex next to the lone arrow
+    for n in walk:
+        rest = products_but_one([q for _, q in free[n]])
+        for (w, _), q in zip(free[n], rest):
+            if w in free and w not in h_hat:  # its one arrow direction is n
+                h_hat[w] = h_hat[n] * q
+                walk.append(w)
+    return {w: (h_hat[w] * prod(q for _, q in free[w]), h_hat[w]) for w in free}
 
 
 @dataclass(frozen=True)

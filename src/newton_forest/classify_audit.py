@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 from .characteristic import (
     R_of,
     delta_bar,
-    h_products,
+    node_h_products,
     path_dead_end_product,
     rational_divides,
 )
@@ -758,28 +758,31 @@ def _chk_char_chain_div(a: Analysis) -> list[str]:
 
 
 def _chk_dic_sum_div(a: Analysis) -> list[str]:
-    # sums of x and x-hat over a node's arrows come from one pass summing
-    # over those arrows only: N[w] and the F of w's edges
+    # one O(n) pass per node over its arrows gives the sums of x and x-hat
+    # (N[w] and the F of w's edges), one walk out from their hull gives h
+    # and h-hat for every base w
     out = []
     tree = a.tree
+    bases = sorted(tree.vertices)
+    a_value = {w: tree.a_value(w) for w in bases}
     for z in sorted(a.glob.nd):
         dz = a.ledger.per_vertex[z]
-        arrows = sorted(
+        arrows = frozenset(
             alpha
             for u in dz.dicriticals
             for alpha in tree.neighbors(u)
             if alpha in tree.arrows1
         )
-        N, F = source_multiplicities(tree, frozenset(arrows))
+        N, F = source_multiplicities(tree, arrows)
+        hs = node_h_products(tree, arrows)
         d = dz.d
-        for w in sorted(tree.vertices):
-            h, h_hat = h_products(tree, w, arrows)
+        for w in bases:
+            h, h_hat = hs[w]
             sx = N[w]
             sxh = sum(F[w, n] for n in tree.neighbors(w))
             if not rational_divides(h * d, sx) or not rational_divides(h_hat * d, sxh):
                 out.append(f"node {z!r}, base {w!r}")
-            aw = tree.a_value(w)
-            if not rational_divides(d, Fraction(sx, aw)):
+            if not rational_divides(d, Fraction(sx, a_value[w])):
                 out.append(f"node {z!r}, base {w!r}: sum/a not divisible")
     return out
 

@@ -89,8 +89,11 @@ def source_multiplicities(
     N: dict[CellRef, int] = {}
     for c in order:
         kids = children[c]
-        pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
         up = parent_edge[c]
+        if up is not None and not kids:  # an arrow: its one pair sums to F
+            N[c] = F[c, up.other(c)]
+            continue
+        pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
         if up is not None:
             pairs.append((up.q_near(c), F[c, up.other(c)]))
         N[c], but_one = _sums_but_one(pairs)

@@ -3,8 +3,9 @@
 The oracles recompute multiplicities, characteristic numbers and the global
 defect straight from their definitions, sharing no state or code path with
 the main engine: `oracle_N` multiplies decorations path by path with no
-memoization, `oracle_c` recurses over the pair poset with no cache, and
-`oracle_delta_tilde_N` takes the 2 - M - D route.
+memoization, `oracle_h` intersects the paths to each arrow, `oracle_c`
+recurses over the pair poset with no cache, and `oracle_delta_tilde_N`
+takes the 2 - M - D route.
 
 The generator samples a skeleton of positive vertices with attachment plans,
 solves the one linear condition per dicritical (the decoration on its
@@ -27,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from .errors import GenerationError
 from .multiplicity import classify
@@ -76,6 +78,35 @@ def oracle_F(tree: DecoratedRootedTree, c: CellRef, d: CellRef) -> int:
         for alpha in sorted(tree.arrows1)
         if d in tree.path(c, alpha)
     )
+
+
+def oracle_h(
+    tree: DecoratedRootedTree, w: CellRef, A: Sequence[CellRef]
+) -> tuple[int, int]:
+    """(h(w,A), h-hat(w,A)) from the definition: products over the vertices
+    shared by all the paths from w to the arrows in A, of the decorations
+    near them on edges in none of those paths; h-hat leaves out w.  A must
+    be nonempty."""
+    if not A:
+        raise ValueError("h-products need a nonempty arrow set")
+    paths = {alpha: tree.path(w, alpha) for alpha in A}
+    common = set(paths[A[0]])
+    for alpha in A[1:]:
+        common &= set(paths[alpha])
+    edge_sets = {
+        alpha: set(tree.path_edges(w, alpha)) for alpha in A
+    }
+    h = 1
+    h_hat = 1
+    for u in sorted(common):
+        if not tree.is_vertex(u):
+            continue
+        for e in tree.incident_edges(u):
+            if all(e not in edge_sets[alpha] for alpha in A):
+                h *= e.q_near(u)
+                if u != w:
+                    h_hat *= e.q_near(u)
+    return h, h_hat
 
 
 def _oracle_positive(tree: DecoratedRootedTree) -> set[CellRef]:

@@ -100,6 +100,10 @@ class DecoratedRootedTree:
     _parent_edge: dict[CellRef, Edge | None] = field(repr=False, compare=False)
     _depth: dict[CellRef, int] = field(repr=False, compare=False)
     _edge_to: dict[CellRef, dict[CellRef, Edge]] = field(repr=False, compare=False)
+    # Q(e, c) for the edges e = {c, d} at c, as _Q_rows[c][d]; see `Q`.
+    _Q_rows: dict[CellRef, dict[CellRef, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- basic sets ---------------------------------------------------------
 
@@ -172,14 +176,22 @@ class DecoratedRootedTree:
     # -- decorations ---------------------------------------------------------
 
     def Q(self, edge: Edge, end: CellRef) -> int:
-        """Product of decorations near `end` of all other edges incident to it."""
+        """Product of decorations near `end` of all other edges incident to it.
+
+        Read from the tree's table, which keeps `Q_row(end)` from the first
+        time `end` is asked for, so each cell costs O(deg) once."""
         if end not in edge.ends:
             raise ValueError(f"cell {end!r} is not an end of edge {edge}")
-        prod = 1
-        for e in self.incident_edges(end):
-            if e != edge:
-                prod *= e.q_near(end)
-        return prod
+        row = self._Q_rows.get(end)
+        if row is None:
+            row = self._Q_rows[end] = self.Q_row(end)
+        return row[edge.other(end)]
+
+    def Q_row(self, c: CellRef) -> dict[CellRef, int]:
+        """Q(e, c) for every edge e = {c, d} at c, keyed by d, in O(deg)."""
+        inc = self.incident_edges(c)
+        qs = products_but_one([e.q_near(c) for e in inc])
+        return {e.other(c): q for e, q in zip(inc, qs)}
 
     def edge_determinant(self, edge: Edge) -> int:
         """q(e,x)q(e,y) - Q(e,x)Q(e,y); defined for vertex-vertex edges only."""
@@ -438,8 +450,9 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
     from the parent pointers, O(deg) per vertex; its coprimality clause
     pairs only the k decorations other than +-1, O(k) when they pass and
     O(k^2) when one pair fails.  Axiom 6 reads both Q values from
-    prefix/suffix products made once per vertex, O(n).  The diagnostics
-    themselves can outnumber the cells only through axiom 5's pairs.
+    prefix/suffix products made once per vertex by `Q_row`, O(n).  The
+    diagnostics themselves can outnumber the cells only through axiom 5's
+    pairs.
     """
     out: list[ValidationDiagnostic] = []
     root = tree.root
@@ -515,23 +528,12 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
                     )
                 )
 
-    # Q(e, x) for each end x of each vertex-vertex edge e.  The edges to
-    # arrows enter as one factor, so only the wanted products are kept.
-    vertices = tree.vertices
-    Q: dict[tuple[CellRef, CellRef], int] = {}
-    for x in vertices:
-        to_vertex = [e for e in tree.incident_edges(x) if e.other(x) in vertices]
-        if not to_vertex:
-            continue
-        to_arrows = math.prod(
-            e.q_near(x) for e in tree.incident_edges(x) if e.other(x) not in vertices
-        )
-        qs = products_but_one([e.q_near(x) for e in to_vertex] + [to_arrows])
-        for e, q in zip(to_vertex, qs):
-            Q[(x, e.other(x))] = q
+    # Rows kept only for this check, so a tree that is only validated
+    # carries no Q table.
+    rows = {x: tree.Q_row(x) for x in tree.vertices}
     for e in tree.iter_vertex_edges():
         x, y = e.ends
-        det = e.q[0] * e.q[1] - Q[(x, y)] * Q[(y, x)]
+        det = e.q[0] * e.q[1] - rows[x][y] * rows[y][x]
         if det >= 0:
             out.append(
                 ValidationDiagnostic(6, (str(e),), f"edge determinant {det} is not negative")

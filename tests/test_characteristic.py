@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,13 @@ from newton_forest.characteristic import (
     build_poset,
     characteristic_numbers,
     delta_bar,
-    h_products,
+    node_h_products,
     path_dead_end_product,
     rational_divides,
     rational_gcd,
 )
 from newton_forest.local_invariants import vertex_ledger
-from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate
+from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate, oracle_h
 from newton_forest.report import Analysis
 from newton_forest.tree_io import (
     fixture_corpus,
@@ -163,27 +164,68 @@ def test_h_products_singleton_is_x():
     for t in (fixture_T_B(1, 2), fixture_T_C((1, 2, 3)), fixture_T_D()):
         for w in sorted(t.vertices):
             for alpha in sorted(t.arrows1):
-                h, h_hat = h_products(t, w, [alpha])
+                h, h_hat = oracle_h(t, w, [alpha])
                 assert h == _oracle_x(t, w, alpha, hat=False)
                 assert h_hat == _oracle_x(t, w, alpha, hat=True)
 
 
 def test_h_products_T_B_both_arrows():
     t = fixture_T_B(1, 2)
-    h, h_hat = h_products(t, "v0", ["t1", "t2"])
+    h, h_hat = oracle_h(t, "v0", ["t1", "t2"])
     assert h == 1 and h_hat == 1
 
 
 def test_h_products_T_C_own_fan():
     t = fixture_T_C((1, 2, 3))
-    h, h_hat = h_products(t, "u2", ["t2_1", "t2_2"])
+    h, h_hat = oracle_h(t, "u2", ["t2_1", "t2_2"])
     assert h == -2  # dead end (1) times the root-edge decoration (-2)
     assert h_hat == 1
 
 
 def test_h_products_need_arrows():
     with pytest.raises(ValueError):
-        h_products(fixture_T_A(), "v0", [])
+        oracle_h(fixture_T_A(), "v0", [])
+
+
+def _node_arrow_sets(tree):
+    a = Analysis.build(tree)
+    for z in sorted(a.glob.nd):
+        yield sorted(
+            alpha
+            for u in a.ledger.per_vertex[z].dicriticals
+            for alpha in tree.neighbors(u)
+            if alpha in tree.arrows1
+        )
+
+
+def test_node_h_products_match_definition():
+    # the walk outward from the hull equals the path-by-path definition for
+    # every vertex: on each node's arrow set, and on random arrow subsets of
+    # sizes 1-3, which reach |A| = 1 and hulls no node arrow set has
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(200)]
+    trees += [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(4)
+    ]
+    rng = random.Random(0)
+    checked = 0
+    for tree in trees:
+        arrows = sorted(tree.arrows)
+        sets = list(_node_arrow_sets(tree))
+        sets += [rng.sample(arrows, min(k, len(arrows))) for k in (1, 2, 3)]
+        for A in sets:
+            hs = node_h_products(tree, frozenset(A))
+            assert set(hs) == tree.vertices
+            for w in sorted(tree.vertices):
+                assert hs[w] == oracle_h(tree, w, A), (w, A)
+                checked += 1
+    assert checked > 6000
+
+
+def test_node_h_products_need_arrows():
+    with pytest.raises(ValueError):
+        node_h_products(fixture_T_A(), frozenset())
 
 
 def test_monotonicity_on_chain():

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
+import time
 
 import pytest
 
 from newton_forest.classify_audit import (
+    REGISTRY,
     audit_analysis,
     audit_failures,
     divisor_trichotomy,
@@ -13,7 +16,13 @@ from newton_forest.classify_audit import (
     theorem_audit,
 )
 from newton_forest.local_invariants import VertexLedger
-from newton_forest.oracle_gen import GeneratorConfig, generate
+from newton_forest.oracle_gen import (
+    GeneratorConfig,
+    _assemble,
+    _solve_supports,
+    _VertexPlan,
+    generate,
+)
 from newton_forest.report import Analysis
 from newton_forest.tree_io import (
     fixture_T_A,
@@ -260,3 +269,70 @@ def _fan_defect():
 def test_moved_identity_owned_by_registry(corrupt, owner):
     failed = {r.check_id for r in audit_failures(audit_analysis(corrupt()))}
     assert owner in failed, failed
+
+
+_CHECKS = {check_id: run for check_id, _, run in REGISTRY}
+_REWRITTEN = ("dicritical-sum-divisibility", "linear-path-determinants")
+
+
+def _tampered_analyses():
+    """Each analysis, then copies with N[v] moved by +1 and -2 for up to 12
+    vertices, then copies with each node's d set to d+1, 2d and 7."""
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(150)]
+    trees += [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(12)
+    ]
+    for tree in trees:
+        a = analysis(tree)
+        yield a
+        for v in sorted(a.tree.vertices)[:12]:
+            for step in (1, -2):
+                N = {**a.table.N, v: a.table.N[v] + step}
+                yield dataclasses.replace(a, table=dataclasses.replace(a.table, N=N))
+        per = a.ledger.per_vertex
+        for z in sorted(a.glob.nd):
+            d = per[z].d
+            for new in (d + 1, 2 * d, 7):
+                node = dataclasses.replace(per[z], d=new)
+                ledger = dataclasses.replace(a.ledger, per_vertex={**per, z: node})
+                yield dataclasses.replace(a, ledger=ledger)
+
+
+def test_registry_witnesses_pinned():
+    # every witness of the two checks that read F, h and Q, in order, on
+    # honest and tampered analyses; the digest was taken on the code that
+    # called the path-by-path h and re-multiplied Q on every call
+    digest = hashlib.sha256()
+    cases = witnesses = 0
+    for a in _tampered_analyses():
+        cases += 1
+        for check_id in _REWRITTEN:
+            for witness in _CHECKS[check_id](a):
+                witnesses += 1
+                digest.update(witness.encode() + b"\n")
+        digest.update(b"--\n")
+    assert (cases, witnesses) == (3092, 12932)
+    assert digest.hexdigest() == (
+        "f3c5430da5f6edb5a040e0d6e52c09f19aff8084993f605b78a42c0dbf744e5b"
+    )
+
+
+def test_wide_fan_audit_clean_and_linear():
+    # 128 degree-1 dicriticals on one root.  On a 2-core VM with Python
+    # 3.11 the two checks take 0.11-0.19 s when h is taken path by path and
+    # Q re-multiplied per call, and under 0.01 s with one walk per node and
+    # the Q table, so the bound leaves 5x headroom and still fails the former.
+    plan = [_VertexPlan(None, 1, 1, None, 0, [(1, 1)] * 128)]
+    a = analysis(_assemble(plan, _solve_supports(plan)))
+    results = audit_analysis(a)
+    assert {r.check_id for r in results} >= set(_REWRITTEN)
+    assert audit_failures(results) == []
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for check_id in _REWRITTEN:
+            assert _CHECKS[check_id](a) == []
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05

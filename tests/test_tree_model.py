@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -85,6 +86,18 @@ def test_Q_values():
     tb = fixture_T_B(1, 2)
     e = tb.edge_between("v0", "u1")
     assert tb.Q(e, "u1") == 1  # dead end (a1=1) times arrow edge
+    with pytest.raises(ValueError):
+        t.Q(e, "t1")  # not an end of the edge
+
+
+def test_Q_is_product_of_other_decorations():
+    trees = [fixture_T_B(2, 3), fixture_T_C((1, 2, 3)), fixture_T_D()]
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(20)]
+    for t in trees:
+        for c in sorted(t.cells):
+            for e in t.incident_edges(c):
+                others = [f.q_near(c) for f in t.incident_edges(c) if f != e]
+                assert t.Q(e, c) == math.prod(others), (c, str(e))
 
 
 def test_edge_determinants():
