@@ -21,13 +21,8 @@ from math import gcd, lcm, prod
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistencyError
-from .local_invariants import VertexLedger, vertex_ledger
-from .multiplicity import (
-    DicriticalInfo,
-    MultiplicityTable,
-    classify,
-    multiplicities,
-)
+from .local_invariants import VertexLedger
+from .multiplicity import MultiplicityTable
 from .tree_model import CellRef, DecoratedRootedTree, Edge, products_but_one
 
 Rational = Fraction
@@ -108,11 +103,7 @@ def script_E(
     )
 
 
-def build_poset(
-    tree: DecoratedRootedTree, table: MultiplicityTable | None = None
-) -> PosetP:
-    if table is None:
-        table = multiplicities(tree)
+def build_poset(tree: DecoratedRootedTree, table: MultiplicityTable) -> PosetP:
     script_N = {v for v in tree.vertices if table.N[v] > 0}
     elements: list[Pair] = []
     for u in sorted(script_N):
@@ -259,25 +250,13 @@ class CharacteristicTable:
 
 
 def characteristic_numbers(
-    tree: DecoratedRootedTree,
-    table: MultiplicityTable | None = None,
-    info: DicriticalInfo | None = None,
-    ledger: VertexLedger | None = None,
-    poset: PosetP | None = None,
+    tree: DecoratedRootedTree, table: MultiplicityTable, ledger: VertexLedger
 ) -> CharacteristicTable:
     """Characteristic numbers and their derived quantities, bottom-up over
     the pair poset.  That c divides N, p and p' (so M = N/c is a positive
     integer) is a theorem for valid minimally complete trees; the audit
     check `characteristic-divisibility` owns it."""
-    if table is None:
-        table = multiplicities(tree)
-    if info is None:
-        info = classify(tree, table)
-    if ledger is None:
-        ledger = vertex_ledger(tree, table, info)
-    if poset is None:
-        poset = build_poset(tree, table)
-
+    poset = build_poset(tree, table)
     per = ledger.per_vertex
     script_N = set(per)
 

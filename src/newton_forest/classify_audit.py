@@ -37,7 +37,6 @@ from .multiplicity import source_multiplicities
 from .report import Analysis
 from .structure import (
     _maximal_trivial_walk,
-    comb_decomposition,
     is_comb_over,
     quotient_tree_H,
 )
@@ -290,12 +289,7 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
             chain = chain[::-1]
     else:
         (z,) = sorted(st.Omega)
-        dec = analysis.decompositions.get(z)
-        if dec is None:
-            dec = comb_decomposition(
-                tree, z, analysis.table, analysis.info, analysis.ledger,
-                analysis.chars, st,
-            )
+        dec = analysis.decompositions[z]  # In = Omega = {z}
         _clause(clauses, "rational-one-comb", len(dec.classes) == 1,
                 f"{len(dec.classes)} comb classes")
         chain = tree.path(z, dec.u0) if dec.u0 is not None else (z,)
@@ -1254,6 +1248,7 @@ def _chk_defect2(a: Analysis) -> list[str]:
         dec = a.decompositions[z]
         n = len(dec.classes)
         tag = f"z={z!r}"
+        u0 = dec.u0
         if n not in (0, 1, 2, 3):
             out.append(f"{tag}: {n} classes")
             continue
@@ -1262,22 +1257,12 @@ def _chk_defect2(a: Analysis) -> list[str]:
         if n >= 2 and dec.stats is not None and dec.stats.H != 2:
             out.append(f"{tag}: H={dec.stats.H}")
         if n == 3:
-            u0 = dec.u0
             e0 = dec.classes[dec.c0_index].greatest[1]
             if st.delta_star[u0] != 3 or st.t[u0] != 0:
                 out.append(f"{tag}: hub shape")
             if R_of(a.ledger, a.chars, u0, [e0]) != 0:
                 out.append(f"{tag}: hub R")
-            for i, cls in enumerate(dec.classes):
-                if i == dec.c0_index:
-                    continue
-                if st.t[cls.u] > 2 or a.ledger.delta_tilde(st.V_bar[cls.u]) != 1:
-                    out.append(f"{tag}: side class {i}")
-                for x in a.tree.path(u0, cls.u)[1:-1]:
-                    if per[x].epsilon != 2 or per[x].delta_tilde != 0:
-                        out.append(f"{tag}: interior {x!r}")
         if n == 2:
-            u0 = dec.u0
             if st.delta_star[u0] != 2 or st.t[u0] > 2:
                 out.append(f"{tag}: hub shape")
             A = [dec.classes[dec.c0_index].greatest[1]] + [
@@ -1285,6 +1270,7 @@ def _chk_defect2(a: Analysis) -> list[str]:
             ]
             if R_of(a.ledger, a.chars, u0, A) != 1:
                 out.append(f"{tag}: hub R(A) != 1")
+        if n in (2, 3):
             for i, cls in enumerate(dec.classes):
                 if i == dec.c0_index:
                     continue
@@ -1294,7 +1280,6 @@ def _chk_defect2(a: Analysis) -> list[str]:
                     if per[x].epsilon != 2 or per[x].delta_tilde != 0:
                         out.append(f"{tag}: interior {x!r}")
         if n == 1:
-            u0 = dec.u0
             d0 = per[u0]
             k_big = sum(1 for x in d0.dicriticals if d0.k[x] > 1)
             if k_big + d0.a_star + st.t[u0] > 4:

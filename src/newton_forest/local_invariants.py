@@ -15,7 +15,7 @@ from math import gcd
 from typing import Mapping
 
 from .errors import InternalInconsistencyError, NotMinimallyCompleteError
-from .multiplicity import DicriticalInfo, MultiplicityTable, classify, multiplicities
+from .multiplicity import DicriticalInfo, MultiplicityTable
 from .tree_model import CellRef, DecoratedRootedTree
 
 
@@ -62,24 +62,14 @@ class GlobalLedger:
     genus: int | None  # defined only when delta_tilde_N is even and >= 0
 
 
-def _require_minimally_complete(info: DicriticalInfo) -> None:
+def vertex_ledger(
+    tree: DecoratedRootedTree, table: MultiplicityTable, info: DicriticalInfo
+) -> VertexLedger:
+    """All per-vertex invariants over script-N.  Requires minimal completeness."""
     if not info.minimally_complete:
         raise NotMinimallyCompleteError(
             "analysis requires a minimally complete tree: " + "; ".join(info.reasons)
         )
-
-
-def vertex_ledger(
-    tree: DecoratedRootedTree,
-    table: MultiplicityTable | None = None,
-    info: DicriticalInfo | None = None,
-) -> VertexLedger:
-    """All per-vertex invariants over script-N.  Requires minimal completeness."""
-    if table is None:
-        table = multiplicities(tree)
-    if info is None:
-        info = classify(tree, table)
-    _require_minimally_complete(info)
 
     script_N = sorted(v for v in tree.vertices if table.N[v] > 0)
     n_set = set(script_N)
@@ -138,21 +128,13 @@ def vertex_ledger(
 
 def global_ledger(
     tree: DecoratedRootedTree,
-    table: MultiplicityTable | None = None,
-    info: DicriticalInfo | None = None,
-    ledger: VertexLedger | None = None,
+    table: MultiplicityTable,
+    info: DicriticalInfo,
+    ledger: VertexLedger,
 ) -> GlobalLedger:
     """Global invariants.  The genus defect is the per-vertex sum; its other
     routes (delta_N - D' and 2 - M - D) are compared by the audit check
     `global-defect-routes`."""
-    if table is None:
-        table = multiplicities(tree)
-    if info is None:
-        info = classify(tree, table)
-    _require_minimally_complete(info)
-    if ledger is None:
-        ledger = vertex_ledger(tree, table, info)
-
     script_N = frozenset(v for v in tree.vertices if table.N[v] > 0)
     script_D = frozenset(info.dicriticals)
     nd = frozenset(v for v in script_N if ledger.per_vertex[v].is_node)

@@ -1,10 +1,12 @@
 """One-stop analysis bundle and deterministic report rendering.
 
-`Analysis.build` runs the whole pipeline (validation, multiplicities,
-classification, ledgers, characteristic table, structure, one comb
-decomposition per initial vertex) and the renderers below serialize it
-byte-deterministically: mappings sorted by key, rationals printed reduced as
-"p/q", integers plain.
+`Analysis.build` is the one place that runs the pipeline, in order:
+validation, multiplicities, classification, ledgers, characteristic table,
+structure, and one comb decomposition per initial vertex (or at the given
+initial vertex z).  Each stage function takes every upstream result it reads
+as a required argument and computes nothing upstream itself.  The renderers
+below serialize the bundle byte-deterministically: mappings sorted by key,
+rationals printed reduced as "p/q", integers plain.
 """
 
 from __future__ import annotations
@@ -63,15 +65,11 @@ class Analysis:
         info = classify(tree, table)
         ledger = vertex_ledger(tree, table, info)  # raises if not minimally complete
         glob = global_ledger(tree, table, info, ledger)
-        chars = characteristic_numbers(tree, table, info, ledger)
-        struct = structure_ledger(tree, table, info, ledger, chars)
-        if z is None:
-            starts = sorted(struct.In)
-        else:
-            starts = [z]  # comb_decomposition validates membership
+        chars = characteristic_numbers(tree, table, ledger)
+        struct = structure_ledger(tree, ledger, chars)
+        starts = sorted(struct.In) if z is None else [z]  # z must lie in In
         decomps = {
-            s: comb_decomposition(tree, s, table, info, ledger, chars, struct)
-            for s in starts
+            s: comb_decomposition(tree, s, ledger, chars, struct) for s in starts
         }
         return Analysis(
             tree=tree,
@@ -84,9 +82,6 @@ class Analysis:
             struct=struct,
             decompositions=decomps,
         )
-
-    def delta_tilde_N(self) -> int:
-        return self.glob.delta_tilde_N
 
 
 def rat(x: Fraction | int) -> str:

@@ -15,15 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .characteristic import (
-    CharacteristicTable,
-    Pair,
-    R_of,
-    characteristic_numbers,
-)
+from .characteristic import CharacteristicTable, Pair, R_of
 from .errors import InternalInconsistencyError, NotInitialVertexError
-from .local_invariants import VertexLedger, vertex_ledger
-from .multiplicity import DicriticalInfo, MultiplicityTable, classify, multiplicities
+from .local_invariants import VertexLedger
 from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 
@@ -41,18 +35,6 @@ class StructureLedger:
     t: Mapping[CellRef, int]
     teeth: frozenset[Pair]
     In: frozenset[CellRef]
-
-
-def _context(tree, table, info, ledger, chars):
-    if table is None:
-        table = multiplicities(tree)
-    if info is None:
-        info = classify(tree, table)
-    if ledger is None:
-        ledger = vertex_ledger(tree, table, info)
-    if chars is None:
-        chars = characteristic_numbers(tree, table, info, ledger)
-    return table, info, ledger, chars
 
 
 def _maximal_trivial_walk(
@@ -73,13 +55,8 @@ def _maximal_trivial_walk(
 
 
 def structure_ledger(
-    tree: DecoratedRootedTree,
-    table: MultiplicityTable | None = None,
-    info: DicriticalInfo | None = None,
-    ledger: VertexLedger | None = None,
-    chars: CharacteristicTable | None = None,
+    tree: DecoratedRootedTree, ledger: VertexLedger, chars: CharacteristicTable
 ) -> StructureLedger:
-    table, info, ledger, chars = _context(tree, table, info, ledger, chars)
     per = ledger.per_vertex
     script_N = set(per)
 
@@ -241,11 +218,9 @@ class CombDecomposition:
 def comb_decomposition(
     tree: DecoratedRootedTree,
     z: CellRef,
-    table: MultiplicityTable | None = None,
-    info: DicriticalInfo | None = None,
-    ledger: VertexLedger | None = None,
-    chars: CharacteristicTable | None = None,
-    struct: StructureLedger | None = None,
+    ledger: VertexLedger,
+    chars: CharacteristicTable,
+    struct: StructureLedger,
 ) -> CombDecomposition:
     """Decompose the skeleton pairs pointing at `z` into comb classes.
 
@@ -254,9 +229,6 @@ def comb_decomposition(
     is checked by the audit check `comb-relation`, and the statistics
     identity by `comb-decomposition`.
     """
-    table, info, ledger, chars = _context(tree, table, info, ledger, chars)
-    if struct is None:
-        struct = structure_ledger(tree, table, info, ledger, chars)
     if z not in struct.In:
         raise NotInitialVertexError(f"{z!r} is not an initial vertex")
 

@@ -22,6 +22,7 @@ import math
 from typing import Any
 
 from .errors import ParseError
+from .multiplicity import source_multiplicities
 from .tree_model import (
     ARROW,
     VERTEX,
@@ -161,13 +162,11 @@ def export_dot(tree: DecoratedRootedTree, report: Any = None) -> str:
     its two decorations; with a `report`, vertices also show N and the local
     genus defect.
     """
-    from .multiplicity import multiplicities  # local import avoids a cycle
-
     if report is not None:
-        n_of = dict(report.table.N)
+        n_of = report.table.N
         dt_of = {v: d.delta_tilde for v, d in report.ledger.per_vertex.items()}
     else:
-        n_of = dict(multiplicities(tree).N)
+        n_of = source_multiplicities(tree, tree.arrows1)[0]
         dt_of = {}
 
     lines = ["digraph ntree {"]

@@ -18,7 +18,6 @@ from newton_forest.classify_audit import (
     theorem_audit,
 )
 from newton_forest.errors import TreeStructureError
-from newton_forest.local_invariants import global_ledger
 from newton_forest.multiplicity import classify
 from newton_forest.oracle_gen import (
     GeneratorConfig,
@@ -99,7 +98,7 @@ def test_criterion_1_fixture_exactness():
         assert info.minimally_complete, name
         degrees = [info.degree[u] for u in sorted(info.dicriticals)]
         assert math.gcd(*degrees) == 1, name
-        assert global_ledger(tree).delta_tilde_N == want, name
+        assert Analysis.build(tree).glob.delta_tilde_N == want, name
     elapsed = time.perf_counter() - t0
     ok = elapsed < 1.0
     _line("1 (fixture exactness)", ok, f"7 fixtures, {elapsed:.3f}s")
@@ -283,5 +282,5 @@ def test_criterion_6_fault_injection():
     assert validate_axioms(valid_tree) == []
     info = classify(valid_tree)
     assert info.generic and info.complete and info.minimally_complete
-    assert global_ledger(valid_tree).delta_tilde_N == -4
+    assert Analysis.build(valid_tree).glob.delta_tilde_N == -4
     assert valid_tree != fixture_T_D()

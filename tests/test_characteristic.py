@@ -5,15 +5,12 @@ import pytest
 
 from newton_forest.characteristic import (
     R_of,
-    build_poset,
-    characteristic_numbers,
     delta_bar,
     node_h_products,
     path_dead_end_product,
     rational_divides,
     rational_gcd,
 )
-from newton_forest.local_invariants import vertex_ledger
 from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate, oracle_h
 from newton_forest.report import Analysis
 from newton_forest.tree_io import (
@@ -50,12 +47,12 @@ def test_rational_divides():
 
 
 def test_poset_T_A_empty():
-    assert build_poset(fixture_T_A()).elements == ()
+    assert Analysis.build(fixture_T_A()).poset.elements == ()
 
 
 def test_poset_T_D():
     t = fixture_T_D()
-    poset = build_poset(t)
+    poset = Analysis.build(t).poset
     e = t.edge_between("v0", "w")
     assert set(poset.elements) == {("v0", e), ("w", e)}
     assert poset.minimal == {("v0", e), ("w", e)}
@@ -74,7 +71,7 @@ def test_alpha_products_T_D():
 
 def test_characteristic_numbers_T_D():
     t = fixture_T_D()
-    chars = characteristic_numbers(t)
+    chars = Analysis.build(t).chars
     e = t.edge_between("v0", "w")
     assert chars.c("w", e) == 6
     assert chars.M("w", e) == 1
@@ -90,14 +87,14 @@ def test_minimal_pair_at_bare_root():
     # the far end of the only positive edge is a non-node root of valency 1,
     # so the characteristic number equals its multiplicity
     t = fixture_T_D()
-    chars = characteristic_numbers(t)
+    chars = Analysis.build(t).chars
     e = t.edge_between("v0", "w")
     assert chars.c("w", e) == 6  # N at the root
 
 
 def test_p_and_p_prime_split():
     t = fixture_T_D()
-    chars = characteristic_numbers(t)
+    chars = Analysis.build(t).chars
     e = t.edge_between("v0", "w")
     assert chars.pairs[("v0", e)].p == 6
     assert chars.pairs[("v0", e)].p_prime == 0
@@ -128,7 +125,7 @@ def test_p_and_p_prime_match_oracle():
     ]
     checked = 0
     for tree in trees:
-        for (u, e), data in characteristic_numbers(tree).pairs.items():
+        for (u, e), data in Analysis.build(tree).chars.pairs.items():
             v = e.other(u)
             beyond = _far_side(tree, u, v)
             ones = sorted(tree.arrows1)
@@ -141,8 +138,8 @@ def test_p_and_p_prime_match_oracle():
 
 def test_R_and_delta_bar_T_D():
     t = fixture_T_D()
-    ledger = vertex_ledger(t)
-    chars = characteristic_numbers(t, ledger=ledger)
+    a = Analysis.build(t)
+    ledger, chars = a.ledger, a.chars
     e = t.edge_between("v0", "w")
     assert R_of(ledger, chars, "w", [e]) == 1
     assert delta_bar(ledger, chars, "w", [e]) == -4
@@ -153,8 +150,8 @@ def test_R_and_delta_bar_T_D():
 
 def test_R_rejects_foreign_edges():
     t = fixture_T_D()
-    ledger = vertex_ledger(t)
-    chars = characteristic_numbers(t, ledger=ledger)
+    a = Analysis.build(t)
+    ledger, chars = a.ledger, a.chars
     dead = t.edge_between("w", "ow")
     with pytest.raises(ValueError):
         R_of(ledger, chars, "w", [dead])

@@ -319,6 +319,48 @@ def test_registry_witnesses_pinned():
     )
 
 
+def test_defect_two_witnesses_pinned():
+    # every witness of `defect-two-structure` on seeds 0..299 at 40 cells,
+    # each analysis with its global defect set to 2 so that the check runs.
+    # No honest defect-2 tree in the corpora has more than one comb class;
+    # 48 of these carry a decomposition with 2 or 3 classes, so both hub
+    # branches and their side-class loop run.  The digest was taken while
+    # each hub branch still had its own copy of that loop.
+    run = _CHECKS["defect-two-structure"]
+    digest = hashlib.sha256()
+    multi = witnesses = 0
+    for seed in range(300):
+        a = analysis(generate(GeneratorConfig(seed=seed, max_cells=40)))
+        multi += any(len(d.classes) in (2, 3) for d in a.decompositions.values())
+        a = dataclasses.replace(a, glob=dataclasses.replace(a.glob, delta_tilde_N=2))
+        for witness in run(a):
+            witnesses += 1
+            digest.update(witness.encode() + b"\n")
+    assert (multi, witnesses) == (48, 539)
+    assert digest.hexdigest() == (
+        "f27f6642319047e7ec4b731a5ac772c1a6841878f36f91458f6722a33604df26"
+    )
+
+
+def test_rational_report_same_at_every_initial_vertex():
+    # `analyze --z z` decomposes at z alone; the rational report must not
+    # depend on which initial vertex the analysis was built at
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, rational=True)) for s in range(40)]
+    rational = wide = pairs = 0
+    for tree in trees:
+        a = analysis(tree)
+        if not is_rational_tree(a):
+            continue
+        rational += 1
+        wide += len(a.struct.S) > 1
+        want = rational_structure_report(a)
+        for z in sorted(a.struct.In):
+            assert rational_structure_report(Analysis.build(tree, z=z)) == want, z
+            pairs += 1
+    assert (rational, wide, pairs) == (44, 31, 71)
+
+
 def test_wide_fan_audit_clean_and_linear():
     # 128 degree-1 dicriticals on one root.  On a 2-core VM with Python
     # 3.11 the two checks take 0.11-0.19 s when h is taken path by path and

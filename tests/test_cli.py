@@ -323,6 +323,21 @@ def test_dot_output(capsys):
     assert "N=1" in capsys.readouterr().out
 
 
+# sha256 over the stdout and exit code of `dot`, without and then with
+# `--with-report`, on every fixture.
+PINNED_DOT_SHA256 = "7200e632d3c5d4b4ea2ed2a6515896e6670b434650be04f5459abded69b209b0"
+
+
+def test_dot_bytes_pinned(capsys):
+    digest = hashlib.sha256()
+    for f in sorted(FIXTURES.glob("*.ntree")):
+        for extra in ([], ["--with-report"]):
+            code = run(["dot", str(f)] + extra)
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+            digest.update(f"\0exit {code}\0".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_DOT_SHA256
+
+
 def test_gen_roundtrip(capsys):
     assert run(["gen", "--seed", "9", "--max-cells", "30"]) == 0
     text = capsys.readouterr().out

@@ -41,10 +41,10 @@ def test_oracle_delta_tilde_T_D():
 
 
 def test_oracle_delta_tilde_fixtures():
-    from newton_forest.local_invariants import global_ledger
+    from newton_forest.report import Analysis
 
     for name, tree in fixture_corpus().items():
-        assert oracle_delta_tilde_N(tree) == global_ledger(tree).delta_tilde_N, name
+        assert oracle_delta_tilde_N(tree) == Analysis.build(tree).glob.delta_tilde_N, name
 
 
 def test_generate_reproducible():

@@ -1,19 +1,20 @@
+import inspect
+
 import pytest
 
+from newton_forest import characteristic, local_invariants, structure
 from newton_forest.report import Analysis
 from newton_forest.structure import (
-    comb_decomposition,
     is_comb_over,
     quotient_tree_H,
     rooted_tree_H,
-    structure_ledger,
 )
 from newton_forest.tree_io import fixture_T_A, fixture_T_D
 
 
 def test_structure_T_D():
     t = fixture_T_D()
-    st = structure_ledger(t)
+    st = Analysis.build(t).struct
     assert st.Z == {"v0"}
     assert st.Gamma == ()
     assert st.W == frozenset()
@@ -26,7 +27,7 @@ def test_structure_T_D():
 
 def test_structure_T_A():
     t = fixture_T_A()
-    st = structure_ledger(t)
+    st = Analysis.build(t).struct
     assert st.Z == frozenset()  # epsilon(v0) = 0, never 1
     assert st.Omega == frozenset()
     assert st.S == {"v0"}
@@ -45,7 +46,7 @@ def test_comb_over_reflexive_and_incomparable():
 
 def test_decomposition_T_D():
     t = fixture_T_D()
-    dec = comb_decomposition(t, "v0")
+    dec = Analysis.build(t, z="v0").decompositions["v0"]
     assert len(dec.classes) == 1
     cls = dec.classes[0]
     e = t.edge_between("v0", "w")
@@ -58,7 +59,7 @@ def test_decomposition_T_D():
 
 
 def test_decomposition_T_A_empty():
-    dec = comb_decomposition(fixture_T_A(), "v0")
+    dec = Analysis.build(fixture_T_A(), z="v0").decompositions["v0"]
     assert dec.O == ()
     assert dec.classes == ()
     assert dec.u0 is None
@@ -66,7 +67,7 @@ def test_decomposition_T_A_empty():
 
 def test_decomposition_rejects_non_initial():
     with pytest.raises(ValueError, match="not an initial vertex"):
-        comb_decomposition(fixture_T_D(), "w")
+        Analysis.build(fixture_T_D(), z="w")
 
 
 def test_two_loose_ends_decomposition():
@@ -124,7 +125,7 @@ def test_rooted_tree_H_examples():
 
 def test_quotient_H_needs_two_classes():
     with pytest.raises(ValueError):
-        quotient_tree_H(comb_decomposition(fixture_T_D(), "v0"))
+        quotient_tree_H(Analysis.build(fixture_T_D(), z="v0").decompositions["v0"])
 
 
 def test_quotient_H_on_generated_multicomb():
@@ -149,7 +150,7 @@ def test_gamma_paths_on_brush():
     import random
 
     tree = _attempt_brush(random.Random(3), GeneratorConfig(seed=3))
-    st = structure_ledger(tree)
+    st = Analysis.build(tree).struct
     assert st.is_brush
     assert st.W == {"v0"}
     assert st.S == {"v0"}
@@ -157,3 +158,29 @@ def test_gamma_paths_on_brush():
     assert len(st.Gamma) == 2
     assert st.V_bar["v0"] == {"v0", "y0", "y1"}
     assert st.t["v0"] == 2
+
+
+def test_stage_inputs_required():
+    # Analysis.build alone sequences the stages: no stage recomputes a
+    # missing upstream input, and the downstream modules cannot reach the
+    # upstream stage functions
+    stages = (
+        local_invariants.vertex_ledger,
+        local_invariants.global_ledger,
+        characteristic.build_poset,
+        characteristic.characteristic_numbers,
+        structure.structure_ledger,
+        structure.comb_decomposition,
+    )
+    for fn in stages:
+        for param in inspect.signature(fn).parameters.values():
+            assert param.default is inspect.Parameter.empty, (fn.__name__, param.name)
+    upstream = ("multiplicities", "classify", "vertex_ledger", "characteristic_numbers")
+    for module in (structure, characteristic, local_invariants):
+        for name in upstream:
+            found = getattr(module, name, None)
+            # a module may define a stage, but imports none
+            assert found is None or found.__module__ == module.__name__, (
+                module.__name__,
+                name,
+            )
