@@ -42,6 +42,8 @@ def rational_gcd(values: Iterable[Rational | int]) -> Rational:
 
 def rational_divides(a: Rational | int, b: Rational | int) -> bool:
     """Whether b lies in a*Z (with 0 dividing only 0)."""
+    if isinstance(a, int) and isinstance(b, int):
+        return b == 0 if a == 0 else b % a == 0
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         return b == 0

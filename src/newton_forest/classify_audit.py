@@ -262,13 +262,7 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
     per = analysis.ledger.per_vertex
     tree = analysis.tree
 
-    if len(st.S) == 1:
-        _clause(
-            clauses,
-            "rational-canonical",
-            recognized is not None,
-            "single-skeleton rational tree is not canonical",
-        )
+    def chainless() -> ClassificationReport:
         return ClassificationReport(
             is_rational=True,
             recognized=recognized,
@@ -277,6 +271,15 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
             nd_shape=None,
             clauses=tuple(clauses),
         )
+
+    if len(st.S) == 1:
+        _clause(
+            clauses,
+            "rational-canonical",
+            recognized is not None,
+            "single-skeleton rational tree is not canonical",
+        )
+        return chainless()
 
     _clause(clauses, "rational-omega", len(st.Omega) in (1, 2), f"Omega={sorted(st.Omega)}")
 
@@ -288,8 +291,13 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
         if chain[-1] == tree.root:
             chain = chain[::-1]
     else:
-        (z,) = sorted(st.Omega)
-        dec = analysis.decompositions[z]  # In = Omega = {z}
+        # In = Omega = {z}; without a decomposition at z there is no chain
+        z = min(st.Omega) if len(st.Omega) == 1 else None
+        dec = analysis.decompositions.get(z)
+        if dec is None:
+            _clause(clauses, "rational-omega-decomposed", False,
+                    f"Omega={sorted(st.Omega)} names no decomposed initial vertex")
+            return chainless()
         _clause(clauses, "rational-one-comb", len(dec.classes) == 1,
                 f"{len(dec.classes)} comb classes")
         chain = tree.path(z, dec.u0) if dec.u0 is not None else (z,)

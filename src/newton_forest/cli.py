@@ -35,7 +35,7 @@ from .multiplicity import classify
 from .oracle_gen import GeneratorConfig, generate
 from .report import Analysis, ValidationFailedError, analysis_to_dict, render_text
 from .tree_io import export_dot, parse, serialize
-from .tree_model import validate_axioms
+from .tree_model import iter_axiom_diagnostics
 
 
 def _read_tree(path: str):
@@ -59,10 +59,12 @@ def _classification_line(info) -> str:
 
 def _cmd_validate(args) -> int:
     tree = _read_tree(args.file)
-    diagnostics = validate_axioms(tree)
-    if diagnostics:
-        for d in diagnostics:
-            print(str(d))
+    # printed as found, so memory stays flat however many there are
+    failed = False
+    for d in iter_axiom_diagnostics(tree):
+        print(str(d))
+        failed = True
+    if failed:
         return 1
     info = classify(tree)
     print(_classification_line(info))

@@ -15,11 +15,13 @@ from the seed.
 
 An attempt runs in this order: draw a plan; screen the plan on the axiom
 clauses that read no support (coprimality near each skeleton vertex, and
-the determinant of each skeleton edge); solve the supports; assemble the
+the determinant of each skeleton edge); solve the supports on the plan;
+screen the supports on the clauses that read them (coprimality near each
+dicritical, and the determinant of its supporting edge); assemble the
 tree; and `_screen` it with `validate_axioms` and `classify`.  `_screen` is
-the gate: every tree returned passes it.  The plan screen draws nothing
-from the RNG and rejects only plans that `_screen` would reject on the same
-clause, so it changes neither the attempt count nor the seed->tree mapping.
+the gate: every tree returned passes it.  Both screens draw nothing from
+the RNG and reject only what `_screen` would reject on the same clause, so
+they change neither the attempt count nor the seed->tree mapping.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import GenerationError
@@ -308,6 +310,21 @@ def _up_q(plan: list[_VertexPlan], i: int) -> int:
     return parent_plan.up_big if parent_plan.big_child == i else 1
 
 
+def _skeleton_near(plan: list[_VertexPlan]) -> list[list[tuple[int | None, int]]]:
+    """For each skeleton vertex, (neighbour, decoration near the vertex) on
+    each skeleton edge at it, then (None, dead end) when it has one.
+
+    Dicritical edges carry 1 near the vertex and are left out."""
+    near: list[list[tuple[int | None, int]]] = [[] for _ in plan]
+    for i, p in enumerate(plan):
+        if p.parent is not None:
+            near[i].append((p.parent, p.down_q))
+            near[p.parent].append((i, _up_q(plan, i)))
+        if p.dead_end:
+            near[i].append((None, p.dead_end))
+    return near
+
+
 def _plan_screen(plan: list[_VertexPlan]) -> bool:
     """Whether the plan passes the axiom clauses that read no support.
 
@@ -318,30 +335,69 @@ def _plan_screen(plan: list[_VertexPlan]) -> bool:
     that fails here fails `validate_axioms` once assembled, whatever the
     supports.
     """
-    children: list[list[int]] = [[] for _ in plan]
-    for i, p in enumerate(plan):
-        if p.parent is not None:
-            children[p.parent].append(i)
     Q_parent = [0] * len(plan)  # Q near the parent of i, on the edge to i
     Q_child = [0] * len(plan)  # Q near i, on the edge to its parent
-    for i, p in enumerate(plan):
-        near = [_up_q(plan, c) for c in children[i]]
-        if p.parent is not None:
-            near.append(p.down_q)
-        if p.dead_end:
-            near.append(p.dead_end)
-        if not pairwise_coprime(near):
+    for i, near in enumerate(_skeleton_near(plan)):
+        qs = [q for _, q in near]
+        if not pairwise_coprime(qs):
             return False
-        Qs = products_but_one(near)
-        for c, Q in zip(children[i], Qs):
-            Q_parent[c] = Q
-        if p.parent is not None:
-            Q_child[i] = Qs[len(children[i])]
+        for (n, _), Q in zip(near, products_but_one(qs)):
+            if n is None:
+                continue
+            if n == plan[i].parent:
+                Q_child[i] = Q
+            else:
+                Q_parent[n] = Q
     return all(
         _up_q(plan, i) * p.down_q - Q_parent[i] * Q_child[i] < 0
         for i, p in enumerate(plan)
         if p.parent is not None
     )
+
+
+def _path_products(plan: list[_VertexPlan]) -> list[list[int]]:
+    """g[i][k]: the product, over the skeleton vertices on the path from v_i
+    to v_k, of each one's decorations on the skeleton edges and dead end off
+    that path.  g[i][i] is the product of every decoration near v_i.
+
+    One walk from each vertex carries the product of the path so far; at
+    each vertex the entering edge is skipped by identity, not divided out,
+    since a decoration may be 0.  O(m^2) for m skeleton vertices.
+    """
+    near = _skeleton_near(plan)
+    g = [[0] * len(plan) for _ in plan]
+    for i in range(len(plan)):
+        stack: list[tuple[int, int | None, int]] = [(i, None, 1)]
+        while stack:
+            w, came, acc = stack.pop()
+            rest = [(n, q) for n, q in near[w] if n is None or n != came]
+            qs = [q for _, q in rest]
+            g[i][w] = acc * prod(qs)
+            for (n, _), Q in zip(rest, products_but_one(qs)):
+                if n is not None:
+                    stack.append((n, w, acc * Q))
+    return g
+
+
+def _support_screen(
+    plan: list[_VertexPlan], supports: dict[tuple[int, int], int]
+) -> bool:
+    """Whether the solved supports pass the axiom clauses that read them.
+
+    Near the dicritical u of slot (i, j) the decorations are its support,
+    its dead end a_u and 1 on each arrow edge, so axiom 5 wants
+    gcd(support, a_u) == 1.  On the dicritical edge the decoration near
+    v_i is 1, Q near v_i is the product of every decoration near v_i and Q
+    near u is a_u, so axiom 6 wants support - Q * a_u < 0.  No other clause
+    reads a support; a plan rejected here fails `validate_axioms` once
+    assembled.
+    """
+    Q_at = [prod(q for _, q in near) for near in _skeleton_near(plan)]
+    for (i, j), support in supports.items():
+        a_u = plan[i].dics[j][1]
+        if gcd(support, a_u) != 1 or support - Q_at[i] * a_u >= 0:
+            return False
+    return True
 
 
 def _assemble(
@@ -394,10 +450,30 @@ def _attempt(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | 
     if _plan_cells(plan) > cfg.max_cells or not _plan_screen(plan):
         return None
     supports = _solve_supports(plan)
-    if supports is None:
+    if supports is None or not _support_screen(plan, supports):
         return None
-    tree = _assemble(plan, supports)
-    return _screen(tree)
+    return _screen(_assemble(plan, supports))
+
+
+def _slot_contributions(
+    plan: list[_VertexPlan],
+) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """contrib[s][s2] for slots s = (i, j) and s2 = (i2, j2), s2 != s: the
+    product x-hat(u_s, alpha) for one (1)-arrow alpha at the dicritical of s2.
+
+    On that path the dicritical edges carry 1 near v and the supports lie on
+    the path, so the value is g[i][i2] (`_path_products`) times the dead end
+    a_u of s2, with no degree and no support in it.
+    """
+    g = _path_products(plan)
+    slots = [(i, j) for i, p in enumerate(plan) for j in range(len(p.dics))]
+    contrib: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for s in slots:
+        row_g = g[s[0]]
+        contrib[s] = {
+            s2: row_g[s2[0]] * plan[s2[0]].dics[s2[1]][1] for s2 in slots if s2 != s
+        }
+    return contrib
 
 
 def _solve_supports(plan: list[_VertexPlan]) -> dict[tuple[int, int], int] | None:
@@ -406,28 +482,16 @@ def _solve_supports(plan: list[_VertexPlan]) -> dict[tuple[int, int], int] | Non
     the tree, divided by the degree.
 
     The per-arrow contribution between two dicriticals does not depend on any
-    degree, so it is measured once on a one-arrow-per-dicritical draft; the
+    degree, so it is read once off the plan by `_slot_contributions`; the
     divisibility repair loop (degrees shrink to a divisor when they spoil
-    integrality, re-coupling the other sums) is then pure arithmetic.
+    integrality, re-coupling the other sums) is then pure arithmetic.  Cost:
+    O(m^2) for the m skeleton vertices plus O(slots^2) per repair round, at
+    most four rounds; no tree is built.
     """
-    slots = [(i, j) for i, p in enumerate(plan) for j in range(len(p.dics))]
+    contrib = _slot_contributions(plan)
+    slots = list(contrib)
     if not slots:
         return None
-
-    probe = [
-        _VertexPlan(p.parent, p.down_q, p.up_big, p.big_child, p.dead_end,
-                    [(1, a_u) for _deg, a_u in p.dics])
-        for p in plan
-    ]
-    draft = _assemble(probe, {})
-    contrib: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for s in slots:
-        u = f"u{s[0]}_{s[1]}"
-        row = {}
-        for s2 in slots:
-            if s2 != s:
-                row[s2] = _oracle_x(draft, u, f"t{s2[0]}_{s2[1]}_0", hat=True)
-        contrib[s] = row
 
     degrees = {s: plan[s[0]].dics[s[1]][0] for s in slots}
     sums: dict[tuple[int, int], int] = {}

@@ -409,30 +409,36 @@ def pairwise_coprime(values: Iterable[int]) -> bool:
 
 def _coprime_diagnostics(
     v: CellRef, inc: tuple[Edge, ...]
-) -> list[ValidationDiagnostic]:
+) -> Iterator[ValidationDiagnostic]:
     """Axiom 5's coprimality clause at `v`, one diagnostic per failing pair.
 
     A decoration of +-1 is coprime to everything, so only the others are
     paired, in incidence order.  When they are pairwise coprime the pair
-    loop is skipped.
+    loop is skipped; otherwise each edge is named once, not once per pair.
     """
     big = [(e, e.q_near(v)) for e in inc if abs(e.q_near(v)) != 1]
     if pairwise_coprime(q for _, q in big):
-        return []
-    out = []
-    for i, (ei, qi) in enumerate(big):
-        for ej, qj in big[i + 1:]:
+        return
+    named = [(str(e), q) for e, q in big]
+    for i, (ei, qi) in enumerate(named):
+        for ej, qj in named[i + 1:]:
             if math.gcd(qi, qj) != 1:
-                out.append(
-                    ValidationDiagnostic(
-                        5, (v, str(ei), str(ej)), f"decorations {qi} and {qj} are not coprime"
-                    )
+                yield ValidationDiagnostic(
+                    5, (v, ei, ej), f"decorations {qi} and {qj} are not coprime"
                 )
-    return out
 
 
 def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
     """Check the six defining axioms; an empty list means the tree passes all.
+
+    The list of :func:`iter_axiom_diagnostics`, in its order.
+    """
+    return list(iter_axiom_diagnostics(tree))
+
+
+def iter_axiom_diagnostics(tree: DecoratedRootedTree) -> Iterator[ValidationDiagnostic]:
+    """Yield one diagnostic per violated clause of the six defining axioms,
+    axiom by axiom; none means the tree passes all.
 
     1. every vertex has a (1)-arrow above it;
     2. at most one dead end per vertex;
@@ -452,9 +458,9 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
     O(k^2) when one pair fails.  Axiom 6 reads both Q values from
     prefix/suffix products made once per vertex by `Q_row`, O(n).  The
     diagnostics themselves can outnumber the cells only through axiom 5's
-    pairs.
+    pairs; they are yielded one at a time, so memory stays O(n) however
+    many there are.
     """
-    out: list[ValidationDiagnostic] = []
     root = tree.root
     parent_edge = tree._parent_edge
 
@@ -468,64 +474,48 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
             c = tree.parent(c)
     for v in sorted(tree.vertices):
         if v not in covered:
-            out.append(
-                ValidationDiagnostic(1, (v,), "no arrow decorated (1) above this vertex")
-            )
+            yield ValidationDiagnostic(1, (v,), "no arrow decorated (1) above this vertex")
 
     for v in sorted(tree.vertices):
         dead = tree.dead_ends(v)
         if len(dead) > 1:
-            out.append(
-                ValidationDiagnostic(
-                    2, (v,), f"{len(dead)} dead ends incident to one vertex"
-                )
+            yield ValidationDiagnostic(
+                2, (v,), f"{len(dead)} dead ends incident to one vertex"
             )
 
     for e in tree.incident_edges(root):
         if e.q_near(root) != 1:
-            out.append(
-                ValidationDiagnostic(
-                    3, (str(e), root), f"decoration near root is {e.q_near(root)}, not 1"
-                )
+            yield ValidationDiagnostic(
+                3, (str(e), root), f"decoration near root is {e.q_near(root)}, not 1"
             )
 
     for alpha in sorted(tree.arrows):
         (e,) = tree.incident_edges(alpha)
         if e.q_near(alpha) != 1:
-            out.append(
-                ValidationDiagnostic(
-                    4, (str(e), alpha), f"decoration near arrow is {e.q_near(alpha)}, not 1"
-                )
+            yield ValidationDiagnostic(
+                4, (str(e), alpha), f"decoration near arrow is {e.q_near(alpha)}, not 1"
             )
 
     for v in sorted(tree.vertices):
         inc = tree.incident_edges(v)
-        out.extend(_coprime_diagnostics(v, inc))
+        yield from _coprime_diagnostics(v, inc)
         upward = [e for e in inc if parent_edge[e.other(v)] is e]
         big = [e for e in upward if e.q_near(v) > 1]
         for e in upward:
             if e.q_near(v) < 1:
-                out.append(
-                    ValidationDiagnostic(
-                        5, (v, str(e)), f"upward decoration {e.q_near(v)} is not positive"
-                    )
+                yield ValidationDiagnostic(
+                    5, (v, str(e)), f"upward decoration {e.q_near(v)} is not positive"
                 )
         if len(big) > 1:
-            out.append(
-                ValidationDiagnostic(
-                    5, (v,), "more than one upward decoration exceeds 1"
-                )
-            )
+            yield ValidationDiagnostic(5, (v,), "more than one upward decoration exceeds 1")
         dead = tree.dead_ends(v)
         if dead and upward:
             mx = max(e.q_near(v) for e in upward)
             if dead[0].q_near(v) != mx:
-                out.append(
-                    ValidationDiagnostic(
-                        5,
-                        (v, str(dead[0])),
-                        f"dead-end decoration {dead[0].q_near(v)} is not the maximum {mx}",
-                    )
+                yield ValidationDiagnostic(
+                    5,
+                    (v, str(dead[0])),
+                    f"dead-end decoration {dead[0].q_near(v)} is not the maximum {mx}",
                 )
 
     # Rows kept only for this check, so a tree that is only validated
@@ -535,8 +525,4 @@ def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
         x, y = e.ends
         det = e.q[0] * e.q[1] - rows[x][y] * rows[y][x]
         if det >= 0:
-            out.append(
-                ValidationDiagnostic(6, (str(e),), f"edge determinant {det} is not negative")
-            )
-
-    return out
+            yield ValidationDiagnostic(6, (str(e),), f"edge determinant {det} is not negative")

@@ -46,6 +46,19 @@ def test_rational_divides():
     assert not rational_divides(0, 1)
 
 
+def test_rational_divides_ints_match_fractions():
+    # two ints take the integer path; any Fraction argument takes the other
+    for a in range(-7, 8):
+        for b in range(-30, 31):
+            want = b == 0 if a == 0 else b % a == 0
+            assert rational_divides(a, b) is want, (a, b)
+            assert rational_divides(Fraction(a), Fraction(b)) is want, (a, b)
+            assert rational_divides(Fraction(a), b) is want, (a, b)
+    assert rational_divides(-3, 6) and rational_divides(3, -6)
+    assert rational_divides(-4, 0) and not rational_divides(0, -4)
+    assert not rational_divides(-4, 6) and not rational_divides(4, -6)
+
+
 def test_poset_T_A_empty():
     assert Analysis.build(fixture_T_A()).poset.elements == ()
 

@@ -126,6 +126,21 @@ def test_rational_structure_report_rejects_non_rational():
         rational_structure_report(analysis(fixture_T_D()))
 
 
+def test_rational_report_survives_tampered_omega():
+    # a tampered Omega is reported as a failing clause, never raised
+    a = analysis(generate(GeneratorConfig(seed=0, rational=True)))
+    assert is_rational_tree(a) and len(a.struct.S) > 1
+    for omega in (frozenset(), frozenset({"v1"})):
+        assert "v1" not in a.decompositions
+        corrupt = dataclasses.replace(
+            a, struct=dataclasses.replace(a.struct, Omega=omega)
+        )
+        failures = audit_failures(audit_analysis(corrupt))
+        assert "rational-structure" in {f.check_id for f in failures}, omega
+        rep = rational_structure_report(corrupt)
+        assert rep.chain == () and rep.failures, omega
+
+
 def test_theorem_audit_clean_on_fixtures():
     for name, tree in fixture_corpus().items():
         assert audit_failures(theorem_audit(tree)) == [], name

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 from newton_forest.cli import run
@@ -137,6 +139,41 @@ def test_validate_large_star(tmp_path, capsys):
         f"axiom 5 at (c, {{c,r}}, {{c,t{k}}}): decorations -2 and 2 are not coprime\n"
     )
     assert seconds < LARGE_INPUT_SECONDS
+
+
+class _LineCounter:
+    """A stdout that counts lines and keeps none of them."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+    def flush(self):
+        pass
+
+
+def test_validate_streams_diagnostics(tmp_path):
+    # a root with 1000 arrows decorated 2 near it: 1000 axiom-3 lines,
+    # 499500 non-coprime pairs and one "more than one upward" line.  Printed
+    # as found, the peak stays near the size of the tree; collecting the
+    # diagnostics into a list first peaks at about 188 MB.
+    arms = 1000
+    cells = [Cell("r", VERTEX)] + [Cell(f"t{i}", ARROW, 1) for i in range(arms)]
+    edges = [make_edge("r", 2, f"t{i}", 1) for i in range(arms)]
+    path = tmp_path / "star.ntree"
+    path.write_text(serialize(build_tree(cells, edges, "r")))
+    out = _LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(["validate", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out.lines == 500501
+    assert peak < 20_000_000, peak
 
 
 def test_validate_large_valid_broom(tmp_path, capsys):

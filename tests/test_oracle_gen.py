@@ -1,7 +1,10 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from newton_forest import oracle_gen as og
 from newton_forest.errors import GenerationError
 from newton_forest.multiplicity import multiplicities
 from newton_forest.oracle_gen import (
@@ -115,29 +118,102 @@ def test_coverage_over_a_small_corpus():
     assert all(count > 0 for count in seen.values()), seen
 
 
-def test_plan_screen_is_sound():
-    """Every plan the support-free screen rejects is also rejected after
-    solving its supports, assembling it and screening the tree, and the
-    assembled tree breaks axiom 5 or 6."""
-    import random
-
-    from newton_forest import oracle_gen as og
-
+def _planned():
+    """(seed, k, plan): twelve plans from the rng stream of each seed
+    0..149, cycling through the fan, chain, star and random planners."""
     planners = (og._plan_fan, og._plan_chain, og._plan_star, og._plan_random)
-    rejected = passed = 0
     for seed in range(150):
         rng = random.Random(seed)
         cfg = GeneratorConfig(seed=seed)
         for k in range(12):
-            plan = planners[k % len(planners)](rng, cfg)
-            if og._plan_screen(plan):
-                passed += 1
-                continue
-            rejected += 1
-            supports = og._solve_supports(plan)
-            if supports is None:
-                continue
-            tree = og._assemble(plan, supports)
-            assert og._screen(tree) is None, (seed, k)
-            assert {d.axiom_id for d in validate_axioms(tree)} & {5, 6}, (seed, k)
+            yield seed, k, planners[k % len(planners)](rng, cfg)
+
+
+def test_plan_screen_is_sound():
+    """Every plan the support-free screen rejects is also rejected after
+    solving its supports, assembling it and screening the tree, and the
+    assembled tree breaks axiom 5 or 6."""
+    rejected = passed = 0
+    for seed, k, plan in _planned():
+        if og._plan_screen(plan):
+            passed += 1
+            continue
+        rejected += 1
+        supports = og._solve_supports(plan)
+        if supports is None:
+            continue
+        tree = og._assemble(plan, supports)
+        assert og._screen(tree) is None, (seed, k)
+        assert {d.axiom_id for d in validate_axioms(tree)} & {5, 6}, (seed, k)
     assert rejected > 600 and passed > 300, (rejected, passed)
+
+
+def test_slot_contributions_match_oracle():
+    """The plan-level table equals x-hat(u_s, t_{s2,0}) measured path by
+    path on the tree assembled with one arrow per dicritical."""
+    zero_down = big_up = pairs = 0
+    for seed, k, plan in _planned():
+        probe = [
+            og._VertexPlan(p.parent, p.down_q, p.up_big, p.big_child, p.dead_end,
+                           [(1, a_u) for _deg, a_u in p.dics])
+            for p in plan
+        ]
+        draft = og._assemble(probe, {})
+        for (i, j), row in og._slot_contributions(plan).items():
+            for (i2, j2), value in row.items():
+                want = og._oracle_x(draft, f"u{i}_{j}", f"t{i2}_{j2}_0", hat=True)
+                assert value == want, (seed, k, (i, j), (i2, j2))
+                pairs += 1
+        zero_down += any(p.parent is not None and p.down_q == 0 for p in plan)
+        big_up += any(p.big_child is not None for p in plan)
+    assert zero_down > 100 and big_up > 100 and pairs > 10000, (zero_down, big_up, pairs)
+
+
+def _dicritical_cells(diagnostic):
+    cells = set()
+    for part in diagnostic.location:
+        cells.update(part.strip("{}").split(","))
+    return {c for c in cells if c.startswith("u")}
+
+
+def test_support_screen_is_sound():
+    """Every plan the support screen rejects is also rejected after
+    assembling it and screening the tree, on axiom 5 or 6 at a dicritical;
+    every plan it passes assembles into a tree with no axiom diagnostic."""
+    rejected = passed = 0
+    for seed, k, plan in _planned():
+        if not og._plan_screen(plan):
+            continue
+        supports = og._solve_supports(plan)
+        if supports is None:
+            continue
+        tree = og._assemble(plan, supports)
+        if og._support_screen(plan, supports):
+            passed += 1
+            assert validate_axioms(tree) == [], (seed, k)
+            continue
+        rejected += 1
+        assert og._screen(tree) is None, (seed, k)
+        assert any(
+            d.axiom_id in (5, 6) and _dicritical_cells(d) for d in validate_axioms(tree)
+        ), (seed, k)
+    assert rejected > 300 and passed > 100, (rejected, passed)
+
+
+def test_support_solve_is_quadratic_on_a_wide_fan(monkeypatch):
+    # one vertex with 256 degree-1 dicriticals; the supports come from the
+    # plan alone, with no tree assembled and no path product measured
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the support solve built or walked a tree")
+
+    monkeypatch.setattr(og, "_assemble", forbidden)
+    monkeypatch.setattr(og, "_oracle_x", forbidden)
+    best = float("inf")
+    for _ in range(3):
+        plan = [og._VertexPlan(None, 1, 1, None, 0, [(1, 1)] * 256)]
+        start = time.perf_counter()
+        supports = og._solve_supports(plan)
+        ok = og._support_screen(plan, supports)
+        best = min(best, time.perf_counter() - start)
+    assert ok and set(supports.values()) == {-255}
+    assert best < 0.5, best
