@@ -55,7 +55,6 @@ class PosetP:
     """The pair poset, with predecessor structure realized explicitly."""
 
     elements: tuple[Pair, ...]
-    minimal: frozenset[Pair]
     _pred: Mapping[Pair, tuple[Pair, ...]]  # immediate predecessors
     _n_side: Mapping[Pair, frozenset[CellRef]]  # script-N cells beyond e from u
 
@@ -92,19 +91,6 @@ class PosetP:
         return tuple(chain)
 
 
-def script_E(
-    tree: DecoratedRootedTree, table: MultiplicityTable, u: CellRef
-) -> tuple[Edge, ...]:
-    """Edges of the positive subtree incident to u, sorted."""
-    if u not in tree.vertices or table.N.get(u, 0) <= 0:
-        raise ValueError(f"{u!r} is not a positive-multiplicity vertex")
-    return tuple(
-        e
-        for e in tree.incident_edges(u)
-        if e.other(u) in tree.vertices and table.N.get(e.other(u), 0) > 0
-    )
-
-
 def build_poset(tree: DecoratedRootedTree, table: MultiplicityTable) -> PosetP:
     script_N = {v for v in tree.vertices if table.N[v] > 0}
     elements: list[Pair] = []
@@ -115,7 +101,6 @@ def build_poset(tree: DecoratedRootedTree, table: MultiplicityTable) -> PosetP:
 
     pred: dict[Pair, tuple[Pair, ...]] = {}
     n_side: dict[Pair, frozenset[CellRef]] = {}
-    minimal = set()
     for u, e in elements:
         u0 = e.other(u)
         preds = tuple(
@@ -124,8 +109,6 @@ def build_poset(tree: DecoratedRootedTree, table: MultiplicityTable) -> PosetP:
             if n != u and n in script_N
         )
         pred[(u, e)] = preds
-        if not preds:
-            minimal.add((u, e))
         # Everything on the far side of e, by flood fill from u0 away from u.
         beyond = {u0}
         stack = [u0]
@@ -139,32 +122,15 @@ def build_poset(tree: DecoratedRootedTree, table: MultiplicityTable) -> PosetP:
 
     return PosetP(
         elements=tuple(elements),
-        minimal=frozenset(minimal),
         _pred=pred,
         _n_side=n_side,
     )
 
 
-def path_dead_end_product(
-    tree: DecoratedRootedTree,
-    x: CellRef,
-    y: CellRef,
-    include_x: bool = True,
-    include_y: bool = True,
-) -> int:
+def path_dead_end_product(tree: DecoratedRootedTree, x: CellRef, y: CellRef) -> int:
     """Product of dead-end values a_v over the vertices of the path x..y,
-    optionally dropping either endpoint.  Equals 1 on empty ranges."""
-    cells = tree.path(x, y)
-    prod = 1
-    for i, c in enumerate(cells):
-        if i == 0 and not include_x:
-            continue
-        if i == len(cells) - 1 and not include_y and len(cells) > 1:
-            continue
-        if x == y and not (include_x and include_y):
-            continue
-        prod *= tree.a_value(c)
-    return prod
+    leaving out y.  Equals 1 when x == y."""
+    return prod(tree.a_value(c) for c in tree.path(x, y)[:-1])
 
 
 def node_h_products(
@@ -260,7 +226,6 @@ def characteristic_numbers(
     check `characteristic-divisibility` owns it."""
     poset = build_poset(tree, table)
     per = ledger.per_vertex
-    script_N = set(per)
 
     c_of: dict[Pair, Rational] = {}
     # Predecessor n-sides are strictly smaller, so size order is evaluation order.
@@ -281,8 +246,11 @@ def characteristic_numbers(
             c_of[pair] = rational_gcd(values) / a0
 
     pairs: dict[Pair, PairData] = {}
+    # script-E: the positive-subtree edges at u are those of u's pairs
+    edges_at: dict[CellRef, list[Edge]] = {u: [] for u in sorted(per)}
     for pair in poset.elements:
         u, e = pair
+        edges_at[u].append(e)
         v = e.other(u)
         c = c_of[pair]
         M = int(table.N[u] / c)
@@ -300,8 +268,11 @@ def characteristic_numbers(
             n_side=n_side,
         )
 
-    edges_at = {u: script_E(tree, table, u) for u in sorted(script_N)}
-    return CharacteristicTable(poset=poset, pairs=pairs, edges_at=edges_at)
+    return CharacteristicTable(
+        poset=poset,
+        pairs=pairs,
+        edges_at={u: tuple(es) for u, es in edges_at.items()},
+    )
 
 
 def R_of(

@@ -725,7 +725,6 @@ def _chk_char_divides(a: Analysis) -> list[str]:
                 out.append(f"{u}|{e}: c does not divide {name}={val}")
         if data.M < 1 or Fraction(N) != data.M * data.c:
             out.append(f"{u}|{e}: M={data.M}")
-        v = e.other(u)
         if N != a.tree.Q(e, u) * data.p + e.q_near(u) * data.p_prime:
             out.append(f"{u}|{e}: N != Q*p + q*p'")
     return out
@@ -748,12 +747,12 @@ def _chk_char_chain_div(a: Analysis) -> list[str]:
         u = top[0]
         for bot in elements:
             if bot != top and a.poset.precedes(bot, top):
-                alpha = path_dead_end_product(a.tree, bot[0], u, include_y=False)
+                alpha = path_dead_end_product(a.tree, bot[0], u)
                 if not rational_divides(alpha * c_top, a.chars.pairs[bot].c):
                     out.append(f"{bot[0]}|{bot[1]} under {u}|{top[1]}")
         nd_beyond = a.glob.nd & a.poset.n_side(top)
         for z in sorted(nd_beyond):
-            alpha = path_dead_end_product(a.tree, z, u, include_y=False)
+            alpha = path_dead_end_product(a.tree, z, u)
             if not rational_divides(alpha * c_top, per[z].d):
                 out.append(f"d({z!r}) under {u}|{top[1]}")
     return out
@@ -1152,11 +1151,7 @@ def _chk_decompositions(a: Analysis) -> list[str]:
                     + s.T
                     + s.x0
                     + sum(s.x_C)
-                    + sum(
-                        cls.c_dot
-                        for i, cls in enumerate(dec.classes)
-                        if i != dec.c0_index
-                    )
+                    + extra
                 )
                 if total != dt_N:
                     out.append(f"{tag}: statistics identity")
@@ -1391,12 +1386,9 @@ def audit_analysis(analysis: Analysis) -> list[CheckResult]:
     return results
 
 
-def theorem_audit(
-    source: Analysis | DecoratedRootedTree,
-) -> list[CheckResult]:
-    """Audit a tree (or a prebuilt analysis) against every proven statement."""
-    analysis = source if isinstance(source, Analysis) else Analysis.build(source)
-    return audit_analysis(analysis)
+def theorem_audit(tree: DecoratedRootedTree) -> list[CheckResult]:
+    """Build the analysis of a tree and audit it against every proven statement."""
+    return audit_analysis(Analysis.build(tree))
 
 
 def audit_failures(results: Iterable[CheckResult]) -> list[CheckResult]:

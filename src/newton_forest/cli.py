@@ -2,9 +2,10 @@
 
 Subcommands: validate, analyze, combs, audit, dot, gen.  Exit codes:
 0 success, 1 invalid input (unparsable or undecodable file, or validation
-diagnostics printed), 2 usage error (bad arguments, unreadable path, a
-`--z` that is not an initial vertex), 3 internal inconsistency (an audit
-failed on valid input, or the engine raised).
+diagnostics printed), 2 usage error (bad arguments such as `audit FILE
+--gen N`, unreadable path, a `--z` that is not an initial vertex), 3
+internal inconsistency (an audit failed on valid input, or the engine
+raised).
 
 Reports are byte-deterministic for a given input and flags; rationals print
 reduced as "p/q" and mappings are key-sorted.
@@ -17,19 +18,17 @@ import json
 import sys
 
 from .classify_audit import (
+    audit_analysis,
     audit_failures,
     is_rational_tree,
     rational_structure_report,
     theorem_audit,
 )
 from .errors import (
-    GenerationError,
     InternalInconsistencyError,
     NewtonForestError,
     NotInitialVertexError,
-    NotMinimallyCompleteError,
     ParseError,
-    TreeStructureError,
 )
 from .multiplicity import classify
 from .oracle_gen import GeneratorConfig, generate
@@ -73,9 +72,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _full_report(tree, z=None):
+def _full_report(tree, z):
     analysis = Analysis.build(tree, z=z)
-    audits = theorem_audit(analysis)
+    audits = audit_analysis(analysis)
     classification = None
     if is_rational_tree(analysis):
         rep = rational_structure_report(analysis)
@@ -145,6 +144,9 @@ def _audit_generated(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.gen is not None:
+        if args.file is not None:
+            print("audit: give a file or --gen N, not both", file=sys.stderr)
+            return 2
         return _audit_generated(args)
     if not args.file:
         print("audit: give a file or --gen N", file=sys.stderr)
@@ -228,16 +230,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, TreeStructureError, ValidationFailedError,
-            NotMinimallyCompleteError) as exc:
-        if isinstance(exc, ValidationFailedError):
-            for d in exc.diagnostics:
-                print(str(d), file=sys.stderr)
-        else:
-            print(str(exc), file=sys.stderr)
-        return 1
-    except GenerationError as exc:
-        print(str(exc), file=sys.stderr)
+    except ValidationFailedError as exc:
+        for d in exc.diagnostics:
+            print(str(d), file=sys.stderr)
         return 1
     except (NotInitialVertexError, OSError) as exc:
         print(str(exc), file=sys.stderr)

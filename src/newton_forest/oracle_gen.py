@@ -11,7 +11,9 @@ The generator samples a skeleton of positive vertices with attachment plans,
 solves the one linear condition per dicritical (the decoration on its
 supporting edge that makes its multiplicity vanish), and keeps the tree only
 if the real validator and classifier accept it.  Everything is reproducible
-from the seed.
+from the seed.  A fan plan is one root with dicriticals; chain, star and
+random plans each draw only a list of parent indices, and `_decorated`
+turns that list into the plan, decorating the vertices in index order.
 
 An attempt runs in this order: draw a plan; screen the plan on the axiom
 clauses that read no support (coprimality near each skeleton vertex, and
@@ -27,9 +29,9 @@ they change neither the attempt count nor the seed->tree mapping.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import GenerationError
@@ -53,12 +55,9 @@ from .tree_model import (
 
 
 def _oracle_x(tree: DecoratedRootedTree, v: CellRef, alpha: CellRef, hat: bool) -> int:
-    cells = tree.path(v, alpha)
-    on_path = set()
-    for i in range(len(cells) - 1):
-        on_path.add(tree.edge_between(cells[i], cells[i + 1]))
+    on_path = set(tree.path_edges(v, alpha))
     prod = 1
-    for c in cells:
+    for c in tree.path(v, alpha):
         if hat and c == v:
             continue
         for e in tree.incident_edges(c):
@@ -150,8 +149,6 @@ def oracle_c(tree: DecoratedRootedTree, u: CellRef, e: Edge) -> Fraction:
             return Fraction(d0, a0)
         values = [Fraction(d0)] + [rec(u0, tree.edge_between(u0, n)) for n in others]
         # gcd of rationals over a common denominator
-        from math import lcm
-
         m = lcm(*(v.denominator for v in values))
         g = gcd(*(abs(v.numerator) * (m // v.denominator) for v in values))
         return Fraction(g, m) / a0
@@ -174,25 +171,26 @@ def oracle_delta_tilde_N(tree: DecoratedRootedTree) -> int:
 # generator
 
 
+MAX_DECORATION = 6  # bound on the drawn decorations and dead ends
+MAX_ATTEMPTS = 3000
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
     max_cells: int = 40
-    max_decoration: int = 6
     max_dicritical_degree: int = 4
-    target_delta_tilde: int | None = None
     rational: bool = False
-    max_attempts: int = 3000
 
 
 @dataclass
 class _VertexPlan:
-    parent: int | None
-    down_q: int  # decoration near this vertex on the edge to its parent
-    up_big: int  # the optional single >1 upward decoration (on one child edge)
-    big_child: int | None
-    dead_end: int  # 0 = none, else the decoration (>= 2 off dicriticals)
-    dics: list[tuple[int, int]]  # (degree, dead-end value) per dicritical
+    parent: int | None = None
+    down_q: int = 1  # decoration near this vertex on the edge to its parent
+    up_big: int = 1  # the optional single >1 upward decoration (on one child edge)
+    big_child: int | None = None
+    dead_end: int = 0  # 0 = none, else the decoration (>= 2 off dicriticals)
+    dics: list[tuple[int, int]] = field(default_factory=list)  # (degree, a_u) each
 
 
 def _plan_cells(plan: list[_VertexPlan]) -> int:
@@ -206,11 +204,11 @@ def _plan_cells(plan: list[_VertexPlan]) -> int:
 
 
 def _plan_fan(rng: random.Random, cfg: GeneratorConfig) -> list[_VertexPlan]:
-    root = _VertexPlan(None, 1, 1, None, 0, [])
+    root = _VertexPlan()
     k = rng.randint(1, 5)
     for _ in range(k):
         degree = _pick_degree(rng, cfg)
-        a_u = rng.choice((1, 1, 1, 2, 3, rng.randint(1, cfg.max_decoration)))
+        a_u = rng.choice((1, 1, 1, 2, 3, rng.randint(1, MAX_DECORATION)))
         root.dics.append((degree, a_u))
     return [root]
 
@@ -218,52 +216,41 @@ def _plan_fan(rng: random.Random, cfg: GeneratorConfig) -> list[_VertexPlan]:
 def _plan_chain(rng: random.Random, cfg: GeneratorConfig) -> list[_VertexPlan]:
     length = rng.randint(2, 6)
     root_at = rng.choice((0, 0, 0, rng.randrange(length)))
-    plan = []
-    for i in range(length):
-        parent = None if i == 0 else i - 1
-        plan.append(_VertexPlan(parent, 1, 1, None, 0, []))
-    # re-root by index: vertex 0 is always the root in the plan, so rotate
-    if root_at:
-        plan = _reroot_path(length, root_at)
-    for i, p in enumerate(plan):
-        _decorate_vertex(rng, cfg, plan, i)
-    return plan
-
-
-def _reroot_path(length: int, root_at: int) -> list[_VertexPlan]:
-    plan = [_VertexPlan(None, 1, 1, None, 0, []) for _ in range(length)]
-    order = [root_at] + list(range(root_at - 1, -1, -1)) + list(
-        range(root_at + 1, length)
-    )
+    # plan index i is path position order[i]: the root, then outward from it
+    order = [root_at, *range(root_at - 1, -1, -1), *range(root_at + 1, length)]
     index_of = {pos: i for i, pos in enumerate(order)}
-    for i, pos in enumerate(order):
-        if pos == root_at:
-            continue
-        nxt = pos + 1 if pos < root_at else pos - 1
-        plan[i] = _VertexPlan(index_of[nxt], 1, 1, None, 0, [])
-    return plan
+    parents = [
+        None if pos == root_at else index_of[pos + 1 if pos < root_at else pos - 1]
+        for pos in order
+    ]
+    return _decorated(rng, cfg, parents)
 
 
 def _plan_star(rng: random.Random, cfg: GeneratorConfig) -> list[_VertexPlan]:
     arms = rng.randint(2, 4)
-    plan = [_VertexPlan(None, 1, 1, None, 0, [])]
+    parents: list[int | None] = [None]
     for _ in range(arms):
         length = rng.choice((1, 1, 1, 2))
         parent = 0
         for _ in range(length):
-            plan.append(_VertexPlan(parent, 1, 1, None, 0, []))
-            parent = len(plan) - 1
-    for i in range(len(plan)):
-        _decorate_vertex(rng, cfg, plan, i)
-    return plan
+            parents.append(parent)
+            parent = len(parents) - 1
+    return _decorated(rng, cfg, parents)
 
 
 def _plan_random(rng: random.Random, cfg: GeneratorConfig) -> list[_VertexPlan]:
     m = rng.randint(2, 7)
-    plan = [_VertexPlan(None, 1, 1, None, 0, [])]
-    for i in range(1, m):
-        plan.append(_VertexPlan(rng.randrange(i), 1, 1, None, 0, []))
-    for i in range(m):
+    parents = [None] + [rng.randrange(i) for i in range(1, m)]
+    return _decorated(rng, cfg, parents)
+
+
+def _decorated(
+    rng: random.Random, cfg: GeneratorConfig, parents: list[int | None]
+) -> list[_VertexPlan]:
+    """The plan with the given parent indices (index 0 the root, each parent
+    before its children), decorated vertex by vertex in index order."""
+    plan = [_VertexPlan(parent) for parent in parents]
+    for i in range(len(plan)):
         _decorate_vertex(rng, cfg, plan, i)
     return plan
 
@@ -282,13 +269,13 @@ def _decorate_vertex(
     children = [j for j, q in enumerate(plan) if q.parent == i]
     is_root = p.parent is None
     if not is_root:
-        p.down_q = rng.choice((0, 0, -1, -1, -2, 1, rng.randint(-cfg.max_decoration, 2)))
+        p.down_q = rng.choice((0, 0, -1, -1, -2, 1, rng.randint(-MAX_DECORATION, 2)))
         # optional markup: either a dead end or one large upward decoration
         roll = rng.random()
         if roll < 0.35:
-            p.dead_end = rng.randint(2, max(2, cfg.max_decoration))
+            p.dead_end = rng.randint(2, MAX_DECORATION)
         elif roll < 0.55 and children:
-            p.up_big = rng.randint(2, max(2, cfg.max_decoration))
+            p.up_big = rng.randint(2, MAX_DECORATION)
             p.big_child = rng.choice(children)
     n_dics = rng.choice((0, 1, 1, 1, 2))
     # non-root vertices need valency >= 3, and every maximal vertex needs an
@@ -428,6 +415,11 @@ def _assemble(
     return build_tree(cells, edges, "v0")
 
 
+_PLANS = {
+    "fan": _plan_fan, "chain": _plan_chain, "star": _plan_star, "random": _plan_random
+}
+
+
 def _attempt(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | None:
     # weights compensate for per-mode acceptance rates, measured so that the
     # accepted corpus spreads over fans, chains, stars, brushes and loose pairs
@@ -439,14 +431,7 @@ def _attempt(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | 
         return _attempt_pair(rng, cfg)
     if mode == "brush":
         return _attempt_brush(rng, cfg)
-    if mode == "fan":
-        plan = _plan_fan(rng, cfg)
-    elif mode == "chain":
-        plan = _plan_chain(rng, cfg)
-    elif mode == "star":
-        plan = _plan_star(rng, cfg)
-    else:
-        plan = _plan_random(rng, cfg)
+    plan = _PLANS[mode](rng, cfg)
     if _plan_cells(plan) > cfg.max_cells or not _plan_screen(plan):
         return None
     supports = _solve_supports(plan)
@@ -506,8 +491,6 @@ def _solve_supports(plan: list[_VertexPlan]) -> dict[tuple[int, int], int] | Non
             degrees[s] = gcd(degrees[s], abs(sums[s]))
     else:
         return None
-    if any(sums[s] % degrees[s] for s in slots):
-        return None
     for i, j in slots:
         plan[i].dics[j] = (degrees[(i, j)], plan[i].dics[j][1])
     return {s: -sums[s] // degrees[s] for s in slots}
@@ -525,7 +508,7 @@ def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTr
     if num % den:
         return None
     d_q = num // den
-    if d_q < 1 or (a_y * d_q) % d_p:
+    if d_q < 1 or (a_y * d_q) % d_p or 7 + d_p + d_q > cfg.max_cells:
         return None
     cells = [
         Cell("v0", VERTEX),
@@ -550,8 +533,6 @@ def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTr
     for r in range(d_q):
         cells.append(Cell(f"t1_{r}", ARROW, 1))
         edges.append(make_edge("u1_0", 1, f"t1_{r}", 1))
-    if 7 + d_p + d_q > cfg.max_cells:
-        return None
     tree = build_tree(cells, edges, "v0")
     return _screen(tree)
 
@@ -603,25 +584,21 @@ def _screen(tree: DecoratedRootedTree) -> DecoratedRootedTree | None:
 def generate(config: GeneratorConfig) -> DecoratedRootedTree:
     """A validated, generic, minimally complete tree, reproducible from the seed.
 
-    Raises :class:`GenerationError` when the attempt budget runs out (which
-    the optional defect filters can cause on unlucky seeds).
+    Raises :class:`GenerationError` when `MAX_ATTEMPTS` attempts yield no
+    tree, as when `max_cells` is too small for any plan or the rational
+    filter rejects every tree drawn.
     """
     rng = random.Random(config.seed)
-    for attempt in range(1, config.max_attempts + 1):
+    for _ in range(MAX_ATTEMPTS):
         tree = _attempt(rng, config)
         if tree is None:
             continue
-        if config.target_delta_tilde is not None or config.rational:
-            dt = oracle_delta_tilde_N(tree)
-            if config.target_delta_tilde is not None and dt != config.target_delta_tilde:
+        if config.rational:
+            degs = [
+                sum(1 for x in tree.neighbors(u) if x in tree.arrows1)
+                for u in sorted(_oracle_dicriticals(tree))
+            ]
+            if oracle_delta_tilde_N(tree) != 0 or gcd(*degs) != 1:
                 continue
-            if config.rational:
-                dics = _oracle_dicriticals(tree)
-                degs = [
-                    sum(1 for x in tree.neighbors(u) if x in tree.arrows1)
-                    for u in sorted(dics)
-                ]
-                if dt != 0 or gcd(*degs) != 1:
-                    continue
         return tree
-    raise GenerationError(config.max_attempts, "no tree satisfied the filters")
+    raise GenerationError(MAX_ATTEMPTS, "no tree satisfied the filters")

@@ -228,7 +228,7 @@ def analysis_to_dict(
     return doc
 
 
-def render_text(doc: dict[str, Any], indent: int = 0) -> str:
+def render_text(doc: dict[str, Any]) -> str:
     """Stable plain-text rendering of a report dictionary."""
     lines: list[str] = []
 
@@ -253,5 +253,5 @@ def render_text(doc: dict[str, Any], indent: int = 0) -> str:
         return str(value)
 
     for key in doc:
-        emit(key, doc[key], indent)
+        emit(key, doc[key], 0)
     return "\n".join(lines) + "\n"

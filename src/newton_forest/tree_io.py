@@ -156,11 +156,16 @@ def serialize(tree: DecoratedRootedTree) -> str:
 # DOT export
 
 
+def _dot_escape(text: str) -> str:
+    """`text` fit to stand between double quotes in DOT."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(tree: DecoratedRootedTree, report: Any = None) -> str:
     """Graphviz text for `tree`: filled circles are dicriticals, open circles
     other vertices, and 0/1-decorated arrowheads the arrows.  Each edge shows
     its two decorations; with a `report`, vertices also show N and the local
-    genus defect.
+    genus defect.  Cell ids are escaped wherever they are quoted.
     """
     if report is not None:
         n_of = report.table.N
@@ -175,23 +180,24 @@ def export_dot(tree: DecoratedRootedTree, report: Any = None) -> str:
     lines.append('  edge [dir=none, fontsize=8];')
     for cid in tree.cell_ids():
         cell = tree.cells[cid]
+        quoted = _dot_escape(cid)
         if cell.kind == ARROW:
             lines.append(
-                f'  "{cid}" [shape=none, label="({cell.arrow_decoration})"];'
+                f'  "{quoted}" [shape=none, label="({cell.arrow_decoration})"];'
             )
             continue
-        label = cid
+        label = quoted
         if cid in n_of:
             label += f"\\nN={n_of[cid]}"
         if cid in dt_of:
             label += f"\\ndt={dt_of[cid]}"
         if n_of.get(cid) == 0:
             lines.append(
-                f'  "{cid}" [shape=circle, style=filled, fillcolor=black,'
+                f'  "{quoted}" [shape=circle, style=filled, fillcolor=black,'
                 f' fontcolor=white, label="{label}"];'
             )
         else:
-            lines.append(f'  "{cid}" [shape=circle, label="{label}"];')
+            lines.append(f'  "{quoted}" [shape=circle, label="{label}"];')
     for e in sorted(tree.edges):
         a, b = e.ends
         attrs = [f'taillabel="{e.q[0]}"', f'headlabel="{e.q[1]}"']
@@ -202,6 +208,7 @@ def export_dot(tree: DecoratedRootedTree, report: Any = None) -> str:
             a, b = b, a
             attrs = [f'taillabel="{e.q[1]}"', f'headlabel="{e.q[0]}"']
             attrs += ["dir=forward", "arrowhead=normal"]
+        a, b = _dot_escape(a), _dot_escape(b)
         lines.append(f'  "{a}" -> "{b}" [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

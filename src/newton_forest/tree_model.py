@@ -206,9 +206,6 @@ class DecoratedRootedTree:
         e = self._parent_edge[c]
         return None if e is None else e.other(c)
 
-    def depth(self, c: CellRef) -> int:
-        return self._depth[c]
-
     def path(self, x: CellRef, y: CellRef) -> tuple[CellRef, ...]:
         """The unique simple path from `x` to `y`, as a cell sequence."""
         if x not in self.cells or y not in self.cells:

@@ -68,18 +68,18 @@ def test_poset_T_D():
     poset = Analysis.build(t).poset
     e = t.edge_between("v0", "w")
     assert set(poset.elements) == {("v0", e), ("w", e)}
-    assert poset.minimal == {("v0", e), ("w", e)}
+    assert all(poset.immediate_predecessors(p) == () for p in poset.elements)
     assert not poset.precedes(("v0", e), ("w", e))
     assert not poset.precedes(("w", e), ("v0", e))
 
 
 def test_alpha_products_T_D():
     t = fixture_T_D()
-    assert path_dead_end_product(t, "v0", "w") == 2
-    assert path_dead_end_product(t, "v0", "w", include_y=False) == 1
-    assert path_dead_end_product(t, "v0", "w", include_x=False) == 2
-    assert path_dead_end_product(t, "w", "w", include_x=False, include_y=False) == 1
-    assert path_dead_end_product(t, "w", "w") == 2
+    # a(v0) = 1 and a(w) = 2; the far end of the path is left out
+    assert path_dead_end_product(t, "v0", "w") == 1
+    assert path_dead_end_product(t, "w", "v0") == 2
+    assert path_dead_end_product(t, "w", "w") == 1
+    assert path_dead_end_product(t, "v0", "v0") == 1
 
 
 def test_characteristic_numbers_T_D():

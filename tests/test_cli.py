@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -205,7 +206,7 @@ def test_engine_value_error_exit_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("engine fault")
 
-    monkeypatch.setattr(cli, "theorem_audit", broken)
+    monkeypatch.setattr(cli, "audit_analysis", broken)
     assert run(["analyze", str(FIXTURES / "T_D.ntree")]) == 3
     assert "engine fault" in capsys.readouterr().err
 
@@ -352,6 +353,14 @@ def test_audit_gen_negative_exit_2(capsys):
     assert capsys.readouterr().out == "0 trees audited, 0 failures\n"
 
 
+def test_audit_file_with_gen_exit_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.ntree", FIXTURES / "T_B_1_2.ntree"):
+        assert run(["audit", str(path), "--gen", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not both" in captured.err
+
+
 def test_dot_output(capsys):
     assert run(["dot", str(FIXTURES / "T_A.ntree")]) == 0
     out = capsys.readouterr().out
@@ -373,6 +382,25 @@ def test_dot_bytes_pinned(capsys):
             digest.update(capsys.readouterr().out.encode("utf-8"))
             digest.update(f"\0exit {code}\0".encode("utf-8"))
     assert digest.hexdigest() == PINNED_DOT_SHA256
+
+
+def test_dot_escapes_cell_ids(tmp_path, capsys):
+    # T_A with v0 renamed to an id holding both a quote and a backslash
+    odd = 'v"0\\'
+    doc = json.loads((FIXTURES / "T_A.ntree").read_text())
+    doc = json.loads(json.dumps(doc).replace('"v0"', json.dumps(odd)))
+    path = tmp_path / "odd.ntree"
+    path.write_text(json.dumps(doc))
+    assert parse(path.read_text()).root == odd
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    for extra, label in (([], r'v\"0\\\nN=1'), (["--with-report"], r'v\"0\\\nN=1\ndt=0')):
+        assert run(["dot", str(path)] + extra) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f'  "v\\"0\\\\" [shape=circle, label="{label}"];' in lines
+        assert '  "u" -> "v\\"0\\\\" [taillabel="0", headlabel="1"];' in lines
+        for line in lines:  # no quote or backslash outside a quoted string
+            rest = quoted.sub("", line)
+            assert '"' not in rest and "\\" not in rest, line
 
 
 def test_gen_roundtrip(capsys):

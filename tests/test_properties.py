@@ -1,15 +1,18 @@
 """Property-based checks over generated trees and the rational gcd."""
 
+import random
+from collections import Counter
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from newton_forest.characteristic import rational_divides, rational_gcd
-from newton_forest.classify_audit import audit_failures, theorem_audit
+from newton_forest.classify_audit import audit_analysis, audit_failures, theorem_audit
 from newton_forest.multiplicity import multiplicities
 from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F
 from newton_forest.report import Analysis
-from newton_forest.tree_io import parse, serialize
-from newton_forest.tree_model import validate_axioms
+from newton_forest.tree_io import fixture_corpus, parse, serialize
+from newton_forest.tree_model import Cell, build_tree, make_edge, validate_axioms
 
 TREE_SETTINGS = settings(
     max_examples=40,
@@ -106,3 +109,67 @@ def test_decomposition_covering_property(seed):
             covered |= cls.Y
         if dec.classes:
             assert covered == set(a.glob.script_N) - set(a.struct.V_bar[z])
+
+
+def _renamed(tree, new_id):
+    cells = [
+        Cell(new_id[c.id], c.kind, c.arrow_decoration) for c in tree.cells.values()
+    ]
+    edges = [
+        make_edge(new_id[e.ends[0]], e.q[0], new_id[e.ends[1]], e.q[1])
+        for e in tree.edges
+    ]
+    return build_tree(cells, edges, new_id[tree.root])
+
+
+def _bijections(tree, key):
+    """Two seeded bijections of the cell ids: a shuffle of the ids themselves,
+    and fresh ids whose sort order is random."""
+    rng = random.Random(key)
+    ids = sorted(tree.cells)
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    fresh = rng.sample(range(10 * len(ids)), len(ids))
+    return [dict(zip(ids, shuffled)), {c: f"{k:x}_" for c, k in zip(ids, fresh)}]
+
+
+def _invariants(tree, rename=lambda c: c):
+    """The analysis and audit of `tree`, each cell id passed through
+    `rename`, and no order kept that comes from sorting cell ids."""
+    a = Analysis.build(tree)
+    results = audit_analysis(a)
+    st_ = a.struct
+    return {
+        "delta_tilde_N": a.glob.delta_tilde_N,
+        "M_of_T": a.table.M_of_T,
+        "points_at_infinity": a.table.points_at_infinity,
+        "N": {rename(c): n for c, n in a.table.N.items()},
+        "pairs": Counter(
+            (d.c, d.M, d.p, d.p_prime, d.eta, d.nonpositive)
+            for d in a.chars.pairs.values()
+        ),
+        "S": {rename(c) for c in st_.S},
+        "Omega": {rename(c) for c in st_.Omega},
+        "W": {rename(c) for c in st_.W},
+        "In": {rename(c) for c in st_.In},
+        "class_sizes": {
+            rename(z): sorted(len(cls.pairs) for cls in dec.classes)
+            for z, dec in a.decompositions.items()
+        },
+        "checks": {r.check_id for r in results},
+        "failures": audit_failures(results),
+    }
+
+
+def test_renaming_changes_no_invariant():
+    # renaming the cells by a bijection must map every invariant along with it
+    trees = list(fixture_corpus().items()) + [
+        (f"seed {s}", generate(GeneratorConfig(seed=s, max_cells=40)))
+        for s in range(300)
+    ]
+    for name, tree in trees:
+        bijections = _bijections(tree, name)
+        want = [_invariants(tree, new_id.get) for new_id in bijections]
+        assert want[0]["failures"] == [], name
+        for k, new_id in enumerate(bijections):
+            assert _invariants(_renamed(tree, new_id)) == want[k], (name, k)
