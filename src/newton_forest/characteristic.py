@@ -2,10 +2,13 @@
 
 P collects the pairs (u, e) where u has positive multiplicity and e is an
 edge of the positive subtree incident to u.  (u', e') precedes (u, e) when
-the path from u' to u traverses e but not e'.  The characteristic number
-c(u, e) is defined by induction over this poset via gcds of rationals; the
-derived quantities M, p, p', eta, R and Delta-bar all live here.  For e =
-{u, v}, p = F(u->v) and p' = F(v->u) are read from the multiplicity table.
+the path from u' to u traverses e but not e'.  P lives in one place,
+`CharacteristicTable`: its `pairs` hold P in the poset's listing order,
+each pair with its n-side, and `precedes` reads the order from the
+n-sides.  The characteristic number c(u, e) is defined by induction over
+this poset via gcds of rationals; the derived quantities M, p, p', eta, R
+and Delta-bar all live here.  For e = {u, v}, p = F(u->v) and p' = F(v->u)
+are read from the multiplicity table.
 For a set A of arrows, `node_h_products` gives h(w,A) and h-hat(w,A) for
 every vertex w in one O(n) walk outward from the hull of A; the oracle
 module keeps the path-by-path definition.
@@ -48,83 +51,6 @@ def rational_divides(a: Rational | int, b: Rational | int) -> bool:
     if a == 0:
         return b == 0
     return (b / a).denominator == 1
-
-
-@dataclass(frozen=True)
-class PosetP:
-    """The pair poset, with predecessor structure realized explicitly."""
-
-    elements: tuple[Pair, ...]
-    _pred: Mapping[Pair, tuple[Pair, ...]]  # immediate predecessors
-    _n_side: Mapping[Pair, frozenset[CellRef]]  # script-N cells beyond e from u
-
-    def immediate_predecessors(self, pair: Pair) -> tuple[Pair, ...]:
-        return self._pred[pair]
-
-    def n_side(self, pair: Pair) -> frozenset[CellRef]:
-        """script-N(u, e): the positive vertices x with e on the path u -> x."""
-        return self._n_side[pair]
-
-    def precedes(self, a: Pair, b: Pair) -> bool:
-        """Strictly: a < b in the poset."""
-        if a == b:
-            return False
-        # a = (u', e'), b = (u, e): need e on the u'..u path and e' off it.
-        return a[0] in self._n_side[b] and b[0] not in self._n_side[a]
-
-    def interval(self, top: Pair, bottom: Pair) -> tuple[Pair, ...]:
-        """All pairs p with top >= p >= bottom, ordered from top to bottom."""
-        if top != bottom and not self.precedes(bottom, top):
-            raise ValueError("pairs are not comparable")
-        chain = [top]
-        cur = top
-        while cur != bottom:
-            nxt = None
-            for p in self._pred[cur]:
-                if p == bottom or self.precedes(bottom, p):
-                    nxt = p
-                    break
-            if nxt is None:
-                raise InternalInconsistencyError("broken predecessor chain")
-            chain.append(nxt)
-            cur = nxt
-        return tuple(chain)
-
-
-def build_poset(tree: DecoratedRootedTree, table: MultiplicityTable) -> PosetP:
-    script_N = {v for v in tree.vertices if table.N[v] > 0}
-    elements: list[Pair] = []
-    for u in sorted(script_N):
-        for e in tree.incident_edges(u):
-            if e.other(u) in script_N:
-                elements.append((u, e))
-
-    pred: dict[Pair, tuple[Pair, ...]] = {}
-    n_side: dict[Pair, frozenset[CellRef]] = {}
-    for u, e in elements:
-        u0 = e.other(u)
-        preds = tuple(
-            (u0, tree.edge_between(u0, n))
-            for n in sorted(tree.neighbors(u0))
-            if n != u and n in script_N
-        )
-        pred[(u, e)] = preds
-        # Everything on the far side of e, by flood fill from u0 away from u.
-        beyond = {u0}
-        stack = [u0]
-        while stack:
-            c = stack.pop()
-            for n in tree.neighbors(c):
-                if n not in beyond and not (c == u0 and n == u):
-                    beyond.add(n)
-                    stack.append(n)
-        n_side[(u, e)] = frozenset(beyond & script_N)
-
-    return PosetP(
-        elements=tuple(elements),
-        _pred=pred,
-        _n_side=n_side,
-    )
 
 
 def path_dead_end_product(tree: DecoratedRootedTree, x: CellRef, y: CellRef) -> int:
@@ -203,18 +129,19 @@ class PairData:
 
 @dataclass(frozen=True)
 class CharacteristicTable:
-    poset: PosetP
+    """The pair poset P with its characteristic data.  `pairs` lists P in
+    the poset's listing order: positive vertices sorted, each with its
+    positive-subtree edges in incidence order."""
+
     pairs: Mapping[Pair, PairData]
     edges_at: Mapping[CellRef, tuple[Edge, ...]]  # script-E per positive vertex
 
-    def c(self, u: CellRef, e: Edge) -> Rational:
-        return self.pairs[(u, e)].c
-
-    def M(self, u: CellRef, e: Edge) -> int:
-        return self.pairs[(u, e)].M
-
-    def eta(self, u: CellRef, e: Edge) -> Rational:
-        return self.pairs[(u, e)].eta
+    def precedes(self, a: Pair, b: Pair) -> bool:
+        """Strictly: a < b in the poset, i.e. the path from a's vertex to b's
+        traverses b's edge but not a's."""
+        if a == b:
+            return False
+        return a[0] in self.pairs[b].n_side and b[0] not in self.pairs[a].n_side
 
 
 def characteristic_numbers(
@@ -224,23 +151,46 @@ def characteristic_numbers(
     the pair poset.  That c divides N, p and p' (so M = N/c is a positive
     integer) is a theorem for valid minimally complete trees; the audit
     check `characteristic-divisibility` owns it."""
-    poset = build_poset(tree, table)
     per = ledger.per_vertex
+    script_N = set(per)
+    elements = [
+        (u, e)
+        for u in sorted(script_N)
+        for e in tree.incident_edges(u)
+        if e.other(u) in script_N
+    ]
+
+    preds: dict[Pair, tuple[Pair, ...]] = {}  # immediate predecessors
+    n_sides: dict[Pair, frozenset[CellRef]] = {}
+    for u, e in elements:
+        u0 = e.other(u)
+        preds[(u, e)] = tuple(
+            (u0, tree.edge_between(u0, n))
+            for n in sorted(tree.neighbors(u0))
+            if n != u and n in script_N
+        )
+        # Everything on the far side of e, by flood fill from u0 away from u.
+        beyond = {u0}
+        stack = [u0]
+        while stack:
+            c = stack.pop()
+            for n in tree.neighbors(c):
+                if n not in beyond and not (c == u0 and n == u):
+                    beyond.add(n)
+                    stack.append(n)
+        n_sides[(u, e)] = frozenset(beyond & script_N)
 
     c_of: dict[Pair, Rational] = {}
     # Predecessor n-sides are strictly smaller, so size order is evaluation order.
-    for pair in sorted(
-        poset.elements, key=lambda p: (len(poset.n_side(p)), p[0], p[1])
-    ):
+    for pair in sorted(elements, key=lambda p: (len(n_sides[p]), p[0], p[1])):
         u, e = pair
         u0 = e.other(u)
         a0 = per[u0].a
         d0 = per[u0].d
-        preds = poset.immediate_predecessors(pair)
-        if not preds:
+        if not preds[pair]:
             c_of[pair] = Fraction(d0, a0)
         else:
-            values = [Fraction(d0)] + [c_of[p] for p in preds]
+            values = [Fraction(d0)] + [c_of[p] for p in preds[pair]]
             if any(v == 0 for v in values):
                 raise InternalInconsistencyError("zero fed to a characteristic gcd")
             c_of[pair] = rational_gcd(values) / a0
@@ -248,15 +198,15 @@ def characteristic_numbers(
     pairs: dict[Pair, PairData] = {}
     # script-E: the positive-subtree edges at u are those of u's pairs
     edges_at: dict[CellRef, list[Edge]] = {u: [] for u in sorted(per)}
-    for pair in poset.elements:
+    for pair in elements:
         u, e = pair
         edges_at[u].append(e)
         v = e.other(u)
         c = c_of[pair]
         M = int(table.N[u] / c)
 
-        n_side = poset.n_side(pair)
-        dt = sum(per[x].delta_tilde for x in n_side)
+        n_side = n_sides[pair]
+        dt = ledger.delta_tilde(n_side)
         eta = Fraction(dt) - (1 - c)
         pairs[pair] = PairData(
             c=c,
@@ -269,7 +219,6 @@ def characteristic_numbers(
         )
 
     return CharacteristicTable(
-        poset=poset,
         pairs=pairs,
         edges_at={u: tuple(es) for u, es in edges_at.items()},
     )
@@ -293,7 +242,7 @@ def R_of(
         total += 1 - Fraction(1, data.k[x])
     total += 1 - Fraction(1, data.a)
     for e in A:
-        total += 1 - Fraction(1, chars.M(u, e))
+        total += 1 - Fraction(1, chars.pairs[(u, e)].M)
     return total
 
 

@@ -26,6 +26,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterable
 
 from .characteristic import (
+    Pair,
     R_of,
     delta_bar,
     node_h_products,
@@ -35,11 +36,7 @@ from .characteristic import (
 from .errors import InternalInconsistencyError
 from .multiplicity import source_multiplicities
 from .report import Analysis
-from .structure import (
-    _maximal_trivial_walk,
-    is_comb_over,
-    quotient_tree_H,
-)
+from .structure import _maximal_trivial_walk, comb_step, quotient_tree_H
 from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 
@@ -116,7 +113,7 @@ def divisor_trichotomy(analysis: Analysis, u: CellRef) -> str | None:
     N = analysis.table.N[u]
     parts: list[int] = [analysis.info.degree[x] for x in per.dicriticals]
     for e in analysis.chars.edges_at[u]:
-        c = analysis.chars.c(u, e)
+        c = analysis.chars.pairs[(u, e)].c
         if c.denominator != 1:
             return None
         parts.append(int(c))
@@ -714,9 +711,7 @@ def _chk_root_degree(a: Analysis) -> list[str]:
 
 def _chk_char_divides(a: Analysis) -> list[str]:
     out = []
-    for pair in a.poset.elements:
-        u, e = pair
-        data = a.chars.pairs[pair]
+    for (u, e), data in a.chars.pairs.items():
         N = a.table.N[u]
         if data.c <= 0:
             out.append(f"{u}|{e}: c={data.c} not positive")
@@ -740,20 +735,18 @@ def _chk_M_one_order(a: Analysis) -> list[str]:
 
 def _chk_char_chain_div(a: Analysis) -> list[str]:
     out = []
-    elements = a.poset.elements
+    pairs = a.chars.pairs
     per = a.ledger.per_vertex
-    for top in elements:
-        c_top = a.chars.pairs[top].c
+    for top, dtop in pairs.items():
         u = top[0]
-        for bot in elements:
-            if bot != top and a.poset.precedes(bot, top):
+        for bot, dbot in pairs.items():
+            if bot != top and a.chars.precedes(bot, top):
                 alpha = path_dead_end_product(a.tree, bot[0], u)
-                if not rational_divides(alpha * c_top, a.chars.pairs[bot].c):
+                if not rational_divides(alpha * dtop.c, dbot.c):
                     out.append(f"{bot[0]}|{bot[1]} under {u}|{top[1]}")
-        nd_beyond = a.glob.nd & a.poset.n_side(top)
-        for z in sorted(nd_beyond):
+        for z in sorted(a.glob.nd & dtop.n_side):
             alpha = path_dead_end_product(a.tree, z, u)
-            if not rational_divides(alpha * c_top, per[z].d):
+            if not rational_divides(alpha * dtop.c, per[z].d):
                 out.append(f"d({z!r}) under {u}|{top[1]}")
     return out
 
@@ -798,7 +791,7 @@ def _chk_R_identity(a: Analysis) -> list[str]:
             for A in combinations(edges, size):
                 R = R_of(a.ledger, a.chars, u, A)
                 bar = delta_bar(a.ledger, a.chars, u, A)
-                eta_sum = sum((a.chars.eta(u, e) for e in A), Fraction(0))
+                eta_sum = sum((a.chars.pairs[(u, e)].eta for e in A), Fraction(0))
                 lhs = R + (per[u].epsilon - len(A) - 1) * (1 - Fraction(1, N))
                 rhs = 1 + Fraction(bar - 1 - eta_sum, 1) / N
                 if lhs != rhs:
@@ -814,7 +807,7 @@ def _chk_global_R(a: Analysis) -> list[str]:
     for u in sorted(per):
         edges = a.chars.edges_at[u]
         R = R_of(a.ledger, a.chars, u, edges)
-        eta_sum = sum((a.chars.eta(u, e) for e in edges), Fraction(0))
+        eta_sum = sum((a.chars.pairs[(u, e)].eta for e in edges), Fraction(0))
         if dt_N != (R - 2) * a.table.N[u] + 2 + eta_sum:
             out.append(f"{u!r}")
     return out
@@ -830,16 +823,14 @@ def _chk_eta_nonneg(a: Analysis) -> list[str]:
 
 def _chk_monotonic(a: Analysis) -> list[str]:
     out = []
-    els = a.poset.elements
-    per = a.ledger.per_vertex
-    for top in els:
-        dtop = a.chars.pairs[top]
-        dt_top = sum(per[x].delta_tilde for x in dtop.n_side)
-        for bot in els:
-            if bot == top or not a.poset.precedes(bot, top):
+    pairs = a.chars.pairs
+    side_dt = {pair: a.ledger.delta_tilde(data.n_side) for pair, data in pairs.items()}
+    for top, dtop in pairs.items():
+        dt_top = side_dt[top]
+        for bot, dbot in pairs.items():
+            if bot == top or not a.chars.precedes(bot, top):
                 continue
-            dbot = a.chars.pairs[bot]
-            dt_bot = sum(per[x].delta_tilde for x in dbot.n_side)
+            dt_bot = side_dt[bot]
             if not dbot.n_side <= dtop.n_side:
                 out.append(f"{bot} !<= {top}: side sets")
             if not (dtop.c <= dbot.c and dtop.eta >= dbot.eta and dt_top >= dt_bot):
@@ -851,9 +842,8 @@ def _chk_monotonic(a: Analysis) -> list[str]:
 
 def _chk_nonpositive_iff(a: Analysis) -> list[str]:
     out = []
-    per = a.ledger.per_vertex
     for pair, data in sorted(a.chars.pairs.items(), key=lambda kv: str(kv[0])):
-        dt = sum(per[x].delta_tilde for x in data.n_side)
+        dt = a.ledger.delta_tilde(data.n_side)
         nonpos = dt <= 0
         if data.nonpositive != nonpos:
             out.append(f"{pair}: stored flag")
@@ -872,7 +862,7 @@ def _chk_sharp_bound(a: Analysis) -> list[str]:
     for u in sorted(per):
         d = per[u]
         k_big = sum(1 for x in d.dicriticals if d.k[x] > 1)
-        m_big = sum(1 for e in a.chars.edges_at[u] if a.chars.M(u, e) > 1)
+        m_big = sum(1 for e in a.chars.edges_at[u] if a.chars.pairs[(u, e)].M > 1)
         sharp = k_big + d.a_star + m_big
         hi = max(3, a.glob.delta_tilde_N + 2)
         if not (k_big + d.a_star + d.epsilon - 1 <= sharp <= hi):
@@ -891,7 +881,7 @@ def _chk_trivial_chain_c(a: Analysis) -> list[str]:
         want = Fraction(per[start].d, per[start].a)
         for i in range(1, len(walk)):
             e = a.tree.edge_between(walk[i], walk[i - 1])
-            if a.chars.c(walk[i], e) != want:
+            if a.chars.pairs[(walk[i], e)].c != want:
                 out.append(f"chain from {start!r} at {walk[i]!r}")
     return out
 
@@ -901,7 +891,7 @@ def _chk_tooth_facts(a: Analysis) -> list[str]:
     per = a.ledger.per_vertex
     for u, e in sorted(a.struct.teeth, key=str):
         data = a.chars.pairs[(u, e)]
-        dt = sum(per[x].delta_tilde for x in data.n_side)
+        dt = a.ledger.delta_tilde(data.n_side)
         ok = (
             data.nonpositive
             and data.eta == 0
@@ -1076,6 +1066,7 @@ def _chk_decompositions(a: Analysis) -> list[str]:
     per = a.ledger.per_vertex
     dt = a.ledger.delta_tilde
     dt_N = a.glob.delta_tilde_N
+    side_dt = {pair: dt(data.n_side) for pair, data in a.chars.pairs.items()}
     for z in sorted(a.decompositions):
         dec = a.decompositions[z]
         tag = f"z={z!r}"
@@ -1086,7 +1077,7 @@ def _chk_decompositions(a: Analysis) -> list[str]:
             out.append(f"{tag}: classes overlap")
         for ci, cls in enumerate(dec.classes):
             for i in range(len(cls.pairs) - 1):
-                if not a.poset.precedes(cls.pairs[i], cls.pairs[i + 1]):
+                if not a.chars.precedes(cls.pairs[i], cls.pairs[i + 1]):
                     out.append(f"{tag}: class {ci} not totally ordered")
             drop = a.chars.pairs[cls.least].c - a.chars.pairs[cls.greatest].c
             if drop != cls.c_dot or cls.c_dot < 0:
@@ -1171,10 +1162,10 @@ def _chk_decompositions(a: Analysis) -> list[str]:
             if nonpos0:
                 above = [
                     p
-                    for p in a.poset.elements
+                    for p in a.chars.pairs
                     if p[0] in st.S
-                    and a.poset.precedes(c0.greatest, p)
-                    and sum(per[x].delta_tilde for x in a.poset.n_side(p)) <= 0
+                    and a.chars.precedes(c0.greatest, p)
+                    and side_dt[p] <= 0
                 ]
                 if above:
                     out.append(f"{tag}: root-class top not maximal nonpositive")
@@ -1183,18 +1174,34 @@ def _chk_decompositions(a: Analysis) -> list[str]:
 
 def _chk_comb_relation(a: Analysis) -> list[str]:
     # Two pairs share a class exactly when the upper one is a comb over the
-    # lower one, for every two pairs of the decomposition.
+    # lower one, for every two pairs of the decomposition.  The upper pair is
+    # a comb over the lower one when every step of the chain between them
+    # passes `comb_step`.  The chain is read off the tree path, not off the
+    # decomposition, and each step is tested at most once.
     out = []
-    poset = a.poset
+    chars = a.chars
+    passes: dict[tuple[Pair, Pair], bool] = {}
+
+    def step(upper: Pair, pair: Pair) -> bool:
+        if (upper, pair) not in passes:
+            passes[upper, pair] = comb_step(a.ledger, chars, a.struct, upper, pair)
+        return passes[upper, pair]
+
+    def comb_over(top: Pair, bottom: Pair) -> bool:
+        path = a.tree.path(top[0], bottom[0])
+        chain = [(w, a.tree.edge_between(w, n)) for w, n in zip(path, path[1:])]
+        chain.append(bottom)
+        return all(step(upper, pair) for upper, pair in zip(chain, chain[1:]))
+
     for z in sorted(a.decompositions):
         dec = a.decompositions[z]
         class_of = {p: i for i, cls in enumerate(dec.classes) for p in cls.pairs}
         for i, p in enumerate(dec.O):
             for q in dec.O[i + 1 :]:
-                if poset.precedes(p, q):
-                    related = is_comb_over(a.ledger, a.chars, a.struct, q, p)
-                elif poset.precedes(q, p):
-                    related = is_comb_over(a.ledger, a.chars, a.struct, p, q)
+                if chars.precedes(p, q):
+                    related = comb_over(q, p)
+                elif chars.precedes(q, p):
+                    related = comb_over(p, q)
                 else:
                     related = False
                 if (class_of.get(p) == class_of.get(q)) != related:

@@ -30,7 +30,7 @@ from .errors import (
     NotInitialVertexError,
     ParseError,
 )
-from .multiplicity import classify
+from .multiplicity import classify, source_multiplicities
 from .oracle_gen import GeneratorConfig, generate
 from .report import Analysis, ValidationFailedError, analysis_to_dict, render_text
 from .tree_io import export_dot, parse, serialize
@@ -65,7 +65,7 @@ def _cmd_validate(args) -> int:
         failed = True
     if failed:
         return 1
-    info = classify(tree)
+    info = classify(tree, source_multiplicities(tree, tree.arrows1)[0])
     print(_classification_line(info))
     for reason in info.reasons:
         print(f"  - {reason}")
@@ -179,6 +179,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _cell_budget(text: str) -> int:
+    # the smallest plan: a root and one degree-1 dicritical with its dead end
+    # and its arrow
+    value = _count(text)
+    if value < 4:
+        raise argparse.ArgumentTypeError(
+            f"no tree fits in fewer than 4 cells, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newton-forest",
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--gen", type=_count, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--max-cells", type=_count, default=40, metavar="K")
+    p.add_argument("--max-cells", type=_cell_budget, default=40, metavar="K")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("dot", help="Graphviz export")
@@ -215,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated tree document")
     p.add_argument("--seed", type=int, required=True, metavar="S")
-    p.add_argument("--max-cells", type=_count, default=40, metavar="K")
+    p.add_argument("--max-cells", type=_cell_budget, default=40, metavar="K")
     p.add_argument("--rational", action="store_true")
     p.set_defaults(func=_cmd_gen)
 

@@ -45,7 +45,8 @@ class VertexLedger:
 
     def delta_tilde(self, vertices) -> int:
         """Sum of the per-vertex genus defects over a subset of script-N."""
-        return sum(self.per_vertex[v].delta_tilde for v in vertices)
+        per = self.per_vertex
+        return sum(per[v].delta_tilde for v in vertices)
 
 
 @dataclass(frozen=True)

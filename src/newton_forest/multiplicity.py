@@ -129,15 +129,9 @@ class DicriticalInfo:
     reasons: tuple[str, ...]  # why the strongest flag failed, for diagnostics
 
 
-def classify(
-    tree: DecoratedRootedTree, table: MultiplicityTable | None = None
-) -> DicriticalInfo:
-    """Genericity, completeness and minimal completeness of a validated tree.
-
-    Only N is read: from `table` when given, else from
-    :func:`source_multiplicities`.
-    """
-    N = table.N if table is not None else source_multiplicities(tree, tree.arrows1)[0]
+def classify(tree: DecoratedRootedTree, N: Mapping[CellRef, int]) -> DicriticalInfo:
+    """Genericity, completeness and minimal completeness of a validated tree
+    whose multiplicities are N."""
     reasons: list[str] = []
 
     dicriticals = frozenset(v for v in tree.vertices if N[v] == 0)

@@ -35,7 +35,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import GenerationError
-from .multiplicity import classify
+from .multiplicity import classify, source_multiplicities
 from .tree_model import (
     ARROW,
     VERTEX,
@@ -576,7 +576,8 @@ def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedT
 def _screen(tree: DecoratedRootedTree) -> DecoratedRootedTree | None:
     if validate_axioms(tree):
         return None
-    if not classify(tree).minimally_complete:
+    N = source_multiplicities(tree, tree.arrows1)[0]
+    if not classify(tree, N).minimally_complete:
         return None
     return tree
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .characteristic import CharacteristicTable, Pair, PosetP, characteristic_numbers
+from .characteristic import CharacteristicTable, Pair, characteristic_numbers
 from .errors import NewtonForestError
 from .local_invariants import (
     GlobalLedger,
@@ -51,7 +51,6 @@ class Analysis:
     info: DicriticalInfo
     ledger: VertexLedger
     glob: GlobalLedger
-    poset: PosetP
     chars: CharacteristicTable
     struct: StructureLedger
     decompositions: dict[CellRef, CombDecomposition]
@@ -62,7 +61,7 @@ class Analysis:
         if diagnostics:
             raise ValidationFailedError(diagnostics)
         table = multiplicities(tree)
-        info = classify(tree, table)
+        info = classify(tree, table.N)
         ledger = vertex_ledger(tree, table, info)  # raises if not minimally complete
         glob = global_ledger(tree, table, info, ledger)
         chars = characteristic_numbers(tree, table, ledger)
@@ -77,7 +76,6 @@ class Analysis:
             info=info,
             ledger=ledger,
             glob=glob,
-            poset=chars.poset,
             chars=chars,
             struct=struct,
             decompositions=decomps,

@@ -130,9 +130,10 @@ def structure_ledger(
     )
 
 
-def _comb_step(ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
+def comb_step(ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
     """Comb test of `pair` against the pair just above it in the poset; the
-    edge of `upper` joins the two vertices."""
+    edge of `upper` joins the two vertices.  `upper` is a comb over a pair
+    below it exactly when every step of the chain between them passes."""
     v, f = pair
     eps = ledger.per_vertex[v].epsilon
     if eps not in (2, 3):
@@ -148,24 +149,6 @@ def _comb_step(ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
             f"expected a unique third edge at {v!r}, found {len(candidates)}"
         )
     return (v, candidates[0]) in struct.teeth
-
-
-def is_comb_over(
-    ledger: VertexLedger,
-    chars: CharacteristicTable,
-    struct: StructureLedger,
-    top: Pair,
-    bottom: Pair,
-) -> bool:
-    """Whether `top` is a comb over `bottom` (top must be >= bottom in the poset)."""
-    poset = chars.poset
-    if poset.precedes(top, bottom):
-        raise ValueError("first pair must lie above the second")
-    chain = poset.interval(top, bottom)
-    return all(
-        _comb_step(ledger, chars, struct, upper, pair)
-        for upper, pair in zip(chain, chain[1:])
-    )
 
 
 @dataclass(frozen=True)
@@ -265,7 +248,7 @@ def comb_decomposition(
         p = toward_z[u]
         if p == z:
             continue
-        if _comb_step(ledger, chars, struct, pair_of[u], pair_of[p]):
+        if comb_step(ledger, chars, struct, pair_of[u], pair_of[p]):
             union(u, p)
 
     groups: dict[CellRef, list[CellRef]] = {}

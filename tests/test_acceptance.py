@@ -18,7 +18,7 @@ from newton_forest.classify_audit import (
     theorem_audit,
 )
 from newton_forest.errors import TreeStructureError
-from newton_forest.multiplicity import classify
+from newton_forest.multiplicity import classify, multiplicities
 from newton_forest.oracle_gen import (
     GeneratorConfig,
     generate,
@@ -94,7 +94,7 @@ def test_criterion_1_fixture_exactness():
     for name, want in expected.items():
         tree = corpus[name]
         assert validate_axioms(tree) == [], name
-        info = classify(tree)
+        info = classify(tree, multiplicities(tree).N)
         assert info.minimally_complete, name
         degrees = [info.degree[u] for u in sorted(info.dicriticals)]
         assert math.gcd(*degrees) == 1, name
@@ -115,11 +115,11 @@ def test_criterion_2_T_D_ledger():
         "M_of_T": (a.table.M_of_T, 3),
         "dt_v0": (a.ledger.per_vertex["v0"].delta_tilde, -5),
         "dt_w": (a.ledger.per_vertex["w"].delta_tilde, 1),
-        "c_w": (a.chars.c("w", e), 6),
-        "c_v0": (str(a.chars.c("v0", e)), "3/2"),
-        "M_v0": (a.chars.M("v0", e), 4),
-        "eta_v0": (str(a.chars.eta("v0", e)), "3/2"),
-        "eta_w": (a.chars.eta("w", e), 0),
+        "c_w": (a.chars.pairs[("w", e)].c, 6),
+        "c_v0": (str(a.chars.pairs[("v0", e)].c), "3/2"),
+        "M_v0": (a.chars.pairs[("v0", e)].M, 4),
+        "eta_v0": (str(a.chars.pairs[("v0", e)].eta), "3/2"),
+        "eta_w": (a.chars.pairs[("w", e)].eta, 0),
         "Omega": (set(a.struct.Omega), {"v0"}),
         "n_classes": (len(a.decompositions["v0"].classes), 1),
         "c_dot": (a.decompositions["v0"].classes[0].c_dot, 0),
@@ -257,7 +257,7 @@ def test_criterion_6_fault_injection():
         if validate_axioms(tree):
             per_kind["axioms"] += 1
             continue
-        info = classify(tree)
+        info = classify(tree, multiplicities(tree).N)
         if not info.minimally_complete:
             per_kind["classification"] += 1
             continue
@@ -280,7 +280,7 @@ def test_criterion_6_fault_injection():
     # prove the exception really is a different valid minimally complete tree
     _, valid_tree = uncaught[0]
     assert validate_axioms(valid_tree) == []
-    info = classify(valid_tree)
+    info = classify(valid_tree, multiplicities(valid_tree).N)
     assert info.generic and info.complete and info.minimally_complete
     assert Analysis.build(valid_tree).glob.delta_tilde_N == -4
     assert valid_tree != fixture_T_D()

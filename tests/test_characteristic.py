@@ -60,17 +60,18 @@ def test_rational_divides_ints_match_fractions():
 
 
 def test_poset_T_A_empty():
-    assert Analysis.build(fixture_T_A()).poset.elements == ()
+    assert Analysis.build(fixture_T_A()).chars.pairs == {}
 
 
 def test_poset_T_D():
     t = fixture_T_D()
-    poset = Analysis.build(t).poset
+    chars = Analysis.build(t).chars
     e = t.edge_between("v0", "w")
-    assert set(poset.elements) == {("v0", e), ("w", e)}
-    assert all(poset.immediate_predecessors(p) == () for p in poset.elements)
-    assert not poset.precedes(("v0", e), ("w", e))
-    assert not poset.precedes(("w", e), ("v0", e))
+    assert list(chars.pairs) == [("v0", e), ("w", e)]
+    assert chars.pairs[("v0", e)].n_side == {"w"}
+    assert chars.pairs[("w", e)].n_side == {"v0"}
+    assert not chars.precedes(("v0", e), ("w", e))
+    assert not chars.precedes(("w", e), ("v0", e))
 
 
 def test_alpha_products_T_D():
@@ -86,14 +87,10 @@ def test_characteristic_numbers_T_D():
     t = fixture_T_D()
     chars = Analysis.build(t).chars
     e = t.edge_between("v0", "w")
-    assert chars.c("w", e) == 6
-    assert chars.M("w", e) == 1
-    assert chars.c("v0", e) == Fraction(3, 2)
-    assert chars.M("v0", e) == 4
-    assert chars.eta("w", e) == 0
-    assert chars.eta("v0", e) == Fraction(3, 2)
-    assert chars.pairs[("w", e)].nonpositive
-    assert not chars.pairs[("v0", e)].nonpositive
+    w, v0 = chars.pairs[("w", e)], chars.pairs[("v0", e)]
+    assert (w.c, w.M, w.eta) == (6, 1, 0)
+    assert (v0.c, v0.M, v0.eta) == (Fraction(3, 2), 4, Fraction(3, 2))
+    assert w.nonpositive and not v0.nonpositive
 
 
 def test_minimal_pair_at_bare_root():
@@ -102,7 +99,7 @@ def test_minimal_pair_at_bare_root():
     t = fixture_T_D()
     chars = Analysis.build(t).chars
     e = t.edge_between("v0", "w")
-    assert chars.c("w", e) == 6  # N at the root
+    assert chars.pairs[("w", e)].c == 6  # N at the root
 
 
 def test_p_and_p_prime_split():
@@ -244,8 +241,8 @@ def test_monotonicity_on_chain():
 
     tree = generate(GeneratorConfig(seed=11, max_cells=40))
     a = Analysis.build(tree)
-    for top in a.poset.elements:
-        for bot in a.poset.elements:
-            if a.poset.precedes(bot, top):
+    for top in a.chars.pairs:
+        for bot in a.chars.pairs:
+            if a.chars.precedes(bot, top):
                 assert a.chars.pairs[top].c <= a.chars.pairs[bot].c
                 assert a.chars.pairs[top].eta >= a.chars.pairs[bot].eta

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import time
+from itertools import combinations
 
 import pytest
 
@@ -354,6 +355,56 @@ def test_defect_two_witnesses_pinned():
     assert (multi, witnesses) == (48, 539)
     assert digest.hexdigest() == (
         "f27f6642319047e7ec4b731a5ac772c1a6841878f36f91458f6722a33604df26"
+    )
+
+
+def _comb_tampered_analyses():
+    """The fixtures, seeds 0..299 at 40 cells and corpus B's seeds 0..11, each
+    honest, then with one class of one decomposition split at every cut, then
+    with every two classes of one decomposition merged."""
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(300)]
+    trees += [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(12)
+    ]
+    for tree in trees:
+        a = analysis(tree)
+        yield a
+        for z, dec in sorted(a.decompositions.items()):
+            tampered = []
+            for i, cls in enumerate(dec.classes):
+                for cut in range(1, len(cls.pairs)):
+                    head = dataclasses.replace(cls, pairs=cls.pairs[:cut])
+                    tail = dataclasses.replace(cls, pairs=cls.pairs[cut:])
+                    rest = dec.classes[i + 1 :]
+                    tampered.append(dec.classes[:i] + (head, tail) + rest)
+            for i, j in combinations(range(len(dec.classes)), 2):
+                ci, cj = dec.classes[i], dec.classes[j]
+                merged = dataclasses.replace(ci, pairs=ci.pairs + cj.pairs)
+                rest = tuple(c for k, c in enumerate(dec.classes) if k not in (i, j))
+                tampered.append((merged,) + rest)
+            for classes in tampered:
+                bad = {**a.decompositions, z: dataclasses.replace(dec, classes=classes)}
+                yield dataclasses.replace(a, decompositions=bad)
+
+
+def test_comb_relation_witnesses_pinned():
+    # every `comb-relation` witness, in order, on honest analyses and on
+    # copies whose comb classes were split or merged; the digest was taken
+    # while the check walked each chain through the poset's predecessors
+    run = _CHECKS["comb-relation"]
+    digest = hashlib.sha256()
+    cases = witnesses = 0
+    for a in _comb_tampered_analyses():
+        cases += 1
+        for witness in run(a):
+            witnesses += 1
+            digest.update(witness.encode() + b"\n")
+        digest.update(b"--\n")
+    assert (cases, witnesses) == (698, 380)
+    assert digest.hexdigest() == (
+        "8d0365b3403936b30f750dbca64f23d2c374b98a299e805ed94b09da7a71f11f"
     )
 
 

@@ -340,15 +340,18 @@ def test_audit_gen(capsys):
 
 
 def test_audit_gen_negative_exit_2(capsys):
-    for argv in (
-        ["audit", "--gen", "-3"],
-        ["audit", "--gen", "1", "--max-cells", "-3"],
-        ["gen", "--seed", "1", "--max-cells", "-3"],
+    # no plan fits in 3 cells: a usage error at once, not 3000 attempts
+    for argv, message in (
+        (["audit", "--gen", "-3"], "must not be negative"),
+        (["audit", "--gen", "1", "--max-cells", "-3"], "must not be negative"),
+        (["gen", "--seed", "1", "--max-cells", "-3"], "must not be negative"),
+        (["gen", "--seed", "0", "--max-cells", "3"], "fewer than 4 cells"),
+        (["audit", "--gen", "2", "--max-cells", "3"], "fewer than 4 cells"),
     ):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must not be negative" in captured.err
+        assert message in captured.err
     assert run(["audit", "--gen", "0"]) == 0
     assert capsys.readouterr().out == "0 trees audited, 0 failures\n"
 

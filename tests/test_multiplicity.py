@@ -100,14 +100,15 @@ def test_points_at_infinity_T_B():
 
 def test_classify_T_A():
     t = fixture_T_A()
-    info = classify(t)
+    info = classify(t, multiplicities(t).N)
     assert info.generic and info.complete and info.minimally_complete
     assert info.dicriticals == {"u"}
     assert info.degree["u"] == 1
 
 
 def test_classify_T_D():
-    info = classify(fixture_T_D())
+    t = fixture_T_D()
+    info = classify(t, multiplicities(t).N)
     assert info.minimally_complete
     assert info.degree == {"u": 3}
 
@@ -117,7 +118,7 @@ def test_classify_valency_two_dicritical():
     cells = [Cell("v0", VERTEX), Cell("u", VERTEX), Cell("t1", ARROW, 1)]
     edges = [make_edge("v0", 1, "u", 0), make_edge("u", 1, "t1", 1)]
     t = build_tree(cells, edges, "v0")
-    info = classify(t)
+    info = classify(t, multiplicities(t).N)
     assert info.generic and info.complete
     assert not info.minimally_complete
     assert any("no dead end" in r for r in info.reasons)
@@ -132,7 +133,7 @@ def test_classify_non_generic():
     edges = [make_edge("v0", 1, "u", -1),
              make_edge("u", 1, "t1", 1), make_edge("u", 1, "o1", 1)]
     t = build_tree(cells, edges, "v0")
-    info = classify(t)
+    info = classify(t, multiplicities(t).N)
     assert not info.generic
     assert not info.minimally_complete
 

@@ -64,7 +64,7 @@ def test_generated_trees_validate():
     for seed in range(25):
         tree = generate(GeneratorConfig(seed=seed, max_cells=40))
         assert validate_axioms(tree) == []
-        info = classify(tree)
+        info = classify(tree, multiplicities(tree).N)
         assert info.generic and info.minimally_complete
         assert len(tree.cells) <= 40
 

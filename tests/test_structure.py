@@ -2,13 +2,9 @@ import inspect
 
 import pytest
 
-from newton_forest import characteristic, local_invariants, structure
+from newton_forest import characteristic, local_invariants, multiplicity, structure
 from newton_forest.report import Analysis
-from newton_forest.structure import (
-    is_comb_over,
-    quotient_tree_H,
-    rooted_tree_H,
-)
+from newton_forest.structure import quotient_tree_H, rooted_tree_H
 from newton_forest.tree_io import fixture_T_A, fixture_T_D
 
 
@@ -33,15 +29,6 @@ def test_structure_T_A():
     assert st.S == {"v0"}
     assert st.In == {"v0"}
     assert st.delta_star["v0"] == 0
-
-
-def test_comb_over_reflexive_and_incomparable():
-    t = fixture_T_D()
-    a = Analysis.build(t)
-    e = t.edge_between("v0", "w")
-    assert is_comb_over(a.ledger, a.chars, a.struct, ("w", e), ("w", e))
-    with pytest.raises(ValueError, match="not comparable"):
-        is_comb_over(a.ledger, a.chars, a.struct, ("w", e), ("v0", e))
 
 
 def test_decomposition_T_D():
@@ -165,9 +152,9 @@ def test_stage_inputs_required():
     # missing upstream input, and the downstream modules cannot reach the
     # upstream stage functions
     stages = (
+        multiplicity.classify,
         local_invariants.vertex_ledger,
         local_invariants.global_ledger,
-        characteristic.build_poset,
         characteristic.characteristic_numbers,
         structure.structure_ledger,
         structure.comb_decomposition,
