@@ -79,9 +79,7 @@ def node_h_products(
     if not arrows:
         raise ValueError("h-products need a nonempty arrow set")
     parent_edge = tree._parent_edge
-    order = [tree.root]  # every parent before its children
-    for c in order:
-        order.extend(e.other(c) for e in tree.incident_edges(c) if e is not parent_edge[c])
+    order = tree._order  # every parent before its children
     below = dict.fromkeys(order, 0)  # arrows of A in each rooted subtree
     for c in reversed(order[1:]):
         if c in arrows:

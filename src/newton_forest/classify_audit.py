@@ -754,11 +754,13 @@ def _chk_char_chain_div(a: Analysis) -> list[str]:
 def _chk_dic_sum_div(a: Analysis) -> list[str]:
     # one O(n) pass per node over its arrows gives the sums of x and x-hat
     # (N[w] and the F of w's edges), one walk out from their hull gives h
-    # and h-hat for every base w
+    # and h-hat for every base w; d | sx/a is tested in integers as
+    # (d a) | sx, the dead-end value a being nonzero
     out = []
     tree = a.tree
     bases = sorted(tree.vertices)
     a_value = {w: tree.a_value(w) for w in bases}
+    neighbours = {w: tree.neighbors(w) for w in bases}
     for z in sorted(a.glob.nd):
         dz = a.ledger.per_vertex[z]
         arrows = frozenset(
@@ -773,10 +775,10 @@ def _chk_dic_sum_div(a: Analysis) -> list[str]:
         for w in bases:
             h, h_hat = hs[w]
             sx = N[w]
-            sxh = sum(F[w, n] for n in tree.neighbors(w))
+            sxh = sum(F[w, n] for n in neighbours[w])
             if not rational_divides(h * d, sx) or not rational_divides(h_hat * d, sxh):
                 out.append(f"node {z!r}, base {w!r}")
-            if not rational_divides(d, Fraction(sx, a_value[w])):
+            if not rational_divides(d * a_value[w], sx):
                 out.append(f"node {z!r}, base {w!r}: sum/a not divisible")
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
-from .tree_model import CellRef, DecoratedRootedTree, Edge
+from .tree_model import CellRef, DecoratedRootedTree
 
 
 @dataclass(frozen=True)
@@ -57,24 +57,21 @@ def _sums_but_one(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
 def source_multiplicities(
     tree: DecoratedRootedTree, arrows: AbstractSet[CellRef]
 ) -> tuple[dict[CellRef, int], dict[tuple[CellRef, CellRef], int]]:
-    """N over vertices and (0)-arrows, in sorted order, and F on every
+    """N over vertices and (0)-arrows, in no set order, and F on every
     directed edge, both summed over the (1)-arrows in `arrows`, in O(n).
 
     For an edge e directed from c to d, F(c->d) sums x-hat(c,b) over the
     arrows b in `arrows` on d's side: 1 when d is such an arrow, 0 when d is
     any other arrow, and otherwise the sum S over the pairs
     (q(e',d), F(d->d')) of d's other edges e' = {d,d'}.  N_v is S over the
-    pairs of all edges at v.  One pass up the tree gives F on the edges
-    directed away from the root, one pass down gives the rest, each visit
-    O(deg) through `_sums_but_one`.
+    pairs of all edges at v.  One pass up the tree's breadth-first order
+    gives F on the edges directed away from the root, one pass down gives
+    the rest, each visit O(deg) through `_sums_but_one`.
     """
     parent_edge = tree._parent_edge
-    children: dict[CellRef, list[Edge]] = {}
-    order = [tree.root]  # every parent before its children
-    for c in order:
-        kids = [e for e in tree.incident_edges(c) if e is not parent_edge[c]]
-        children[c] = kids
-        order.extend(e.other(c) for e in kids)
+    children = tree._children
+    order = tree._order  # every parent before its children
+    zero = tree.arrows0
 
     F: dict[tuple[CellRef, CellRef], int] = {}
     for d in reversed(order[1:]):
@@ -91,7 +88,8 @@ def source_multiplicities(
         kids = children[c]
         up = parent_edge[c]
         if up is not None and not kids:  # an arrow: its one pair sums to F
-            N[c] = F[c, up.other(c)]
+            if c in zero:
+                N[c] = F[c, up.other(c)]
             continue
         pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
         if up is not None:
@@ -99,7 +97,7 @@ def source_multiplicities(
         N[c], but_one = _sums_but_one(pairs)
         for e, s in zip(kids, but_one):
             F[e.other(c), c] = s
-    return {v: N[v] for v in sorted(tree.vertices | tree.arrows0)}, F
+    return N, F
 
 
 def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
@@ -109,6 +107,7 @@ def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
     audit check `dead-end-multiplicity` owns it.
     """
     N, F = source_multiplicities(tree, tree.arrows1)
+    N = dict(sorted(N.items()))
     M = -sum(N[v] * (tree.valency(v) - 2) for v in N)
 
     root = tree.root

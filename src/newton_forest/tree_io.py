@@ -13,12 +13,21 @@ An `.ntree` document is JSON with the exact keys of the in-memory model:
 edges by their sorted end pair, so `parse(serialize(t))` reproduces `t` and
 `serialize` is byte-deterministic.  File decorations must fit in a signed
 64-bit integer even though internal arithmetic is unbounded.
+
+`parse` decodes the text with `json.loads`, shape-checks the cells in one
+loop and the edges in another, and hands the `Cell`s and `Edge`s it made to
+`build_tree`, which keeps them.  Every malformed document is a `ParseError`
+naming the first fault in document order, including an integer literal too
+long for the interpreter to convert; a well-formed one that is not a tree
+is a `TreeStructureError`.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import sys
 from typing import Any
 
 from .errors import ParseError
@@ -27,6 +36,7 @@ from .tree_model import (
     ARROW,
     VERTEX,
     Cell,
+    CellRef,
     DecoratedRootedTree,
     Edge,
     build_tree,
@@ -37,27 +47,58 @@ _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
 
-def _expect_int(value: Any, where: str) -> int:
-    # bool is an int subclass; reject it explicitly along with floats/strings
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
-    if not (_I64_MIN <= value <= _I64_MAX):
-        raise ParseError(f"{where}: decoration {value} exceeds signed 64-bit range")
-    return value
+def _string_error(where: str, value: Any) -> ParseError:
+    return ParseError(f"{where}: expected a string, got {value!r}")
 
 
-def _expect_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: expected a string, got {value!r}")
-    return value
+def _int_error(where: str, value: Any) -> ParseError:
+    """The error for a value that is not an integer in the signed 64-bit
+    range.  A JSON true/false decodes to bool, an int subclass, which
+    `type(value) is int` rejects along with floats and strings."""
+    if type(value) is not int:
+        return ParseError(f"{where}: expected an integer, got {value!r}")
+    return ParseError(f"{where}: decoration {value} exceeds signed 64-bit range")
+
+
+def _unknown_keys_error(where: str, raw: dict, known: set[str]) -> ParseError:
+    return ParseError(f"{where}: unknown keys {sorted(set(raw) - known)}")
 
 
 def parse(text: str) -> DecoratedRootedTree:
     """Parse an `.ntree` document.
 
     Syntax errors carry the line/column of the JSON decoder; shape errors
-    carry the JSON path of the offending entry.  Semantic errors (not a tree,
-    bad classification, ...) propagate from :func:`build_tree`.
+    carry the JSON path of the offending entry, the first in document order
+    (cells before edges, each entry's fields in the order `_read_document`
+    tests them).  Semantic errors (not a tree, bad classification, ...)
+    propagate from :func:`build_tree`.
+
+    The cyclic garbage collector is paused meanwhile and then restored as
+    it was.  Neither the decoded document nor the tree holds a reference
+    cycle, so a collection would free none of their objects, yet each full
+    one walks every object alive, and a tree of n cells allocates enough
+    objects to set off several: on a 48k-cell file they took about a third
+    of the time.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the decoded document is dropped on return, before the tree is built
+        cells, edges, root = _read_document(text)
+        return build_tree(cells, edges, root)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:
+    """The cells, edges and root of an `.ntree` document, shape-checked.
+
+    The entries come from `json.loads`, so each value is exactly a dict,
+    list, str, int, float, bool or None, and `type(x) is ...` tests its
+    shape.  An entry's JSON path and its list of unknown keys are written
+    only when it fails: it has an unknown key exactly when it has more keys
+    than its kind allows.
     """
     try:
         doc = json.loads(text)
@@ -65,66 +106,85 @@ def parse(text: str) -> DecoratedRootedTree:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("document: JSON nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts to int
+        raise ParseError(
+            "document: integer literal exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise ParseError("document: expected a JSON object")
     for key in ("root", "cells", "edges"):
         if key not in doc:
             raise ParseError(f"document: missing key {key!r}")
-    unknown = sorted(set(doc) - {"root", "cells", "edges"})
-    if unknown:
-        raise ParseError(f"document: unknown keys {unknown}")
+    if len(doc) != 3:
+        raise _unknown_keys_error("document", doc, {"root", "cells", "edges"})
 
-    root = _expect_str(doc["root"], "root")
-    if not isinstance(doc["cells"], list):
+    root, raw_cells, raw_edges = doc["root"], doc["cells"], doc["edges"]
+    if type(root) is not str:
+        raise _string_error("root", root)
+    if type(raw_cells) is not list:
         raise ParseError("cells: expected a list")
-    if not isinstance(doc["edges"], list):
+    if type(raw_edges) is not list:
         raise ParseError("edges: expected a list")
 
     cells: list[Cell] = []
-    for i, raw in enumerate(doc["cells"]):
-        where = f"cells[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        cid = _expect_str(raw.get("id"), f"{where}.id")
-        kind = _expect_str(raw.get("kind"), f"{where}.kind")
-        if kind not in (VERTEX, ARROW):
-            raise ParseError(f"{where}.kind: expected 'vertex' or 'arrow', got {kind!r}")
-        deco = None
-        if "decoration" in raw:
-            deco = _expect_int(raw["decoration"], f"{where}.decoration")
-            if deco not in (0, 1):
-                raise ParseError(f"{where}.decoration: expected 0 or 1, got {deco}")
-        if kind == ARROW and deco is None:
-            raise ParseError(f"{where}: arrow cell is missing its 0/1 decoration")
-        if kind == VERTEX and deco is not None:
-            raise ParseError(f"{where}: vertex cell must not carry a decoration")
-        extra = sorted(set(raw) - {"id", "kind", "decoration"})
-        if extra:
-            raise ParseError(f"{where}: unknown keys {extra}")
-        cells.append(Cell(cid, kind, deco))
+    add_cell = cells.append
+    for i, raw in enumerate(raw_cells):
+        if type(raw) is not dict:
+            raise ParseError(f"cells[{i}]: expected an object")
+        cid = raw.get("id")
+        if type(cid) is not str:
+            raise _string_error(f"cells[{i}].id", cid)
+        kind = raw.get("kind")
+        if kind == VERTEX and len(raw) == 2:  # exactly the keys id and kind
+            add_cell(Cell(cid, VERTEX))
+            continue
+        if kind != VERTEX and kind != ARROW:
+            if type(kind) is not str:
+                raise _string_error(f"cells[{i}].kind", kind)
+            raise ParseError(f"cells[{i}].kind: expected 'vertex' or 'arrow', got {kind!r}")
+        deco = raw.get("decoration")
+        if deco is not None or "decoration" in raw:
+            if type(deco) is not int or not _I64_MIN <= deco <= _I64_MAX:
+                raise _int_error(f"cells[{i}].decoration", deco)
+            if deco != 0 and deco != 1:
+                raise ParseError(f"cells[{i}].decoration: expected 0 or 1, got {deco}")
+            if kind == VERTEX:
+                raise ParseError(f"cells[{i}]: vertex cell must not carry a decoration")
+        elif kind == ARROW:
+            raise ParseError(f"cells[{i}]: arrow cell is missing its 0/1 decoration")
+        # a vertex reaches this line only with a key besides id and kind
+        if kind == VERTEX or len(raw) != 3:
+            raise _unknown_keys_error(f"cells[{i}]", raw, {"id", "kind", "decoration"})
+        add_cell(Cell(cid, ARROW, deco))
 
     edges: list[Edge] = []
-    for i, raw in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        ends = raw.get("ends")
-        q = raw.get("q")
-        if not (isinstance(ends, list) and len(ends) == 2):
-            raise ParseError(f"{where}.ends: expected a pair of cell ids")
-        if not (isinstance(q, list) and len(q) == 2):
-            raise ParseError(f"{where}.q: expected a pair of integers")
-        a = _expect_str(ends[0], f"{where}.ends[0]")
-        b = _expect_str(ends[1], f"{where}.ends[1]")
-        qa = _expect_int(q[0], f"{where}.q[0]")
-        qb = _expect_int(q[1], f"{where}.q[1]")
-        extra = sorted(set(raw) - {"ends", "q"})
-        if extra:
-            raise ParseError(f"{where}: unknown keys {extra}")
-        edges.append(make_edge(a, qa, b, qb))
+    add_edge = edges.append
+    for i, raw in enumerate(raw_edges):
+        if type(raw) is not dict:
+            raise ParseError(f"edges[{i}]: expected an object")
+        ends, q = raw.get("ends"), raw.get("q")
+        if type(ends) is not list or len(ends) != 2:
+            raise ParseError(f"edges[{i}].ends: expected a pair of cell ids")
+        if type(q) is not list or len(q) != 2:
+            raise ParseError(f"edges[{i}].q: expected a pair of integers")
+        a, b = ends
+        if type(a) is not str:
+            raise _string_error(f"edges[{i}].ends[0]", a)
+        if type(b) is not str:
+            raise _string_error(f"edges[{i}].ends[1]", b)
+        qa, qb = q
+        if type(qa) is not int or not _I64_MIN <= qa <= _I64_MAX:
+            raise _int_error(f"edges[{i}].q[0]", qa)
+        if type(qb) is not int or not _I64_MIN <= qb <= _I64_MAX:
+            raise _int_error(f"edges[{i}].q[1]", qb)
+        if len(raw) != 2:
+            raise _unknown_keys_error(f"edges[{i}]", raw, {"ends", "q"})
+        add_edge(make_edge(a, qa, b, qb))
 
-    return build_tree(cells, edges, root)
+    return cells, edges, root
 
 
 def to_document(tree: DecoratedRootedTree) -> dict[str, Any]:

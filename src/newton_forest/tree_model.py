@@ -9,7 +9,6 @@ other modules assume a validated tree.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -23,7 +22,7 @@ ARROW = "arrow"
 CellRef = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One 0-dimensional cell: a vertex, or an arrow decorated 0 or 1."""
 
@@ -32,7 +31,7 @@ class Cell:
     arrow_decoration: int | None = None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Edge:
     """An undirected edge with one integer decoration near each end.
 
@@ -96,14 +95,30 @@ class DecoratedRootedTree:
     cells: dict[CellRef, Cell]
     edges: tuple[Edge, ...]
     root: CellRef
-    _incident: dict[CellRef, tuple[Edge, ...]] = field(repr=False, compare=False)
+    # Each cell's edges in sorted order, its parent edge and its depth.  The
+    # lists here and below belong to the tree; readers must not change them.
+    _incident: dict[CellRef, list[Edge]] = field(repr=False, compare=False)
     _parent_edge: dict[CellRef, Edge | None] = field(repr=False, compare=False)
     _depth: dict[CellRef, int] = field(repr=False, compare=False)
-    _edge_to: dict[CellRef, dict[CellRef, Edge]] = field(repr=False, compare=False)
+    # The breadth-first order from the root (every parent before its
+    # children) and each cell's edges to its children, in incidence order.
+    _order: list[CellRef] = field(repr=False, compare=False)
+    _children: dict[CellRef, Sequence[Edge]] = field(repr=False, compare=False)
     # Q(e, c) for the edges e = {c, d} at c, as _Q_rows[c][d]; see `Q`.
     _Q_rows: dict[CellRef, dict[CellRef, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def _edge_to(self) -> dict[CellRef, dict[CellRef, Edge]]:
+        return {
+            c: {e.other(c): e for e in es} for c, es in self._incident.items()
+        }
+
+    @cached_property
+    def _axiom_diagnostics(self) -> tuple[ValidationDiagnostic, ...]:
+        # kept so that a tree is checked once however often it is validated
+        return tuple(iter_axiom_diagnostics(self))
 
     # -- basic sets ---------------------------------------------------------
 
@@ -142,7 +157,7 @@ class DecoratedRootedTree:
 
     # -- incidence ----------------------------------------------------------
 
-    def incident_edges(self, c: CellRef) -> tuple[Edge, ...]:
+    def incident_edges(self, c: CellRef) -> Sequence[Edge]:
         if c not in self.cells:
             raise KeyError(f"unknown cell {c!r}")
         return self._incident[c]
@@ -190,8 +205,10 @@ class DecoratedRootedTree:
     def Q_row(self, c: CellRef) -> dict[CellRef, int]:
         """Q(e, c) for every edge e = {c, d} at c, keyed by d, in O(deg)."""
         inc = self.incident_edges(c)
-        qs = products_but_one([e.q_near(c) for e in inc])
-        return {e.other(c): q for e, q in zip(inc, qs)}
+        qs = products_but_one([e.q[0] if e.ends[0] == c else e.q[1] for e in inc])
+        return {
+            (e.ends[1] if e.ends[0] == c else e.ends[0]): q for e, q in zip(inc, qs)
+        }
 
     def edge_determinant(self, edge: Edge) -> int:
         """q(e,x)q(e,y) - Q(e,x)Q(e,y); defined for vertex-vertex edges only."""
@@ -280,65 +297,85 @@ def build_tree(
     duplicate ids, duplicate or dangling edges, self-loops, a disconnected or
     cyclic graph, a root classified as arrow, and decoration bookkeeping
     errors.  Axioms are not checked here; see :func:`validate_axioms`.
+
+    One pass over the cells and one over the edges, in the given order, find
+    the problems of the first kind and list each cell's edges.  One
+    breadth-first search from the root then sorts each vertex's edges,
+    orients the tree, records the order it visits the cells in and each
+    cell's child edges, and checks each cell's declared kind and decoration
+    against its classification; a given cell that passes is kept as it is,
+    and `cells` lists them by id.
     """
     problems: list[str] = []
-    cell_list = list(cells)
-    edge_input = list(edges)
 
     by_id: dict[CellRef, Cell] = {}
-    for cell in cell_list:
+    incident: dict[CellRef, list[Edge]] = {}
+    for cell in cells:
         if cell.id in by_id:
             problems.append(f"duplicate cell id {cell.id!r}")
         by_id[cell.id] = cell
+        incident[cell.id] = []
     if root not in by_id:
         problems.append(f"root {root!r} is not a cell")
 
+    edge_list = list(edges)
     seen_pairs: set[tuple[CellRef, CellRef]] = set()
-    incident: dict[CellRef, list[Edge]] = {c: [] for c in by_id}
-    for e in edge_input:
-        a, b = e.ends
+    for e in edge_list:
+        a, b = ends = e.ends
         if a == b:
             problems.append(f"self-loop at {a!r}")
-            continue
-        if a not in by_id or b not in by_id:
+        elif a not in by_id or b not in by_id:
             problems.append(f"edge {e} mentions an unknown cell")
-            continue
-        if e.ends in seen_pairs:
+        elif ends in seen_pairs:
             problems.append(f"not a tree: duplicate edge {e}")
-            continue
-        seen_pairs.add(e.ends)
-        incident[a].append(e)
-        incident[b].append(e)
-
+        else:
+            seen_pairs.add(ends)
+            incident[a].append(e)
+            incident[b].append(e)
     if problems:
         raise TreeStructureError(problems)
 
-    if len(seen_pairs) != len(by_id) - 1:
+    if len(edge_list) != len(by_id) - 1:
         problems.append(
-            f"not a tree: {len(by_id)} cells need {len(by_id) - 1} edges, got {len(seen_pairs)}"
+            f"not a tree: {len(by_id)} cells need {len(by_id) - 1} edges, got {len(edge_list)}"
         )
 
-    # Rooted orientation by BFS; detects disconnection.
+    # Breadth-first from the root: each cell is reached through its parent
+    # edge and its other edges lead to its children, unless the graph is not
+    # a tree, which the counts detect.
     parent_edge: dict[CellRef, Edge | None] = {root: None}
     depth: dict[CellRef, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        c = queue.popleft()
-        for e in incident[c]:
-            d = e.other(c)
+    children: dict[CellRef, list[Edge]] = {}
+    order = [root]
+    misfits: list[CellRef] = []  # cells whose declaration disagrees
+    for c in order:
+        inc = incident[c]
+        cell = by_id[c]
+        if len(inc) == 1 and c != root:  # an arrow: its one edge leads up
+            if cell.kind != ARROW or cell.arrow_decoration not in (0, 1):
+                misfits.append(c)
+            children[c] = ()
+            continue
+        if cell.kind != VERTEX or cell.arrow_decoration is not None:
+            misfits.append(c)
+        inc.sort(key=_EDGE_ORDER)
+        below = depth[c] + 1
+        kids = children[c] = []
+        for e in inc:
+            a, b = e.ends
+            d = b if a == c else a
             if d not in depth:
-                depth[d] = depth[c] + 1
+                depth[d] = below
                 parent_edge[d] = e
-                queue.append(d)
-    if len(depth) != len(by_id):
+                order.append(d)
+                kids.append(e)
+    if len(order) != len(by_id):
         missing = sorted(set(by_id) - set(depth))
         problems.append(f"disconnected: unreachable cells {missing}")
     if problems:
         raise TreeStructureError(problems)
 
-    # Reclassify cells from valencies; cross-check the declared kinds.
-    final: dict[CellRef, Cell] = {}
-    for cid in sorted(by_id):
+    for cid in sorted(misfits):
         declared = by_id[cid]
         kind = VERTEX if (cid == root or len(incident[cid]) != 1) else ARROW
         if declared.kind != kind:
@@ -350,25 +387,20 @@ def build_tree(
                 problems.append(
                     f"arrow {cid!r} must be decorated 0 or 1, got {declared.arrow_decoration!r}"
                 )
-            final[cid] = Cell(cid, ARROW, declared.arrow_decoration)
-        else:
-            if declared.arrow_decoration is not None:
-                problems.append(f"vertex {cid!r} carries an arrow decoration")
-            final[cid] = Cell(cid, VERTEX)
+        elif declared.arrow_decoration is not None:
+            problems.append(f"vertex {cid!r} carries an arrow decoration")
     if problems:
         raise TreeStructureError(problems)
 
-    incident_sorted = {c: tuple(sorted(es, key=_EDGE_ORDER)) for c, es in incident.items()}
     return DecoratedRootedTree(
-        cells=final,
-        edges=tuple(sorted(edge_input, key=_EDGE_ORDER)),
+        cells={cid: by_id[cid] for cid in sorted(by_id)},
+        edges=tuple(sorted(edge_list, key=_EDGE_ORDER)),
         root=root,
-        _incident=incident_sorted,
+        _incident=incident,
         _parent_edge=parent_edge,
         _depth=depth,
-        _edge_to={
-            c: {e.other(c): e for e in es} for c, es in incident_sorted.items()
-        },
+        _order=order,
+        _children=children,
     )
 
 
@@ -405,15 +437,16 @@ def pairwise_coprime(values: Iterable[int]) -> bool:
 
 
 def _coprime_diagnostics(
-    v: CellRef, inc: tuple[Edge, ...]
+    v: CellRef, inc: Sequence[Edge], near: Sequence[int]
 ) -> Iterator[ValidationDiagnostic]:
-    """Axiom 5's coprimality clause at `v`, one diagnostic per failing pair.
+    """Axiom 5's coprimality clause at `v`, one diagnostic per failing pair,
+    where `near[i]` is the decoration of `inc[i]` near `v`.
 
     A decoration of +-1 is coprime to everything, so only the others are
     paired, in incidence order.  When they are pairwise coprime the pair
     loop is skipped; otherwise each edge is named once, not once per pair.
     """
-    big = [(e, e.q_near(v)) for e in inc if abs(e.q_near(v)) != 1]
+    big = [(e, q) for e, q in zip(inc, near) if q != 1 and q != -1]
     if pairwise_coprime(q for _, q in big):
         return
     named = [(str(e), q) for e, q in big]
@@ -428,9 +461,11 @@ def _coprime_diagnostics(
 def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
     """Check the six defining axioms; an empty list means the tree passes all.
 
-    The list of :func:`iter_axiom_diagnostics`, in its order.
+    The list of :func:`iter_axiom_diagnostics`, in its order.  The tree
+    keeps the diagnostics, so validating it again returns a copy of them
+    without checking anything.
     """
-    return list(iter_axiom_diagnostics(tree))
+    return list(tree._axiom_diagnostics)
 
 
 def iter_axiom_diagnostics(tree: DecoratedRootedTree) -> Iterator[ValidationDiagnostic]:
@@ -446,80 +481,117 @@ def iter_axiom_diagnostics(tree: DecoratedRootedTree) -> Iterator[ValidationDiag
        equal to the maximum upward decoration;
     6. every vertex-vertex edge has negative determinant.
 
-    Cost, for n cells, apart from sorting the cell ids and the arithmetic
-    on large decorations: axiom 1 walks up from each (1)-arrow and stops at
-    the first cell already covered, so each cell is passed once, O(n).
-    Axioms 2-4 read each incidence once, O(n).  Axiom 5 decides "upward"
-    from the parent pointers, O(deg) per vertex; its coprimality clause
-    pairs only the k decorations other than +-1, O(k) when they pass and
-    O(k^2) when one pair fails.  Axiom 6 reads both Q values from
-    prefix/suffix products made once per vertex by `Q_row`, O(n).  The
-    diagnostics themselves can outnumber the cells only through axiom 5's
-    pairs; they are yielded one at a time, so memory stays O(n) however
-    many there are.
+    Cost, for n cells, apart from sorting the vertex ids once and the
+    arithmetic on large decorations: axiom 1 walks up from each (1)-arrow
+    and stops at the first cell already covered, so each cell is passed
+    once, O(n).  The dead ends are read once, from the (0)-arrows up, for
+    axioms 2 and 5.  Axioms 3 and 4 read each arrow's edge and the root's
+    once, and only the failing arrows are sorted.  Axiom 5 reads each
+    vertex's decorations once, O(deg); "upward" is every edge but the parent
+    edge.  Its coprimality clause pairs only the k decorations other than
+    +-1, O(k) when they pass and O(k^2) when one pair fails.  The same visit
+    takes the Q values at the vertex from prefix/suffix products, which
+    axiom 6 reads, and only its failing edges are sorted.  The diagnostics
+    themselves can outnumber the cells only through axiom 5's pairs; they
+    are yielded one at a time, so memory stays O(n) however many there are.
     """
     root = tree.root
     parent_edge = tree._parent_edge
+    incident = tree._incident
+    vertices = sorted(tree.vertices)
 
     # Walk up from each (1)-arrow until a covered cell: the covered set is
-    # closed under going down towards the root, so its ancestors are too.
+    # closed under going down towards the root, so its ancestors are too,
+    # and it is the same whichever arrow goes first.
     covered: set[CellRef] = set()
-    for alpha in sorted(tree.arrows1):
-        c = tree.parent(alpha)
-        while c is not None and c not in covered:
+    for c in tree.arrows1:
+        while (e := parent_edge[c]) is not None:
+            a, b = e.ends
+            c = b if a == c else a
+            if c in covered:
+                break
             covered.add(c)
-            c = tree.parent(c)
-    for v in sorted(tree.vertices):
+    for v in vertices:
         if v not in covered:
             yield ValidationDiagnostic(1, (v,), "no arrow decorated (1) above this vertex")
 
-    for v in sorted(tree.vertices):
-        dead = tree.dead_ends(v)
-        if len(dead) > 1:
+    # A (0)-arrow is a leaf, so its one edge is a dead end of its parent;
+    # sorted, a vertex's dead ends are in incidence order.
+    dead_ends: dict[CellRef, list[Edge]] = {}
+    for alpha in tree.arrows0:
+        e = parent_edge[alpha]
+        a, b = e.ends
+        dead_ends.setdefault(b if a == alpha else a, []).append(e)
+    for v in vertices:
+        dead = dead_ends.get(v)
+        if dead is not None and len(dead) > 1:
+            dead.sort(key=_EDGE_ORDER)
             yield ValidationDiagnostic(
                 2, (v,), f"{len(dead)} dead ends incident to one vertex"
             )
 
-    for e in tree.incident_edges(root):
+    for e in incident[root]:
         if e.q_near(root) != 1:
             yield ValidationDiagnostic(
                 3, (str(e), root), f"decoration near root is {e.q_near(root)}, not 1"
             )
 
-    for alpha in sorted(tree.arrows):
-        (e,) = tree.incident_edges(alpha)
-        if e.q_near(alpha) != 1:
-            yield ValidationDiagnostic(
-                4, (str(e), alpha), f"decoration near arrow is {e.q_near(alpha)}, not 1"
-            )
+    unmarked = []
+    for alpha in tree.arrows:
+        e = parent_edge[alpha]
+        if (e.q[0] if e.ends[0] == alpha else e.q[1]) != 1:
+            unmarked.append(alpha)
+    for alpha in sorted(unmarked):
+        e = parent_edge[alpha]
+        yield ValidationDiagnostic(
+            4, (str(e), alpha), f"decoration near arrow is {e.q_near(alpha)}, not 1"
+        )
 
-    for v in sorted(tree.vertices):
-        inc = tree.incident_edges(v)
-        yield from _coprime_diagnostics(v, inc)
-        upward = [e for e in inc if parent_edge[e.other(v)] is e]
-        big = [e for e in upward if e.q_near(v) > 1]
-        for e in upward:
-            if e.q_near(v) < 1:
+    # For the edge e from each vertex w down to its parent v, Q(e, w) in
+    # q_up[w] and Q(e, v) in q_down[w], for axiom 6
+    q_up: dict[CellRef, int] = {}
+    q_down: dict[CellRef, int] = {}
+    for v in vertices:
+        inc = incident[v]
+        near = [e.q[0] if e.ends[0] == v else e.q[1] for e in inc]
+        yield from _coprime_diagnostics(v, inc, near)
+        down = parent_edge[v]
+        exceeding = 0
+        top = None  # the maximum upward decoration
+        for e, q, Q in zip(inc, near, products_but_one(near)):
+            if e is down:
+                q_up[v] = Q
+                continue
+            a, b = e.ends
+            q_down[b if a == v else a] = Q
+            if q < 1:
                 yield ValidationDiagnostic(
-                    5, (v, str(e)), f"upward decoration {e.q_near(v)} is not positive"
+                    5, (v, str(e)), f"upward decoration {q} is not positive"
                 )
-        if len(big) > 1:
+            elif q > 1:
+                exceeding += 1
+            if top is None or q > top:
+                top = q
+        if exceeding > 1:
             yield ValidationDiagnostic(5, (v,), "more than one upward decoration exceeds 1")
-        dead = tree.dead_ends(v)
-        if dead and upward:
-            mx = max(e.q_near(v) for e in upward)
-            if dead[0].q_near(v) != mx:
+        dead = dead_ends.get(v)
+        if dead is not None and top is not None:
+            q = dead[0].q_near(v)
+            if q != top:
                 yield ValidationDiagnostic(
                     5,
                     (v, str(dead[0])),
-                    f"dead-end decoration {dead[0].q_near(v)} is not the maximum {mx}",
+                    f"dead-end decoration {q} is not the maximum {top}",
                 )
 
-    # Rows kept only for this check, so a tree that is only validated
-    # carries no Q table.
-    rows = {x: tree.Q_row(x) for x in tree.vertices}
-    for e in tree.iter_vertex_edges():
-        x, y = e.ends
-        det = e.q[0] * e.q[1] - rows[x][y] * rows[y][x]
-        if det >= 0:
-            yield ValidationDiagnostic(6, (str(e),), f"edge determinant {det} is not negative")
+    # The vertex-vertex edges are the parent edges of the vertices but the
+    # root; the failing ones are sorted into the order of `tree.edges`.
+    failing = []
+    for w in vertices:
+        e = parent_edge[w]
+        if e is not None:
+            det = e.q[0] * e.q[1] - q_up[w] * q_down[w]
+            if det >= 0:
+                failing.append((_EDGE_ORDER(e), e, det))
+    for _, e, det in sorted(failing):
+        yield ValidationDiagnostic(6, (str(e),), f"edge determinant {det} is not negative")

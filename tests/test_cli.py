@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -57,6 +58,25 @@ def test_undecodable_file_exit_1(tmp_path, capsys):
     bad.write_bytes((FIXTURES / "T_A.ntree").read_bytes() + b"\xff\xfe")
     assert run(["validate", str(bad)]) == 1
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_overlong_integer_exit_1(tmp_path, capsys):
+    # json.loads refuses an integer literal longer than the interpreter's
+    # digit limit with a plain ValueError; it is a parse error, not a fault
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    text = json.dumps(json.loads((FIXTURES / "T_A.ntree").read_text()))
+    long = text.replace('"q": [0, 1]', '"q": [' + "9" * (limit + 1) + ", 1]")
+    assert long != text
+    path = tmp_path / "long.ntree"
+    path.write_text(long)
+    for command in ("validate", "analyze"):
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"document: integer literal exceeds the limit of {limit} digits\n"
+        )
 
 
 def test_deeply_nested_json_exit_1(tmp_path, capsys):
@@ -337,6 +357,24 @@ def test_audit_gen(capsys):
     assert run(["audit", "--gen", "12", "--seed", "3", "--max-cells", "40"]) == 0
     out = capsys.readouterr().out
     assert "12 trees audited, 0 failures" in out
+
+
+def test_audit_gen_validates_each_tree_once(monkeypatch, capsys):
+    # the generator's screen validates each tree it keeps; the analysis
+    # reuses those diagnostics instead of checking the tree again
+    import newton_forest.tree_model as tree_model
+
+    checked = []
+    real = tree_model.iter_axiom_diagnostics
+
+    def counted(tree):
+        checked.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(tree_model, "iter_axiom_diagnostics", counted)
+    assert run(["audit", "--gen", "30"]) == 0
+    assert capsys.readouterr().out == "30 trees audited, 0 failures\n"
+    assert len(checked) == 30
 
 
 def test_audit_gen_negative_exit_2(capsys):
