@@ -18,8 +18,14 @@ edges by their sorted end pair, so `parse(serialize(t))` reproduces `t` and
 loop and the edges in another, and hands the `Cell`s and `Edge`s it made to
 `build_tree`, which keeps them.  Every malformed document is a `ParseError`
 naming the first fault in document order, including an integer literal too
-long for the interpreter to convert; a well-formed one that is not a tree
-is a `TreeStructureError`.
+long for the interpreter to convert and a cell id (root, cell or edge end)
+that cannot be written as UTF-8; a well-formed one that is not a tree is a
+`TreeStructureError`.
+
+`json_text` is the one JSON writer of the program: `serialize` writes the
+document with it in document order (root, cells, edges), and the CLI writes
+its key-sorted JSON reports with it.  Its output is byte-identical to
+`json.dumps(doc, indent=2, sort_keys=...)`.
 """
 
 from __future__ import annotations
@@ -47,7 +53,19 @@ _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
 
+def _utf8(text: str) -> bool:
+    """Whether `text` can be written out as UTF-8.  A JSON escape such as
+    \\ud800 decodes to a lone surrogate, which no UTF-8 stream can carry."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _string_error(where: str, value: Any) -> ParseError:
+    if type(value) is str:
+        return ParseError(f"{where}: expected a string encodable as UTF-8, got {value!r}")
     return ParseError(f"{where}: expected a string, got {value!r}")
 
 
@@ -122,7 +140,7 @@ def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:
         raise _unknown_keys_error("document", doc, {"root", "cells", "edges"})
 
     root, raw_cells, raw_edges = doc["root"], doc["cells"], doc["edges"]
-    if type(root) is not str:
+    if type(root) is not str or not (root.isascii() or _utf8(root)):
         raise _string_error("root", root)
     if type(raw_cells) is not list:
         raise ParseError("cells: expected a list")
@@ -135,7 +153,7 @@ def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:
         if type(raw) is not dict:
             raise ParseError(f"cells[{i}]: expected an object")
         cid = raw.get("id")
-        if type(cid) is not str:
+        if type(cid) is not str or not (cid.isascii() or _utf8(cid)):
             raise _string_error(f"cells[{i}].id", cid)
         kind = raw.get("kind")
         if kind == VERTEX and len(raw) == 2:  # exactly the keys id and kind
@@ -171,9 +189,9 @@ def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:
         if type(q) is not list or len(q) != 2:
             raise ParseError(f"edges[{i}].q: expected a pair of integers")
         a, b = ends
-        if type(a) is not str:
+        if type(a) is not str or not (a.isascii() or _utf8(a)):
             raise _string_error(f"edges[{i}].ends[0]", a)
-        if type(b) is not str:
+        if type(b) is not str or not (b.isascii() or _utf8(b)):
             raise _string_error(f"edges[{i}].ends[1]", b)
         qa, qb = q
         if type(qa) is not int or not _I64_MIN <= qa <= _I64_MAX:
@@ -209,7 +227,72 @@ def serialize(tree: DecoratedRootedTree) -> str:
         for q in e.q:
             if not (_I64_MIN <= q <= _I64_MAX):
                 raise ValueError(f"decoration {q} on {e} exceeds the file format range")
-    return json.dumps(to_document(tree), indent=2) + "\n"
+    return json_text(to_document(tree), sort_keys=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+#
+# On Python 3.11 `json.dumps` leaves its C encoder whenever `indent` is set
+# and writes every token through generators in Python, which cost about twice
+# what the loops below do.  The strings still go through the C quoting
+# function that `json.dumps` uses for `ensure_ascii`.
+
+_quote = json.encoder.encode_basestring_ascii
+
+# The text of a scalar by its exact type; a bool indexes the pair.
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def json_text(value: Any, *, sort_keys: bool) -> str:
+    """`json.dumps(value, indent=2, sort_keys=sort_keys)`, byte for byte, for
+    a value built of dicts with str keys, lists, strs, ints, bools and None,
+    each of exactly that type.  Any other type raises `TypeError`; a tuple
+    too, which `json.dumps` would write as a list.  Reports sort their keys;
+    `.ntree` documents keep theirs in document order.
+    """
+    chunks: list[str] = []
+    _write(value, "\n", sort_keys, chunks.append)
+    return "".join(chunks)
+
+
+def _write(value: Any, newline: str, sort_keys: bool, put) -> None:
+    text_of = _SCALAR_TEXT.get(type(value))
+    if text_of is not None:
+        put(text_of(value))
+        return
+    if type(value) is dict:
+        keys = sorted(value) if sort_keys else value
+        opening, closing = "{", "}"
+    elif type(value) is list:
+        keys = None
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        put(opening + closing)
+        return
+    inner = newline + "  "
+    sep, comma = opening + inner, "," + inner
+    for item in value if keys is None else keys:
+        if keys is not None:
+            if type(item) is not str:
+                raise TypeError(f"keys must be str, not {type(item).__name__}")
+            sep = f"{sep}{_quote(item)}: "
+            item = value[item]
+        text_of = _SCALAR_TEXT.get(type(item))
+        if text_of is None:
+            put(sep)
+            _write(item, inner, sort_keys, put)
+        else:
+            put(sep + text_of(item))
+        sep = comma
+    put(newline + closing)
 
 
 # ---------------------------------------------------------------------------

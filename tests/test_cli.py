@@ -79,6 +79,27 @@ def test_overlong_integer_exit_1(tmp_path, capsys):
         )
 
 
+def test_surrogate_cell_id_exit_1(tmp_path, capsys):
+    # T_D with v0 renamed to a lone surrogate, which is valid JSON but cannot
+    # be printed as UTF-8; the second file also makes validate name the id
+    text = (FIXTURES / "T_D.ntree").read_text().replace('"v0"', '"\\ud800"')
+    doc = json.loads(text)
+    for edge in doc["edges"]:
+        if "\ud800" in edge["ends"]:
+            edge["q"] = [4, 4]
+    plain, decorated = tmp_path / "plain.ntree", tmp_path / "decorated.ntree"
+    plain.write_text(text)
+    decorated.write_text(json.dumps(doc))
+    want = "root: expected a string encodable as UTF-8, got '\\ud800'\n"
+    argvs = [["validate", str(plain)], ["validate", str(decorated)]]
+    argvs += [["analyze", str(plain)], ["analyze", str(plain), "--format", "json"]]
+    argvs += [["dot", str(plain)], ["dot", str(plain), "--with-report"]]
+    for argv in argvs:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == want, argv
+
+
 def test_deeply_nested_json_exit_1(tmp_path, capsys):
     deep = tmp_path / "deep.ntree"
     deep.write_text("[" * 100000 + "]" * 100000)
@@ -345,6 +366,25 @@ def test_combs_z_flag(capsys):
     assert "not an initial vertex" in capsys.readouterr().err
     assert run(["analyze", str(FIXTURES / "T_D.ntree"), "--z", "w"]) == 2
     assert "not an initial vertex" in capsys.readouterr().err
+
+
+# sha256 over the stdout and exit code of `combs` on every fixture and on
+# generator seeds 0..99 at max_cells=40.
+PINNED_COMBS_SHA256 = "1d12a187186e490ab00ffb033280eaf80febc0de61892ea2606130313063e079"
+
+
+def test_combs_bytes_pinned(tmp_path, capsys):
+    paths = sorted(FIXTURES.glob("*.ntree"))
+    for seed in range(100):
+        path = tmp_path / f"seed{seed}.ntree"
+        path.write_text(serialize(generate(GeneratorConfig(seed=seed, max_cells=40))))
+        paths.append(path)
+    digest = hashlib.sha256()
+    for path in paths:
+        code = run(["combs", str(path)])
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        digest.update(f"\0exit {code}\0".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_COMBS_SHA256
 
 
 def test_audit_file(capsys):

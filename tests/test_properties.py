@@ -1,8 +1,13 @@
-"""Property-based checks over generated trees and the rational gcd."""
+"""Property-based checks over generated trees, the rational gcd and the JSON
+writer."""
 
+import json
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +16,7 @@ from newton_forest.classify_audit import audit_analysis, audit_failures, theorem
 from newton_forest.multiplicity import multiplicities
 from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F
 from newton_forest.report import Analysis
-from newton_forest.tree_io import fixture_corpus, parse, serialize
+from newton_forest.tree_io import fixture_corpus, json_text, parse, serialize
 from newton_forest.tree_model import Cell, build_tree, make_edge, validate_axioms
 
 TREE_SETTINGS = settings(
@@ -173,3 +178,46 @@ def test_renaming_changes_no_invariant():
         assert want[0]["failures"] == [], name
         for k, new_id in enumerate(bijections):
             assert _invariants(_renamed(tree, new_id)) == want[k], (name, k)
+
+
+# Strings with every kind of character the JSON writer must escape, lone
+# surrogates included (the default alphabet leaves out category Cs).
+_json_strings = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\ud800\udfffé€\U0001f600'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=8,
+)
+_DIGITS = sys.get_int_max_str_digits()  # the widest int json prints
+_json_ints = st.one_of(
+    st.integers(),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([10**_DIGITS - 1, 1 - 10**_DIGITS, 10 ** (_DIGITS - 1)]),
+)
+_json_documents = st.recursive(
+    st.one_of(_json_strings, _json_ints, st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_json_strings, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_documents)
+def test_json_text_matches_json_dumps(doc):
+    for sort_keys in (False, True):
+        assert json_text(doc, sort_keys=sort_keys) == json.dumps(
+            doc, indent=2, sort_keys=sort_keys
+        )
+
+
+def test_json_text_rejects_other_types():
+    # json.dumps writes a tuple as a list; the writer takes lists only
+    for bad in (Fraction(1, 2), 0.5, (1, 2)):
+        for doc in (bad, [1, bad], {"a": {"b": bad}}):
+            for sort_keys in (False, True):
+                with pytest.raises(TypeError):
+                    json_text(doc, sort_keys=sort_keys)

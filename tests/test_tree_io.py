@@ -152,6 +152,14 @@ PARSE_ERRORS = [
      "edges[1].q[1]: decoration -9223372036854775809 exceeds signed 64-bit range"),
     ([(("edges", 1, "zz"), 1), (("edges", 1, "w"), 2)],
      "edges[1]: unknown keys ['w', 'zz']"),
+    # ids that no UTF-8 output can carry: lone surrogates from JSON escapes
+    ([(("root",), "\ud800")], "root: expected a string encodable as UTF-8, got '\\ud800'"),
+    ([(("cells", 2, "id"), "u\udfff")],
+     "cells[2].id: expected a string encodable as UTF-8, got 'u\\udfff'"),
+    ([(("edges", 1, "ends", 0), "\ud800")],
+     "edges[1].ends[0]: expected a string encodable as UTF-8, got '\\ud800'"),
+    ([(("edges", 1, "ends", 1), "x\udbff")],
+     "edges[1].ends[1]: expected a string encodable as UTF-8, got 'x\\udbff'"),
     # two faults
     ([(("edges",), _DROP), (("extra",), 1)], "document: missing key 'edges'"),
     ([(("root",), None), (("cells",), None)], "root: expected a string, got None"),
@@ -180,6 +188,10 @@ PARSE_ERRORS = [
      "edges[0]: unknown keys ['extra']"),
     ([(("cells", 4), {"id": "u", "kind": "vertex"}), (("edges", 2, "q", 0), "x")],
      "edges[2].q[0]: expected an integer, got 'x'"),
+    ([(("cells", 3, "id"), "\udc00"), (("cells", 0, "decoration"), 7)],
+     "cells[0].decoration: expected 0 or 1, got 7"),
+    ([(("cells", 0, "id"), "\udc00"), (("edges", 0, "q", 0), 0.5)],
+     "cells[0].id: expected a string encodable as UTF-8, got '\\udc00'"),
 ]
 
 STRUCTURE_ERRORS = [
@@ -270,6 +282,12 @@ def test_parse_error_texts_pinned(error, edits, want):
         parse(_edited(edits))
     assert type(info.value) is error
     assert str(info.value) == want
+
+
+def test_parse_keeps_non_ascii_ids():
+    # an escaped surrogate pair is one character, which UTF-8 carries
+    text = _T_A_TEXT.replace('"v0"', '"\\u00e9\\ud83d\\ude00"')
+    assert parse(text).root == "\u00e9\U0001f600"
 
 
 def test_build_tree_arrow_decoration_text_pinned():
