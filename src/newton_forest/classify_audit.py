@@ -36,7 +36,7 @@ from .characteristic import (
 from .errors import InternalInconsistencyError
 from .multiplicity import source_multiplicities
 from .report import Analysis
-from .structure import _maximal_trivial_walk, comb_step, quotient_tree_H
+from .structure import comb_step, quotient_tree_H
 from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 
@@ -875,11 +875,7 @@ def _chk_sharp_bound(a: Analysis) -> list[str]:
 def _chk_trivial_chain_c(a: Analysis) -> list[str]:
     out = []
     per = a.ledger.per_vertex
-    script_N = set(per)
-    for start in sorted(script_N):
-        walk = _maximal_trivial_walk(a.tree, per, script_N, start)
-        if walk is None:
-            continue
+    for start, walk in a.struct.walks.items():
         want = Fraction(per[start].d, per[start].a)
         for i in range(1, len(walk)):
             e = a.tree.edge_between(walk[i], walk[i - 1])
@@ -905,10 +901,8 @@ def _chk_tooth_facts(a: Analysis) -> list[str]:
             out.append(f"tooth {u}|{e}")
     # A descending maximal trivial walk from a start of defect <= 0 qualifies
     # exactly when its far end has positive defect.
-    script_N = set(per)
-    for start in sorted(script_N):
-        walk = _maximal_trivial_walk(a.tree, per, script_N, start)
-        if walk is None or per[start].delta_tilde > 0:
+    for start, walk in a.struct.walks.items():
+        if per[start].delta_tilde > 0:
             continue
         if a.tree.less_than(walk[-1], walk[-2]):
             if (walk in a.struct.Gamma) != (per[walk[-1]].delta_tilde > 0):
@@ -936,19 +930,13 @@ def _chk_omega(a: Analysis) -> list[str]:
     per = a.ledger.per_vertex
     if len(st.Omega) > 2:
         out.append(f"|Omega|={len(st.Omega)}")
-    script_N = set(per)
-    spanning = None
-    for start in sorted(script_N):
-        walk = _maximal_trivial_walk(a.tree, per, script_N, start)
-        if walk is not None and per[walk[-1]].epsilon == 1:
-            spanning = walk
-            break
+    spanning = next((w for w in st.walks.values() if per[w[-1]].epsilon == 1), None)
     if len(st.Omega) == 2:
         if spanning is None:
             out.append("two loose ends without a spanning trivial chain")
         else:
             ends = {spanning[0], spanning[-1]}
-            if set(spanning) != script_N or st.Omega != ends:
+            if set(spanning) != set(per) or st.Omega != ends:
                 out.append("loose ends are not the chain ends")
             if any(per[x].delta_tilde > 0 for x in ends):
                 out.append("loose end with positive defect")
@@ -958,7 +946,7 @@ def _chk_omega(a: Analysis) -> list[str]:
         if len(st.Omega) > 1:
             out.append("no spanning chain but several loose ends")
         for z in sorted(st.Omega):
-            walk = _maximal_trivial_walk(a.tree, per, script_N, z)
+            walk = st.walks.get(z)
             if walk is None or not a.tree.less_than(walk[-2], walk[-1]):
                 out.append(f"maximal chain from {z!r} does not ascend")
     return out

@@ -35,7 +35,13 @@ from .errors import (
 )
 from .multiplicity import classify, source_multiplicities
 from .oracle_gen import GeneratorConfig, generate
-from .report import Analysis, ValidationFailedError, analysis_to_dict, render_text
+from .report import (
+    Analysis,
+    ValidationFailedError,
+    analysis_to_dict,
+    decompositions_to_dict,
+    render_text,
+)
 from .tree_io import export_dot, json_text, parse, serialize
 from .tree_model import iter_axiom_diagnostics
 
@@ -109,10 +115,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_combs(args) -> int:
     tree = _read_tree(args.file)
     analysis = Analysis.build(tree, z=args.z)
-    doc = analysis_to_dict(analysis)
     out = {
-        "In": doc["structure"]["In"],
-        "decompositions": doc["decompositions"],
+        "In": sorted(analysis.struct.In),
+        "decompositions": decompositions_to_dict(analysis),
     }
     print(json_text(out, sort_keys=True))
     return 0

@@ -10,8 +10,9 @@ takes the 2 - M - D route.
 The generator samples a skeleton of positive vertices with attachment plans,
 solves the one linear condition per dicritical (the decoration on its
 supporting edge that makes its multiplicity vanish), and keeps the tree only
-if the real validator and classifier accept it.  Everything is reproducible
-from the seed.  A fan plan is one root with dicriticals; chain, star and
+if the real validator and classifier accept it; the rational filter reads
+2 - M - D and the dicritical degrees off the engine too, not the oracles.
+Everything is reproducible from the seed.  A fan plan is one root with dicriticals; chain, star and
 random plans each draw only a list of parent indices, and `_decorated`
 turns that list into the plan, decorating the vertices in index order.
 
@@ -35,7 +36,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import GenerationError
-from .multiplicity import classify, source_multiplicities
+from .multiplicity import classify, multiplicities, source_multiplicities
 from .tree_model import (
     ARROW,
     VERTEX,
@@ -595,11 +596,9 @@ def generate(config: GeneratorConfig) -> DecoratedRootedTree:
         if tree is None:
             continue
         if config.rational:
-            degs = [
-                sum(1 for x in tree.neighbors(u) if x in tree.arrows1)
-                for u in sorted(_oracle_dicriticals(tree))
-            ]
-            if oracle_delta_tilde_N(tree) != 0 or gcd(*degs) != 1:
+            table = multiplicities(tree)
+            degs = classify(tree, table.N).degree.values()
+            if 2 - table.M_of_T - sum(degs) != 0 or gcd(*degs) != 1:
                 continue
         return tree
     raise GenerationError(MAX_ATTEMPTS, "no tree satisfied the filters")

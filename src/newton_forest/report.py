@@ -97,6 +97,44 @@ def _sorted_map(m: Mapping) -> dict:
     return {k: m[k] for k in sorted(m)}
 
 
+def decompositions_to_dict(analysis: Analysis) -> dict[str, Any]:
+    """The report's decompositions section: one entry per initial vertex."""
+    decomps = {}
+    for z in sorted(analysis.decompositions):
+        dec = analysis.decompositions[z]
+        classes = []
+        for i, cls in enumerate(dec.classes):
+            classes.append(
+                {
+                    "pairs": [_pair_key(p) for p in cls.pairs],
+                    "u": cls.u,
+                    "c_dot": cls.c_dot,
+                    "Y": sorted(cls.Y),
+                    "t": cls.t_count,
+                    "is_root_class": i == dec.c0_index,
+                }
+            )
+        entry: dict[str, Any] = {
+            "classes": classes,
+            "quotient_edges": [list(e) for e in dec.quotient_edges],
+        }
+        if dec.stats is not None:
+            s = dec.stats
+            entry["stats"] = {
+                "B": s.B,
+                "L": s.L,
+                "count_ds1": s.n1,
+                "count_ds2": s.n2,
+                "count_ds_gt2": s.n_gt2,
+                "T": s.T,
+                "x0": s.x0,
+                "x_C": list(s.x_C),
+                "H": s.H,
+            }
+        decomps[z] = entry
+    return decomps
+
+
 def analysis_to_dict(
     analysis: Analysis,
     audits: list | None = None,
@@ -154,40 +192,6 @@ def analysis_to_dict(
         "In": sorted(st.In),
     }
 
-    decomps = {}
-    for z in sorted(analysis.decompositions):
-        dec = analysis.decompositions[z]
-        classes = []
-        for i, cls in enumerate(dec.classes):
-            classes.append(
-                {
-                    "pairs": [_pair_key(p) for p in cls.pairs],
-                    "u": cls.u,
-                    "c_dot": cls.c_dot,
-                    "Y": sorted(cls.Y),
-                    "t": cls.t_count,
-                    "is_root_class": i == dec.c0_index,
-                }
-            )
-        entry: dict[str, Any] = {
-            "classes": classes,
-            "quotient_edges": [list(e) for e in dec.quotient_edges],
-        }
-        if dec.stats is not None:
-            s = dec.stats
-            entry["stats"] = {
-                "B": s.B,
-                "L": s.L,
-                "count_ds1": s.n1,
-                "count_ds2": s.n2,
-                "count_ds_gt2": s.n_gt2,
-                "T": s.T,
-                "x0": s.x0,
-                "x_C": list(s.x_C),
-                "H": s.H,
-            }
-        decomps[z] = entry
-
     doc: dict[str, Any] = {
         "tree": to_document(tree),
         "classification": {
@@ -214,7 +218,7 @@ def analysis_to_dict(
         "vertices": vertex_rows,
         "characteristic": char_rows,
         "structure": structure,
-        "decompositions": decomps,
+        "decompositions": decompositions_to_dict(analysis),
     }
     if classification is not None:
         doc["rational_structure"] = classification

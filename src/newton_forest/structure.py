@@ -2,12 +2,18 @@
 
 A chain hanging off the positive subtree is "trivial" when its interior
 vertices have exactly two positive neighbours and zero genus defect.  The
-qualifying chains (the set Gamma) define teeth, the vertex sets W / V / V-bar,
-the loose-end set Omega, the skeleton S, and per-vertex tooth counts.  On top
-of that, the comb relation partitions the skeleton pairs into totally ordered
-classes; the decomposition relative to an initial vertex carries per-class
-extremal pairs, the drop of the characteristic number, the covered vertex
-sets, the quotient tree and its shape statistics.
+structure ledger walks the maximal trivial chain out of each vertex of
+valency one once and keeps it (`walks`); the audit checks read those walks
+rather than walk again.  The qualifying chains (the set Gamma) define
+teeth, the vertex sets W / V / V-bar, the loose-end set Omega, the skeleton
+S, and per-vertex tooth counts.  On top of that, the comb relation
+partitions the skeleton pairs into totally ordered classes.  The
+decomposition relative to an initial vertex z comes from one breadth-first
+search over the skeleton from z: each skeleton vertex joins the class of
+its neighbour toward z when the comb step passes, and starts a class
+otherwise.  It carries per-class extremal pairs, the drop of the
+characteristic number, the covered vertex sets, the quotient tree and its
+shape statistics.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .tree_model import CellRef, DecoratedRootedTree, Edge
 @dataclass(frozen=True)
 class StructureLedger:
     Z: frozenset[CellRef]
+    # the maximal trivial walk from each vertex of valency one in the
+    # positive subtree, in id order of the starts
+    walks: Mapping[CellRef, tuple[CellRef, ...]]
     Gamma: tuple[tuple[CellRef, ...], ...]  # trivial chains, one per start
     W: frozenset[CellRef]
     V: Mapping[CellRef, frozenset[CellRef]]
@@ -64,35 +73,28 @@ def structure_ledger(
         z for z in script_N if per[z].epsilon == 1 and per[z].delta_tilde <= 0
     )
 
-    gamma: list[tuple[CellRef, ...]] = []
+    walks: dict[CellRef, tuple[CellRef, ...]] = {}
     for start in sorted(script_N):
         walk = _maximal_trivial_walk(tree, per, script_N, start)
-        if walk is None:
-            continue
-        descends = tree.less_than(walk[-1], walk[-2])
-        if per[start].delta_tilde <= 0 < ledger.delta_tilde(walk) and descends:
-            gamma.append(walk)
+        if walk is not None:
+            walks[start] = walk
+    gamma = [
+        w
+        for start, w in walks.items()
+        if per[start].delta_tilde <= 0 < ledger.delta_tilde(w)
+        and tree.less_than(w[-1], w[-2])
+    ]
 
+    V = {v: frozenset() for v in sorted(script_N)}
+    V_bar = {v: frozenset({v}) for v in sorted(script_N)}
+    for w in gamma:
+        V[w[-1]] |= {w[0]}
+        V_bar[w[-1]] |= frozenset(w)
     W = frozenset(w[-1] for w in gamma)
-    V: dict[CellRef, frozenset[CellRef]] = {}
-    V_bar: dict[CellRef, frozenset[CellRef]] = {}
-    for v in sorted(script_N):
-        mine = [w for w in gamma if w[-1] == v]
-        if mine:
-            V[v] = frozenset(w[0] for w in mine)
-            cells: set[CellRef] = set()
-            for w in mine:
-                cells.update(w)
-            V_bar[v] = frozenset(cells)
-        else:
-            V[v] = frozenset()
-            V_bar[v] = frozenset({v})
 
-    Omega = frozenset(Z - set().union(*(V[w] for w in W)) if W else Z)
+    Omega = Z.difference(*V.values())
     is_brush = any(V_bar[w] == script_N for w in W)
-    S = frozenset(
-        script_N - set().union(*((V_bar[w] - {w}) for w in W)) if W else script_N
-    )
+    S = frozenset(script_N).difference(*(V_bar[w] - {w} for w in W))
 
     gamma_edges: set[Edge] = set()
     for w in gamma:
@@ -116,6 +118,7 @@ def structure_ledger(
 
     return StructureLedger(
         Z=Z,
+        walks=walks,
         Gamma=tuple(sorted(gamma)),
         W=W,
         V=V,
@@ -208,59 +211,54 @@ def comb_decomposition(
     """Decompose the skeleton pairs pointing at `z` into comb classes.
 
     The classes are produced by joining skeleton-adjacent pairs that pass the
-    single-step comb test.  Their agreement with the pairwise comb relation
-    is checked by the audit check `comb-relation`, and the statistics
-    identity by `comb-decomposition`.
+    single-step comb test, and listed by the distance of their nearest
+    vertex from `z`, ties by least cell id.  Their agreement with the
+    pairwise comb relation is checked by the audit check `comb-relation`,
+    and the statistics identity by `comb-decomposition`.
     """
     if z not in struct.In:
         raise NotInitialVertexError(f"{z!r} is not an initial vertex")
 
-    S = struct.S
-    members = sorted(S - {z})
+    # One breadth-first search from z over the skeleton, a subtree (the
+    # check `skeleton-facts` holds it connected), gives each skeleton vertex
+    # its neighbour toward z and its distance from z.  In search order,
+    # every vertex comes after its neighbour toward z.
+    toward_z: dict[CellRef, CellRef] = {}
+    dist = {z: 0}
+    order = [z]
+    for c in order:
+        for d in tree.neighbors(c):
+            if d in struct.S and d not in dist:
+                toward_z[d] = c
+                dist[d] = dist[c] + 1
+                order.append(d)
+    members = order[1:]
     if not members:
         return CombDecomposition(
             z=z, O=(), classes=(), c0_index=None, quotient_edges=(), stats=None
         )
+    pair_of = {u: (u, tree.edge_between(u, toward_z[u])) for u in members}
+    O = tuple(sorted(pair_of.values()))
 
-    toward_z: dict[CellRef, CellRef] = {}
-    pair_of: dict[CellRef, Pair] = {}
-    for u in members:
-        nxt = tree.path(u, z)[1]
-        toward_z[u] = nxt
-        pair_of[u] = (u, tree.edge_between(u, nxt))
-    O = tuple(pair_of[u] for u in members)
-
-    # Union-find over the skeleton vertices away from z.
-    parent_uf: dict[CellRef, CellRef] = {u: u for u in members}
-
-    def find(x: CellRef) -> CellRef:
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    def union(x: CellRef, y: CellRef) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent_uf[ry] = rx
-
+    # The comb relation joins a vertex only to its neighbour toward z, whose
+    # class is settled by then: join it, or start a class of its own.
+    run_of: dict[CellRef, list[CellRef]] = {}
+    runs: list[list[CellRef]] = []
     for u in members:
         p = toward_z[u]
-        if p == z:
-            continue
-        if comb_step(ledger, chars, struct, pair_of[u], pair_of[p]):
-            union(u, p)
+        if p != z and comb_step(ledger, chars, struct, pair_of[u], pair_of[p]):
+            run = run_of[p]
+            run.append(u)
+        else:
+            run = [u]
+            runs.append(run)
+        run_of[u] = run
+    runs.sort(key=lambda r: (dist[r[0]], min(r)))
 
-    groups: dict[CellRef, list[CellRef]] = {}
-    for u in members:
-        groups.setdefault(find(u), []).append(u)
-
-    dist = {u: len(tree.path(z, u)) for u in members}
+    class_index_of = {u: i for i, run in enumerate(runs) for u in run}
     classes: list[CombClass] = []
-    class_index_of: dict[CellRef, int] = {}
-    for key in sorted(groups, key=lambda k: min(dist[u] for u in groups[k])):
-        us = sorted(groups[key], key=lambda u: dist[u])
-        pairs = tuple(pair_of[u] for u in us)
+    for run in runs:
+        pairs = tuple(pair_of[u] for u in run)
         least, greatest = pairs[0], pairs[-1]
         c_drop = chars.pairs[least].c - chars.pairs[greatest].c
         u_C = greatest[0]
@@ -268,13 +266,10 @@ def comb_decomposition(
             struct.V_bar[u_C]
             | (chars.pairs[greatest].n_side - chars.pairs[least].n_side)
         )
-        t_count = sum(1 for u in us[:-1] if struct.t[u] > 0)
-        idx = len(classes)
+        t_count = sum(1 for u in run[:-1] if struct.t[u] > 0)
         classes.append(
             CombClass(pairs=pairs, c_dot=int(c_drop), Y=Y, t_count=t_count)
         )
-        for u in us:
-            class_index_of[u] = idx
 
     z_prime = [u for u in members if toward_z[u] == z]
     if len(z_prime) != 1:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -77,6 +78,17 @@ def test_generate_rational_filter():
     assert a.glob.delta_tilde_N == 0
     degs = [a.info.degree[u] for u in sorted(a.glob.script_D)]
     assert math.gcd(*degs) == 1
+
+
+def test_generator_rational_pinned():
+    """The seed->tree mapping of the rational filter: seeds 0..199 at 40 cells."""
+    digest = hashlib.sha256()
+    for seed in range(200):
+        tree = generate(GeneratorConfig(seed=seed, max_cells=40, rational=True))
+        digest.update(serialize(tree).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "f18cfd0bab2a479eca2131d8a33a43b1cb3d9de6ace0ad07f9106a668345855e"
+    )
 
 
 def test_generation_budget_error():

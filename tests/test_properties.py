@@ -1,6 +1,7 @@
 """Property-based checks over generated trees, the rational gcd and the JSON
 writer."""
 
+import hashlib
 import json
 import random
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from newton_forest.characteristic import rational_divides, rational_gcd
 from newton_forest.classify_audit import audit_analysis, audit_failures, theorem_audit
+from newton_forest.cli import run
 from newton_forest.multiplicity import multiplicities
 from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F
 from newton_forest.report import Analysis
@@ -178,6 +180,33 @@ def test_renaming_changes_no_invariant():
         assert want[0]["failures"] == [], name
         for k, new_id in enumerate(bijections):
             assert _invariants(_renamed(tree, new_id)) == want[k], (name, k)
+
+
+# sha256 over the stdout and exit code of `combs` on generator seeds 0..199
+# at max_cells=40 and 0..39 at max_cells=120, max_dicritical_degree=6, each
+# tree with its cell ids shuffled.  Comb classes whose nearest vertices lie
+# equally far from z are listed by their least cell id.  Generated ids follow
+# depth, so only shuffled ids tell that order from the search order (seed 15
+# at 120 cells does).
+PINNED_RELABELED_COMBS_SHA256 = "58475f6ee622025f46bb53de2ed334312ae9595328a49014fef0de8ef6729fd0"
+
+
+def test_relabeled_combs_pinned(tmp_path, capsys):
+    configs = [GeneratorConfig(seed=s, max_cells=40) for s in range(200)]
+    configs += [
+        GeneratorConfig(seed=s, max_cells=120, max_dicritical_degree=6)
+        for s in range(40)
+    ]
+    path = tmp_path / "relabeled.ntree"
+    digest = hashlib.sha256()
+    for config in configs:
+        tree = generate(config)
+        shuffle = _bijections(tree, f"seed {config.seed} at {config.max_cells}")[0]
+        path.write_text(serialize(_renamed(tree, shuffle)))
+        code = run(["combs", str(path)])
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        digest.update(f"\0exit {code}\0".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_RELABELED_COMBS_SHA256
 
 
 # Strings with every kind of character the JSON writer must escape, lone
