@@ -6,8 +6,10 @@ the path from u' to u traverses e but not e'.  P lives in one place,
 `CharacteristicTable`: its `pairs` hold P in the poset's listing order,
 each pair with its n-side, and `precedes` reads the order from the
 n-sides.  The characteristic number c(u, e) is defined by induction over
-this poset via gcds of rationals; the derived quantities M, p, p', eta, R
-and Delta-bar all live here.  For e = {u, v}, p = F(u->v) and p' = F(v->u)
+this poset via gcds of rationals, and `characteristic_numbers` builds the
+table by that induction: each pair's c, n-side and side defect come from
+the pairs just below it.  The derived quantities M, p, p', eta, R and
+Delta-bar all live here.  For e = {u, v}, p = F(u->v) and p' = F(v->u)
 are read from the multiplicity table.
 For a set A of arrows, `node_h_products` gives h(w,A) and h-hat(w,A) for
 every vertex w in one O(n) walk outward from the hull of A; the oracle
@@ -145,80 +147,61 @@ class CharacteristicTable:
 def characteristic_numbers(
     tree: DecoratedRootedTree, table: MultiplicityTable, ledger: VertexLedger
 ) -> CharacteristicTable:
-    """Characteristic numbers and their derived quantities, bottom-up over
-    the pair poset.  That c divides N, p and p' (so M = N/c is a positive
-    integer) is a theorem for valid minimally complete trees; the audit
-    check `characteristic-divisibility` owns it."""
+    """Characteristic numbers and their derived quantities, by induction over
+    the pair poset: the pairs just below (u, e) are the other pairs at the
+    far end u0 of e.  The positive vertices form a subtree holding the root
+    (audited by `multiplicity-connected` and `root-facts`), so one pass up
+    the breadth-first order settles the pairs whose edge leads away from the
+    root, and one pass down the rest.  That c divides N, p and p' (so M = N/c
+    is a positive integer) is a theorem for valid minimally complete trees;
+    the audit check `characteristic-divisibility` owns it."""
     per = ledger.per_vertex
-    script_N = set(per)
-    elements = [
-        (u, e)
-        for u in sorted(script_N)
-        for e in tree.incident_edges(u)
-        if e.other(u) in script_N
-    ]
-
-    preds: dict[Pair, tuple[Pair, ...]] = {}  # immediate predecessors
-    n_sides: dict[Pair, frozenset[CellRef]] = {}
-    for u, e in elements:
-        u0 = e.other(u)
-        preds[(u, e)] = tuple(
-            (u0, tree.edge_between(u0, n))
-            for n in sorted(tree.neighbors(u0))
-            if n != u and n in script_N
+    edges_at = {  # script-E, which the induction reads
+        u: tuple(e for e in tree.incident_edges(u) if e.other(u) in per)
+        for u in sorted(per)
+    }
+    parent_edge = tree._parent_edge
+    order = [u for u in tree._order if u in per]  # every parent before its children
+    if order and (
+        order[0] != tree.root
+        or any(parent_edge[u].other(u) not in per for u in order[1:])
+    ):
+        raise InternalInconsistencyError(
+            "the positive vertices do not form a subtree holding the root"
         )
-        # Everything on the far side of e, by flood fill from u0 away from u.
-        beyond = {u0}
-        stack = [u0]
-        while stack:
-            c = stack.pop()
-            for n in tree.neighbors(c):
-                if n not in beyond and not (c == u0 and n == u):
-                    beyond.add(n)
-                    stack.append(n)
-        n_sides[(u, e)] = frozenset(beyond & script_N)
 
-    c_of: dict[Pair, Rational] = {}
-    # Predecessor n-sides are strictly smaller, so size order is evaluation order.
-    for pair in sorted(elements, key=lambda p: (len(n_sides[p]), p[0], p[1])):
-        u, e = pair
+    found: dict[Pair, PairData] = {}
+    defect: dict[Pair, int] = {}  # genus defect of the n-side
+
+    def settle(u: CellRef, e: Edge) -> None:
         u0 = e.other(u)
-        a0 = per[u0].a
-        d0 = per[u0].d
-        if not preds[pair]:
-            c_of[pair] = Fraction(d0, a0)
-        else:
-            values = [Fraction(d0)] + [c_of[p] for p in preds[pair]]
+        below = [(u0, f) for f in edges_at[u0] if f != e]
+        d0, a0 = per[u0].d, per[u0].a
+        if below:
+            values = [Fraction(d0)] + [found[p].c for p in below]
             if any(v == 0 for v in values):
                 raise InternalInconsistencyError("zero fed to a characteristic gcd")
-            c_of[pair] = rational_gcd(values) / a0
-
-    pairs: dict[Pair, PairData] = {}
-    # script-E: the positive-subtree edges at u are those of u's pairs
-    edges_at: dict[CellRef, list[Edge]] = {u: [] for u in sorted(per)}
-    for pair in elements:
-        u, e = pair
-        edges_at[u].append(e)
-        v = e.other(u)
-        c = c_of[pair]
-        M = int(table.N[u] / c)
-
-        n_side = n_sides[pair]
-        dt = ledger.delta_tilde(n_side)
-        eta = Fraction(dt) - (1 - c)
-        pairs[pair] = PairData(
+            c = rational_gcd(values) / a0
+        else:
+            c = Fraction(d0, a0)
+        dt = defect[u, e] = per[u0].delta_tilde + sum(defect[p] for p in below)
+        found[u, e] = PairData(
             c=c,
-            M=M,
-            p=table.F[u, v],
-            p_prime=table.F[v, u],
-            eta=eta,
+            M=int(table.N[u] / c),
+            p=table.F[u, u0],
+            p_prime=table.F[u0, u],
+            eta=Fraction(dt) - (1 - c),
             nonpositive=dt <= 0,
-            n_side=n_side,
+            n_side=frozenset([u0]).union(*(found[p].n_side for p in below)),
         )
 
+    for u0 in reversed(order[1:]):  # edges leading away from the root
+        settle(parent_edge[u0].other(u0), parent_edge[u0])
+    for u in order[1:]:  # edges leading toward it
+        settle(u, parent_edge[u])
     return CharacteristicTable(
-        pairs=pairs,
-        edges_at={u: tuple(es) for u, es in edges_at.items()},
+        pairs={(u, e): found[u, e] for u, es in edges_at.items() for e in es},
+        edges_at=edges_at,
     )
 
 

@@ -104,7 +104,7 @@ def _full_report(tree, z):
 def _cmd_analyze(args) -> int:
     tree = _read_tree(args.file)
     analysis, audits, classification = _full_report(tree, z=args.z)
-    doc = analysis_to_dict(analysis, audits=audits, classification=classification)
+    doc = analysis_to_dict(analysis, audits, classification)
     if args.format == "json":
         print(json_text(doc, sort_keys=True))
     else:

@@ -21,8 +21,9 @@ clauses that read no support (coprimality near each skeleton vertex, and
 the determinant of each skeleton edge); solve the supports on the plan;
 screen the supports on the clauses that read them (coprimality near each
 dicritical, and the determinant of its supporting edge); assemble the
-tree; and `_screen` it with `validate_axioms` and `classify`.  `_screen` is
-the gate: every tree returned passes it.  Both screens draw nothing from
+tree; and `_screen` it with `validate_axioms` and `classify`, and with the
+rational filter on the same table and classification.  `_screen` is the
+gate: every tree returned passes it.  Both screens draw nothing from
 the RNG and reject only what `_screen` would reject on the same clause, so
 they change neither the attempt count nor the seed->tree mapping.
 """
@@ -36,7 +37,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import GenerationError
-from .multiplicity import classify, multiplicities, source_multiplicities
+from .multiplicity import classify, multiplicities
 from .tree_model import (
     ARROW,
     VERTEX,
@@ -438,7 +439,7 @@ def _attempt(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | 
     supports = _solve_supports(plan)
     if supports is None or not _support_screen(plan, supports):
         return None
-    return _screen(_assemble(plan, supports))
+    return _screen(_assemble(plan, supports), cfg)
 
 
 def _slot_contributions(
@@ -535,7 +536,7 @@ def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTr
         cells.append(Cell(f"t1_{r}", ARROW, 1))
         edges.append(make_edge("u1_0", 1, f"t1_{r}", 1))
     tree = build_tree(cells, edges, "v0")
-    return _screen(tree)
+    return _screen(tree, cfg)
 
 
 def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | None:
@@ -571,15 +572,20 @@ def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedT
         cells.append(Cell(f"t{i}_1_0", ARROW, 1))
         edges.append(make_edge(um, 1, f"t{i}_1_0", 1))
     tree = build_tree(cells, edges, "v0")
-    return _screen(tree)
+    return _screen(tree, cfg)
 
 
-def _screen(tree: DecoratedRootedTree) -> DecoratedRootedTree | None:
+def _screen(tree: DecoratedRootedTree, cfg: GeneratorConfig) -> DecoratedRootedTree | None:
     if validate_axioms(tree):
         return None
-    N = source_multiplicities(tree, tree.arrows1)[0]
-    if not classify(tree, N).minimally_complete:
+    table = multiplicities(tree)
+    info = classify(tree, table.N)
+    if not info.minimally_complete:
         return None
+    if cfg.rational:
+        degs = info.degree.values()
+        if 2 - table.M_of_T - sum(degs) != 0 or gcd(*degs) != 1:
+            return None
     return tree
 
 
@@ -593,12 +599,6 @@ def generate(config: GeneratorConfig) -> DecoratedRootedTree:
     rng = random.Random(config.seed)
     for _ in range(MAX_ATTEMPTS):
         tree = _attempt(rng, config)
-        if tree is None:
-            continue
-        if config.rational:
-            table = multiplicities(tree)
-            degs = classify(tree, table.N).degree.values()
-            if 2 - table.M_of_T - sum(degs) != 0 or gcd(*degs) != 1:
-                continue
-        return tree
+        if tree is not None:
+            return tree
     raise GenerationError(MAX_ATTEMPTS, "no tree satisfied the filters")

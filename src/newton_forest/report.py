@@ -136,10 +136,10 @@ def decompositions_to_dict(analysis: Analysis) -> dict[str, Any]:
 
 
 def analysis_to_dict(
-    analysis: Analysis,
-    audits: list | None = None,
-    classification: Any = None,
+    analysis: Analysis, audits: list, classification: dict[str, Any] | None
 ) -> dict[str, Any]:
+    """The full report: every section, the audit verdicts, and the rational
+    structure report when the tree is rational (`classification` not None)."""
     tree = analysis.tree
     per = analysis.ledger.per_vertex
     g = analysis.glob
@@ -222,11 +222,10 @@ def analysis_to_dict(
     }
     if classification is not None:
         doc["rational_structure"] = classification
-    if audits is not None:
-        doc["audit"] = [
-            {"check": r.check_id, "passed": r.passed, "witness": r.witness}
-            for r in audits
-        ]
+    doc["audit"] = [
+        {"check": r.check_id, "passed": r.passed, "witness": r.witness}
+        for r in audits
+    ]
     return doc
 
 

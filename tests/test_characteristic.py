@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,12 +6,17 @@ import pytest
 
 from newton_forest.characteristic import (
     R_of,
+    characteristic_numbers,
     delta_bar,
     node_h_products,
     path_dead_end_product,
     rational_divides,
     rational_gcd,
 )
+from newton_forest.cli import run
+from newton_forest.errors import InternalInconsistencyError
+from newton_forest.local_invariants import VertexLedger, vertex_ledger
+from newton_forest.multiplicity import classify, multiplicities
 from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate, oracle_h
 from newton_forest.report import Analysis
 from newton_forest.tree_io import (
@@ -19,7 +25,9 @@ from newton_forest.tree_io import (
     fixture_T_B,
     fixture_T_C,
     fixture_T_D,
+    serialize,
 )
+from newton_forest.tree_model import DecoratedRootedTree
 
 
 def test_rational_gcd_basic():
@@ -246,3 +254,80 @@ def test_monotonicity_on_chain():
             if a.chars.precedes(bot, top):
                 assert a.chars.pairs[top].c <= a.chars.pairs[bot].c
                 assert a.chars.pairs[top].eta >= a.chars.pairs[bot].eta
+
+
+def _table_text(chars):
+    """Every pair in listing order with all its data, then script-E."""
+    rows = [
+        f"{u}|{e} {d.c} {d.M} {d.p} {d.p_prime} {d.eta} {d.nonpositive} "
+        f"{sorted(d.n_side)}"
+        for (u, e), d in chars.pairs.items()
+    ]
+    rows += [f"{u}: {' '.join(map(str, es))}" for u, es in chars.edges_at.items()]
+    return "\n".join(rows) + "\n"
+
+
+# sha256 over `_table_text` of the characteristic table of every fixture,
+# generator seeds 0..49 at max_cells=40 and corpus B seeds 0..11, taken from
+# the flood-fill construction the induction replaced.
+PINNED_TABLES_SHA256 = "247acd60910b7b9aea2b0c6339510d2b4abf32800969f1b065ed71e7649eab02"
+
+
+def test_induction_walks_no_paths(monkeypatch):
+    # the table comes from the breadth-first order and script-E alone: no
+    # neighbour list, path or edge lookup per pair
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(50)]
+    trees += [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(12)
+    ]
+    inputs = []
+    for tree in trees:
+        table = multiplicities(tree)
+        inputs.append((tree, table, vertex_ledger(tree, table, classify(tree, table.N))))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the induction walked the tree")
+
+    for name in ("neighbors", "path", "edge_between"):
+        monkeypatch.setattr(DecoratedRootedTree, name, refused)
+    digest = hashlib.sha256()
+    for args in inputs:
+        digest.update(_table_text(characteristic_numbers(*args)).encode("utf-8"))
+    assert digest.hexdigest() == PINNED_TABLES_SHA256
+
+
+def test_induction_needs_a_positive_subtree_holding_the_root(
+    tmp_path, monkeypatch, capsys
+):
+    # seed 34 has the positive chain v0 - v1 - v2 under the root v0
+    tree = generate(GeneratorConfig(seed=34, max_cells=40))
+    table = multiplicities(tree)
+    ledger = vertex_ledger(tree, table, classify(tree, table.N))
+    assert sorted(ledger.per_vertex) == ["v0", "v1", "v2"]
+    assert tree.path("v0", "v2") == ("v0", "v1", "v2")
+
+    def without(cell):
+        return VertexLedger(
+            per_vertex={v: d for v, d in ledger.per_vertex.items() if v != cell}
+        )
+
+    for cell in ("v0", "v1"):
+        with pytest.raises(InternalInconsistencyError, match="subtree"):
+            characteristic_numbers(tree, table, without(cell))
+
+    # through the command line it is exit 3, with no traceback
+    import newton_forest.report as report
+
+    monkeypatch.setattr(
+        report,
+        "characteristic_numbers",
+        lambda tree, table, ledger: characteristic_numbers(tree, table, without("v1")),
+    )
+    path = tmp_path / "seed34.ntree"
+    path.write_text(serialize(tree))
+    assert run(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: the positive vertices")

@@ -27,15 +27,86 @@ def test_validate_ok(capsys):
     assert "minimally complete" in capsys.readouterr().out
 
 
-def test_validate_diagnostics_exit_1(tmp_path, capsys):
+def _axiom_breaking(tmp_path) -> str:
+    """T_A with the root's decoration on {u, v0} set to 2, against axiom 3."""
     doc = json.loads((FIXTURES / "T_A.ntree").read_text())
     for e in doc["edges"]:
         if sorted(e["ends"]) == ["u", "v0"]:
             e["q"] = [2, 0] if e["ends"][0] == "v0" else [0, 2]
     bad = tmp_path / "bad.ntree"
     bad.write_text(json.dumps(doc))
-    assert run(["validate", str(bad)]) == 1
+    return str(bad)
+
+
+def test_validate_diagnostics_exit_1(tmp_path, capsys):
+    assert run(["validate", _axiom_breaking(tmp_path)]) == 1
     assert "axiom 3" in capsys.readouterr().out
+
+
+def test_analysis_commands_reject_axiom_violations(tmp_path, capsys):
+    # every command that builds an analysis stops at validation: exit 1, the
+    # diagnostics on stderr and nothing on stdout
+    bad = _axiom_breaking(tmp_path)
+    for argv in (
+        ["analyze", bad],
+        ["analyze", bad, "--format", "json"],
+        ["combs", bad],
+        ["audit", bad],
+        ["dot", bad, "--with-report"],
+    ):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == (
+            "axiom 3 at ({u,v0}, v0): decoration near root is 2, not 1\n"
+        ), argv
+
+
+def test_audit_without_file_or_gen_exit_2(capsys):
+    assert run(["audit"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "audit: give a file or --gen N\n"
+
+
+def test_validate_prints_weaker_classifications(tmp_path, capsys):
+    # v0 -(1, q)- u, with a dead end and a (1)-arrow at u and a dead end
+    # decorated 1 at v0; q sets N(u) = q
+    reasons = {
+        -3: [
+            "vertex 'u' has negative multiplicity -3",
+            "(1)-arrow 't1' is not adjacent to a dicritical",
+            "dead end decorated 1 at non-dicritical 'u'",
+            "dead end decorated 1 at non-dicritical 'v0'",
+        ],
+        0: ["dead end decorated 1 at non-dicritical 'v0'"],
+    }
+    for q, line in (
+        (-3, "valid axioms (not generic)"),
+        (0, "complete (not minimally complete)"),
+    ):
+        tree = build_tree(
+            [
+                Cell("v0", VERTEX),
+                Cell("u", VERTEX),
+                Cell("o0", ARROW, 0),
+                Cell("o1", ARROW, 0),
+                Cell("t1", ARROW, 1),
+            ],
+            [
+                make_edge("v0", 1, "u", q),
+                make_edge("v0", 1, "o0", 1),
+                make_edge("u", 1, "o1", 1),
+                make_edge("u", 1, "t1", 1),
+            ],
+            "v0",
+        )
+        path = tmp_path / f"q{q}.ntree"
+        path.write_text(serialize(tree))
+        assert run(["validate", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [line] + [f"  - {r}" for r in reasons[q]]
+        assert captured.err == ""
 
 
 def test_usage_error_exit_2(capsys):
@@ -463,6 +534,48 @@ def test_dot_bytes_pinned(capsys):
             digest.update(capsys.readouterr().out.encode("utf-8"))
             digest.update(f"\0exit {code}\0".encode("utf-8"))
     assert digest.hexdigest() == PINNED_DOT_SHA256
+
+
+# `dot` on T_D with the dead end `ow` renamed `zow`, which sorts after its
+# vertex `w`, so the arrow is the second end of its edge.
+DOT_T_D_ZOW = """\
+digraph ntree {
+  graph [rankdir=LR];
+  node [fontsize=10];
+  edge [dir=none, fontsize=8];
+  "ou" [shape=none, label="(0)"];
+  "t1" [shape=none, label="(1)"];
+  "t2" [shape=none, label="(1)"];
+  "t3" [shape=none, label="(1)"];
+  "u" [shape=circle, style=filled, fillcolor=black, fontcolor=white, label="u\\nN=0"];
+  "v0" [shape=circle, label="v0\\nN=6"];
+  "w" [shape=circle, label="w\\nN=6"];
+  "zow" [shape=none, label="(0)"];
+  "u" -> "ou" [taillabel="1", headlabel="1", dir=forward, arrowhead=normal];
+  "u" -> "t1" [taillabel="1", headlabel="1", dir=forward, arrowhead=normal];
+  "u" -> "t2" [taillabel="1", headlabel="1", dir=forward, arrowhead=normal];
+  "u" -> "t3" [taillabel="1", headlabel="1", dir=forward, arrowhead=normal];
+  "u" -> "w" [taillabel="0", headlabel="1"];
+  "v0" -> "w" [taillabel="1", headlabel="1"];
+  "w" -> "zow" [taillabel="2", headlabel="1", dir=forward, arrowhead=normal];
+}
+"""
+
+
+def test_dot_arrow_sorting_after_its_vertex(tmp_path, capsys):
+    text = (FIXTURES / "T_D.ntree").read_text()
+    assert text.count('"ow"') == 2
+    path = tmp_path / "zow.ntree"
+    path.write_text(text.replace('"ow"', '"zow"'))
+    for extra in ([], ["--with-report"]):
+        assert run(["dot", str(FIXTURES / "T_D.ntree")] + extra) == 0
+        renamed = capsys.readouterr().out.replace('"ow"', '"zow"')
+        assert run(["dot", str(path)] + extra) == 0
+        out = capsys.readouterr().out
+        if not extra:
+            assert out == DOT_T_D_ZOW
+        # the same lines as T_D's, in the order of the new ids
+        assert sorted(out.splitlines()) == sorted(renamed.splitlines())
 
 
 def test_dot_escapes_cell_ids(tmp_path, capsys):

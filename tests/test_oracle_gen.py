@@ -91,6 +91,23 @@ def test_generator_rational_pinned():
     )
 
 
+def test_rational_filter_reads_the_screen(monkeypatch):
+    """The rational filter tests 2 - M - D and the degree gcd on the table
+    and classification that `_screen` computed: one `multiplicities` and one
+    `classify` call per screened tree."""
+    calls = {"validate_axioms": 0, "multiplicities": 0, "classify": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(og, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(og, name, counted)
+    for seed in range(50):
+        generate(GeneratorConfig(seed=seed, max_cells=40, rational=True))
+    assert calls == {"validate_axioms": 175, "multiplicities": 175, "classify": 175}
+
+
 def test_generation_budget_error():
     # no attempt of any mode fits in 3 cells, so the whole budget is spent
     with pytest.raises(GenerationError) as err:
@@ -147,7 +164,7 @@ def test_plan_screen_is_sound():
         if supports is None:
             continue
         tree = og._assemble(plan, supports)
-        assert og._screen(tree) is None, (seed, k)
+        assert og._screen(tree, GeneratorConfig(seed=seed)) is None, (seed, k)
         assert {d.axiom_id for d in validate_axioms(tree)} & {5, 6}, (seed, k)
     assert rejected > 600 and passed > 300, (rejected, passed)
 
@@ -197,7 +214,7 @@ def test_support_screen_is_sound():
             assert validate_axioms(tree) == [], (seed, k)
             continue
         rejected += 1
-        assert og._screen(tree) is None, (seed, k)
+        assert og._screen(tree, GeneratorConfig(seed=seed)) is None, (seed, k)
         assert any(
             d.axiom_id in (5, 6) and _dicritical_cells(d) for d in validate_axioms(tree)
         ), (seed, k)
