@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Iterable
 
 from .characteristic import (
-    Pair,
     R_of,
     delta_bar,
     node_h_products,
@@ -36,7 +35,7 @@ from .characteristic import (
 from .errors import InternalInconsistencyError
 from .multiplicity import source_multiplicities
 from .report import Analysis
-from .structure import comb_step, quotient_tree_H
+from .structure import quotient_tree_H
 from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 
@@ -342,10 +341,12 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
     for i in range(1, n - 1):
         v = chain[i]
         f = tree.edge_between(v, chain[i - 1])
-        eps = per[v].epsilon
-        r1 = R_of(analysis.ledger, analysis.chars, v, [f])
-        ok = eps in (2, 3) and (r1 < 1 if eps == 2 else r1 == 0)
-        _clause(clauses, "interior-comb", ok, f"{v!r}: epsilon={eps}, R={r1}")
+        if (v, f) in st.combs:
+            _clause(clauses, "interior-comb", True)
+        else:
+            r1 = R_of(analysis.ledger, analysis.chars, v, [f])
+            _clause(clauses, "interior-comb", False,
+                    f"{v!r}: epsilon={per[v].epsilon}, R={r1}")
         _clause(clauses, "interior-epsilon-prime", per[v].epsilon_prime <= 3,
                 f"{v!r}: epsilon'={per[v].epsilon_prime}")
 
@@ -700,12 +701,10 @@ def _gate_root_degree(a: Analysis) -> bool:
 def _chk_root_degree(a: Analysis) -> list[str]:
     delta = a.tree.valency(a.tree.root)
     dt = a.glob.delta_tilde_N
+    # This is also delta <= (3 + sqrt(1 + 4 dt)) / 2, since
+    # (2 delta - 3)^2 = 4 (delta - 1)(delta - 2) + 1.
     if dt < (delta - 1) * (delta - 2):
         return [f"defect {dt} < ({delta}-1)({delta}-2)"]
-    if dt >= 0 and 2 * delta > 3 + isqrt(1 + 4 * dt) + 1:
-        # integer-safe form of delta <= (3 + sqrt(1+4*dt)) / 2
-        if (2 * delta - 3) ** 2 > 1 + 4 * dt:
-            return [f"root valency {delta} too large for defect {dt}"]
     return []
 
 
@@ -1164,37 +1163,26 @@ def _chk_decompositions(a: Analysis) -> list[str]:
 
 def _chk_comb_relation(a: Analysis) -> list[str]:
     # Two pairs share a class exactly when the upper one is a comb over the
-    # lower one, for every two pairs of the decomposition.  The upper pair is
-    # a comb over the lower one when every step of the chain between them
-    # passes `comb_step`.  The chain is read off the tree path, not off the
-    # decomposition, and each step is tested at most once.
+    # lower one, for every two pairs of the decomposition.  The pairs below
+    # (u, e) lie on the tree path from u to z, and (u, e) is a comb over
+    # each of them down to the first pair on the path not in `struct.combs`.
+    # The chains are read off the tree, not off the decomposition.
     out = []
-    chars = a.chars
-    passes: dict[tuple[Pair, Pair], bool] = {}
-
-    def step(upper: Pair, pair: Pair) -> bool:
-        if (upper, pair) not in passes:
-            passes[upper, pair] = comb_step(a.ledger, chars, a.struct, upper, pair)
-        return passes[upper, pair]
-
-    def comb_over(top: Pair, bottom: Pair) -> bool:
-        path = a.tree.path(top[0], bottom[0])
-        chain = [(w, a.tree.edge_between(w, n)) for w, n in zip(path, path[1:])]
-        chain.append(bottom)
-        return all(step(upper, pair) for upper, pair in zip(chain, chain[1:]))
-
+    combs = a.struct.combs
     for z in sorted(a.decompositions):
         dec = a.decompositions[z]
         class_of = {p: i for i, cls in enumerate(dec.classes) for p in cls.pairs}
+        related: set[tuple[CellRef, CellRef]] = set()
+        for q in dec.O:
+            path = a.tree.path(q[0], z)
+            for w, n in zip(path[1:], path[2:]):
+                if (w, a.tree.edge_between(w, n)) not in combs:
+                    break
+                related.add((w, q[0]))
         for i, p in enumerate(dec.O):
             for q in dec.O[i + 1 :]:
-                if chars.precedes(p, q):
-                    related = comb_over(q, p)
-                elif chars.precedes(q, p):
-                    related = comb_over(p, q)
-                else:
-                    related = False
-                if (class_of.get(p) == class_of.get(q)) != related:
+                comb = (p[0], q[0]) in related or (q[0], p[0]) in related
+                if (class_of.get(p) == class_of.get(q)) != comb:
                     out.append(f"z={z!r}: classes disagree with the relation at {p} / {q}")
     return out
 

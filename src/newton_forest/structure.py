@@ -6,12 +6,15 @@ structure ledger walks the maximal trivial chain out of each vertex of
 valency one once and keeps it (`walks`); the audit checks read those walks
 rather than walk again.  The qualifying chains (the set Gamma) define
 teeth, the vertex sets W / V / V-bar, the loose-end set Omega, the skeleton
-S, and per-vertex tooth counts.  On top of that, the comb relation
-partitions the skeleton pairs into totally ordered classes.  The
+S, and per-vertex tooth counts.  The comb test is a property of one
+skeleton pair (v, f): v has two positive neighbours and R(v, [f]) < 1, or
+three, R(v, [f]) = 0 and a tooth.  The ledger keeps the pairs that pass it
+(`combs`), and the decomposition and the audit read that one set.  The comb
+relation partitions the skeleton pairs into totally ordered classes.  The
 decomposition relative to an initial vertex z comes from one breadth-first
-search over the skeleton from z: each skeleton vertex joins the class of
-its neighbour toward z when the comb step passes, and starts a class
-otherwise.  It carries per-class extremal pairs, the drop of the
+search over the skeleton from z: each skeleton vertex u joins the class of
+its neighbour p toward z when p's pair toward z is in `combs`, and starts a
+class otherwise.  It carries per-class extremal pairs, the drop of the
 characteristic number, the covered vertex sets, the quotient tree and its
 shape statistics.
 """
@@ -44,6 +47,9 @@ class StructureLedger:
     t: Mapping[CellRef, int]
     teeth: frozenset[Pair]
     In: frozenset[CellRef]
+    # the skeleton pairs (v, f), f an edge to a skeleton neighbour, that pass
+    # the comb test; not rendered
+    combs: frozenset[Pair]
 
 
 def _maximal_trivial_walk(
@@ -116,6 +122,19 @@ def structure_ledger(
     else:
         initial = frozenset(v for v in S if delta_star[v] <= 1)
 
+    # A pair above (v, f) in a skeleton chain comes in over a skeleton edge,
+    # never a tooth, so at three positive neighbours any tooth at v sits on
+    # the third edge: the comb test needs the pair alone.
+    def comb(v: CellRef, f: Edge) -> bool:
+        eps = per[v].epsilon
+        if eps == 2:
+            return R_of(ledger, chars, v, [f]) < 1
+        return eps == 3 and v in W and R_of(ledger, chars, v, [f]) == 0
+
+    combs = frozenset(
+        (v, f) for v in S for f in chars.edges_at[v] if f.other(v) in S and comb(v, f)
+    )
+
     return StructureLedger(
         Z=Z,
         walks=walks,
@@ -130,28 +149,8 @@ def structure_ledger(
         t=t,
         teeth=teeth,
         In=initial,
+        combs=combs,
     )
-
-
-def comb_step(ledger, chars, struct, upper: Pair, pair: Pair) -> bool:
-    """Comb test of `pair` against the pair just above it in the poset; the
-    edge of `upper` joins the two vertices.  `upper` is a comb over a pair
-    below it exactly when every step of the chain between them passes."""
-    v, f = pair
-    eps = ledger.per_vertex[v].epsilon
-    if eps not in (2, 3):
-        return False
-    r1 = R_of(ledger, chars, v, [f])
-    if eps == 2:
-        return r1 < 1
-    if r1 != 0:
-        return False
-    candidates = [e for e in chars.edges_at[v] if e != f and e != upper[1]]
-    if len(candidates) != 1:
-        raise InternalInconsistencyError(
-            f"expected a unique third edge at {v!r}, found {len(candidates)}"
-        )
-    return (v, candidates[0]) in struct.teeth
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,9 @@ def comb_decomposition(
 ) -> CombDecomposition:
     """Decompose the skeleton pairs pointing at `z` into comb classes.
 
-    The classes are produced by joining skeleton-adjacent pairs that pass the
-    single-step comb test, and listed by the distance of their nearest
-    vertex from `z`, ties by least cell id.  Their agreement with the
+    The classes are produced by joining each pair to the one below it when
+    that lower pair is in `struct.combs`, and listed by the distance of
+    their nearest vertex from `z`, ties by least cell id.  Their agreement with the
     pairwise comb relation is checked by the audit check `comb-relation`,
     and the statistics identity by `comb-decomposition`.
     """
@@ -240,13 +239,14 @@ def comb_decomposition(
     pair_of = {u: (u, tree.edge_between(u, toward_z[u])) for u in members}
     O = tuple(sorted(pair_of.values()))
 
-    # The comb relation joins a vertex only to its neighbour toward z, whose
-    # class is settled by then: join it, or start a class of its own.
+    # The comb relation joins a vertex only to its neighbour p toward z,
+    # whose class is settled by then: join it when p's pair toward z is a
+    # comb pair, or start a class of its own.
     run_of: dict[CellRef, list[CellRef]] = {}
     runs: list[list[CellRef]] = []
     for u in members:
         p = toward_z[u]
-        if p != z and comb_step(ledger, chars, struct, pair_of[u], pair_of[p]):
+        if p != z and pair_of[p] in struct.combs:
             run = run_of[p]
             run.append(u)
         else:

@@ -444,3 +444,57 @@ def test_wide_fan_audit_clean_and_linear():
             assert _CHECKS[check_id](a) == []
         best = min(best, time.perf_counter() - start)
     assert best < 0.05
+
+
+def test_comb_checks_read_the_comb_pairs(monkeypatch):
+    # once the analysis is built, `comb-relation` and the rational report's
+    # chain clause read `struct.combs`: neither computes R, and
+    # `comb-relation` takes one tree path per pair of each decomposition
+    from newton_forest import classify_audit, structure
+    from newton_forest.tree_model import DecoratedRootedTree
+
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s)) for s in range(100)]
+    trees += [generate(GeneratorConfig(seed=s, rational=True)) for s in range(40)]
+    analyses = [analysis(tree) for tree in trees]
+
+    def no_R(*args):
+        raise AssertionError("R recomputed")
+
+    monkeypatch.setattr(structure, "R_of", no_R)
+    monkeypatch.setattr(classify_audit, "R_of", no_R)
+    calls = 0
+    path = DecoratedRootedTree.path
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return path(self, x, y)
+
+    monkeypatch.setattr(DecoratedRootedTree, "path", counted)
+    rational = interior = pairs = 0
+    for a in analyses:
+        calls = 0
+        assert _CHECKS["comb-relation"](a) == []
+        bound = sum(len(dec.O) for dec in a.decompositions.values())
+        assert calls <= bound
+        pairs += bound
+        if is_rational_tree(a):
+            rep = rational_structure_report(a)
+            assert rep.failures == ()
+            rational += 1
+            interior += sum(c.check_id == "interior-comb" for c in rep.clauses)
+    assert (rational, interior, pairs) == (75, 2, 252)
+
+
+def test_divisor_trichotomy_case_c():
+    # the (2, b, b) shape with b = 3 odd and N = 2b: give T_C((1,1,1))'s
+    # dicriticals the degrees (2, 3, 3) and the root N = 6
+    a = analysis(fixture_T_C((1, 1, 1)))
+    degree = dict(zip(sorted(a.info.dicriticals), (2, 3, 3)))
+    a = dataclasses.replace(
+        a,
+        info=dataclasses.replace(a.info, degree=degree),
+        table=dataclasses.replace(a.table, N={**a.table.N, "v0": 6}),
+    )
+    assert divisor_trichotomy(a, "v0") == "c"

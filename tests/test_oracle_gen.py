@@ -169,6 +169,35 @@ def test_plan_screen_is_sound():
     assert rejected > 600 and passed > 300, (rejected, passed)
 
 
+def test_screen_rejects_trees_not_minimally_complete():
+    # v0 -(1, q)- u with a dead end and a (1)-arrow at u and a dead end
+    # decorated 1 at v0: both trees satisfy the axioms, but q = -3 is not
+    # generic and q = 0 is complete without being minimally complete
+    from newton_forest.multiplicity import classify
+    from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
+
+    for q in (-3, 0):
+        tree = build_tree(
+            [
+                Cell("v0", VERTEX),
+                Cell("u", VERTEX),
+                Cell("o0", ARROW, 0),
+                Cell("o1", ARROW, 0),
+                Cell("t1", ARROW, 1),
+            ],
+            [
+                make_edge("v0", 1, "u", q),
+                make_edge("v0", 1, "o0", 1),
+                make_edge("u", 1, "o1", 1),
+                make_edge("u", 1, "t1", 1),
+            ],
+            "v0",
+        )
+        assert validate_axioms(tree) == []
+        assert not classify(tree, multiplicities(tree).N).minimally_complete
+        assert og._screen(tree, GeneratorConfig(seed=0)) is None, q
+
+
 def test_slot_contributions_match_oracle():
     """The plan-level table equals x-hat(u_s, t_{s2,0}) measured path by
     path on the tree assembled with one arrow per dicritical."""

@@ -171,3 +171,79 @@ def test_stage_inputs_required():
                 module.__name__,
                 name,
             )
+
+
+def _reference_comb_step(ledger, chars, struct, upper, pair):
+    # the comb test as a step from the pair above: at three positive
+    # neighbours the tooth must sit on the edge that is neither `pair`'s
+    # nor `upper`'s
+    v, f = pair
+    eps = ledger.per_vertex[v].epsilon
+    if eps not in (2, 3):
+        return False
+    r1 = structure.R_of(ledger, chars, v, [f])
+    if eps == 2:
+        return r1 < 1
+    if r1 != 0:
+        return False
+    (third,) = [e for e in chars.edges_at[v] if e != f and e != upper[1]]
+    return (v, third) in struct.teeth
+
+
+def _comb_steps(a):
+    # every step of every skeleton chain toward every initial vertex z: the
+    # pair toward z of a vertex u over that of its neighbour toward z
+    tree = a.tree
+    for z in sorted(a.struct.In):
+        for u in sorted(a.struct.S - {z}):
+            path = tree.path(u, z)
+            if len(path) > 2:
+                upper = (u, tree.edge_between(u, path[1]))
+                yield upper, (path[1], tree.edge_between(path[1], path[2]))
+
+
+def _comb_corpus():
+    from newton_forest.oracle_gen import GeneratorConfig, generate
+    from newton_forest.tree_io import fixture_corpus
+
+    yield from fixture_corpus().values()
+    for seed in range(300):
+        yield generate(GeneratorConfig(seed=seed, max_cells=40))
+    for seed in range(12):
+        yield generate(
+            GeneratorConfig(seed=seed, max_cells=400, max_dicritical_degree=120)
+        )
+
+
+def _count_comb_steps(trees):
+    steps = eps3 = by_tooth = 0
+    for tree in trees:
+        a = Analysis.build(tree)
+        for upper, pair in _comb_steps(a):
+            want = _reference_comb_step(a.ledger, a.chars, a.struct, upper, pair)
+            assert (pair in a.struct.combs) == want, (upper, pair)
+            steps += 1
+            if a.ledger.per_vertex[pair[0]].epsilon == 3:
+                eps3 += 1
+                by_tooth += want
+    return steps, eps3, by_tooth
+
+
+def test_comb_pairs_match_the_step_test(monkeypatch):
+    # `struct.combs` holds the one comb test; on every step of every chain it
+    # agrees with the test written against the pair above
+    # (steps, steps at three positive neighbours, those passed by a tooth)
+    trees = list(_comb_corpus())
+    assert _count_comb_steps(trees) == (242, 75, 0)
+
+    # R = 0 at every vertex of three positive neighbours opens the tooth
+    # clause, which honest trees of this size never reach
+    real = structure.R_of
+
+    def forced(ledger, chars, v, A):
+        if ledger.per_vertex[v].epsilon == 3:
+            return 0
+        return real(ledger, chars, v, A)
+
+    monkeypatch.setattr(structure, "R_of", forced)
+    assert _count_comb_steps(trees) == (242, 75, 3)
