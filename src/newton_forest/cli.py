@@ -4,8 +4,8 @@ Subcommands: validate, analyze, combs, audit, dot, gen.  Exit codes:
 0 success, 1 invalid input (unparsable or undecodable file, or validation
 diagnostics printed), 2 usage error (bad arguments such as `audit FILE
 --gen N`, unreadable path, a `--z` that is not an initial vertex), 3
-internal inconsistency (an audit failed on valid input, or the engine
-raised).
+internal inconsistency (an audit failed on valid input, the engine raised,
+or an `audit --gen` worker process died).
 
 Reports are byte-deterministic for a given input and flags; rationals print
 reduced as "p/q" and mappings are key-sorted.
@@ -18,7 +18,10 @@ import argparse
 # name stays because perfbench's tracer reads `cli.json` and puts a shim in
 # its place when it installs.
 import json  # noqa: F401
+import os
 import sys
+import threading
+from itertools import repeat
 
 from .classify_audit import (
     audit_analysis,
@@ -137,17 +140,68 @@ def _audit_one_file(args) -> int:
     return 3 if bad else 0
 
 
+# A worker process pays for its fork and its share of the result traffic only
+# when it audits at least this many seeds.
+SEEDS_PER_WORKER = 32
+
+
+def _audit_seed(seed: int, max_cells: int) -> list[str]:
+    """The `seed S: FAIL` lines of the tree generated from `seed`."""
+    tree = generate(GeneratorConfig(seed=seed, max_cells=max_cells))
+    return [
+        f"seed {seed}: FAIL {r.check_id} [{r.witness}]"
+        for r in audit_failures(theorem_audit(tree))
+    ]
+
+
+def _audit_workers(n_seeds: int) -> int:
+    """Worker processes for auditing `n_seeds` seeds: one per usable CPU while
+    each gets `SEEDS_PER_WORKER` seeds, and 0 (audit in process) when fewer
+    than two would.  Also 0 while the process runs other threads: a forked
+    worker inherits no thread but every lock they held."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 0
+    workers = min(len(os.sched_getaffinity(0)), n_seeds // SEEDS_PER_WORKER)
+    return workers if workers >= 2 else 0
+
+
+def _print_audits(n_seeds: int, lines_per_seed) -> int:
+    failures = 0
+    for lines in lines_per_seed:
+        failures += len(lines)
+        for line in lines:
+            print(line)
+    print(f"{n_seeds} trees audited, {failures} failures")
+    return 3 if failures else 0
+
+
 def _audit_generated(args) -> int:
     seeds = range(args.seed, args.seed + args.gen)
-    total_bad = 0
-    for seed in seeds:
-        tree = generate(GeneratorConfig(seed=seed, max_cells=args.max_cells))
-        bad = audit_failures(theorem_audit(tree))
-        total_bad += len(bad)
-        for r in bad:
-            print(f"seed {seed}: FAIL {r.check_id} [{r.witness}]")
-    print(f"{len(seeds)} trees audited, {total_bad} failures")
-    return 3 if total_bad else 0
+    cells = repeat(args.max_cells)
+    workers = _audit_workers(len(seeds))
+    if workers:
+        # imported here, so that no other command pays for the pool
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        try:
+            # forked, a worker starts with the package already imported
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        except (OSError, NotImplementedError):
+            pass  # no POSIX semaphores for the pool's queues: audit in process
+        else:
+            chunk = len(seeds) // (4 * workers)
+            with pool:
+                # map yields each seed's lines in seed order, and re-raises a
+                # worker's exception when its seed comes up
+                try:
+                    lines = pool.map(_audit_seed, seeds, cells, chunksize=chunk)
+                    return _print_audits(len(seeds), lines)
+                except BrokenProcessPool as exc:
+                    raise InternalInconsistencyError(
+                        f"an audit worker died: {exc}"
+                    ) from exc
+    return _print_audits(len(seeds), map(_audit_seed, seeds, cells))
 
 
 def _cmd_audit(args) -> int:

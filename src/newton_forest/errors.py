@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class NewtonForestError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    A subclass keeps its constructor arguments as ``args``, so that
+    ``cls(*args)`` rebuilds it: that is how pickle carries an error out of a
+    worker process.
+    """
 
 
 class TreeStructureError(NewtonForestError):
@@ -15,7 +20,10 @@ class TreeStructureError(NewtonForestError):
 
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+        super().__init__(self.problems)
+
+    def __str__(self) -> str:
+        return "; ".join(self.problems)
 
 
 class ParseError(NewtonForestError):
@@ -39,4 +47,8 @@ class GenerationError(NewtonForestError):
 
     def __init__(self, attempts: int, message: str):
         self.attempts = attempts
-        super().__init__(f"{message} (after {attempts} attempts)")
+        self.message = message
+        super().__init__(attempts, message)
+
+    def __str__(self) -> str:
+        return f"{self.message} (after {self.attempts} attempts)"

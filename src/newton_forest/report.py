@@ -39,7 +39,10 @@ class ValidationFailedError(NewtonForestError):
 
     def __init__(self, diagnostics: list[ValidationDiagnostic]):
         self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in diagnostics))
+        super().__init__(self.diagnostics)
+
+    def __str__(self) -> str:
+        return "; ".join(str(d) for d in self.diagnostics)
 
 
 @dataclass

@@ -1,13 +1,19 @@
 import contextlib
+import errno
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
 
+from newton_forest import cli
 from newton_forest.cli import run
+from newton_forest.errors import GenerationError, InternalInconsistencyError
 from newton_forest.oracle_gen import GeneratorConfig, generate
 from newton_forest.tree_io import parse, serialize
 from newton_forest.tree_model import (
@@ -511,6 +517,150 @@ def test_audit_file_with_gen_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not both" in captured.err
+
+
+# `audit --gen` at the smallest N that two usable CPUs split over two workers
+POOLED_GEN = 2 * cli.SEEDS_PER_WORKER
+
+
+def _cpus(monkeypatch, n):
+    """Make `n` CPUs usable, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _audit_gen(capsys, seed=0):
+    code = run(["audit", "--gen", str(POOLED_GEN), "--seed", str(seed), "--max-cells", "20"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _count_generated(monkeypatch):
+    """The seeds that this process generates from; a worker counts in its own copy."""
+    seeds = []
+    real = cli.generate
+
+    def counted(config):
+        seeds.append(config.seed)
+        return real(config)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    return seeds
+
+
+def test_audit_gen_pool_prints_the_in_process_bytes(monkeypatch, capsys):
+    seeds = _count_generated(monkeypatch)
+    for seed in (0, 41):
+        _cpus(monkeypatch, 2)
+        pooled = _audit_gen(capsys, seed)
+        assert seeds == []  # every tree was audited in a worker
+        _cpus(monkeypatch, 1)
+        alone = _audit_gen(capsys, seed)
+        assert len(seeds) == POOLED_GEN
+        seeds.clear()
+        assert pooled == alone
+        assert pooled == (0, f"{POOLED_GEN} trees audited, 0 failures\n", "")
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
+    # one check fails on every tree with an odd number of cells
+    import newton_forest.classify_audit as classify_audit
+
+    check_id, applies, check = classify_audit.REGISTRY[0]
+
+    def odd(analysis):
+        return check(analysis) + ([] if len(analysis.tree.cells) % 2 == 0 else ["odd"])
+
+    registry = ((check_id, applies, odd),) + classify_audit.REGISTRY[1:]
+    monkeypatch.setattr(classify_audit, "REGISTRY", registry)
+    _cpus(monkeypatch, 2)
+    pooled = _audit_gen(capsys)
+    _cpus(monkeypatch, 1)
+    assert _audit_gen(capsys) == pooled
+    code, out, err = pooled
+    failed = [int(line.split(":")[0].split()[1]) for line in out.splitlines()[:-1]]
+    assert code == 3 and err == ""
+    assert 0 < len(failed) < POOLED_GEN
+    assert failed == sorted(set(failed))
+    assert out.endswith(f"{POOLED_GEN} trees audited, {len(failed)} failures\n")
+    assert f"seed {failed[0]}: FAIL {check_id} [odd]" in out
+    assert multiprocessing.active_children() == []
+
+
+def _fail_at_seed(monkeypatch, seed, fault):
+    real = cli.generate
+
+    def failing(config):
+        if config.seed == seed:
+            fault()
+        return real(config)
+
+    monkeypatch.setattr(cli, "generate", failing)
+
+
+def _raise(exc):
+    def fault():
+        raise exc
+
+    return fault
+
+
+def test_audit_gen_worker_errors_exit_as_in_process(monkeypatch, capsys):
+    for exc, code in (
+        (InternalInconsistencyError("N(v) = 0 at v3"), 3),
+        (ValueError("math domain error"), 3),
+        (GenerationError(3000, "no tree satisfied the filters"), 1),
+    ):
+        _fail_at_seed(monkeypatch, 50, _raise(exc))
+        _cpus(monkeypatch, 2)
+        pooled = _audit_gen(capsys)
+        _cpus(monkeypatch, 1)
+        assert _audit_gen(capsys) == pooled
+        assert pooled[0] == code
+        assert pooled[2].count("\n") == 1 and str(exc) in pooled[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_gen_dead_worker_exit_3(monkeypatch, capsys):
+    _fail_at_seed(monkeypatch, 50, lambda: os._exit(1))
+    _cpus(monkeypatch, 2)
+    code, out, err = _audit_gen(capsys)
+    assert code == 3
+    assert err.startswith("internal inconsistency: an audit worker died")
+    assert err.count("\n") == 1
+    assert "trees audited" not in out
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_gen_without_semaphores_runs_in_process(monkeypatch, capsys):
+    import _multiprocessing
+
+    def no_semaphores(*args, **kwargs):
+        raise OSError(errno.ENOSYS, "Function not implemented")
+
+    _cpus(monkeypatch, 1)
+    alone = _audit_gen(capsys)
+    monkeypatch.setattr(_multiprocessing, "SemLock", no_semaphores)
+    seeds = _count_generated(monkeypatch)
+    _cpus(monkeypatch, 2)
+    assert _audit_gen(capsys) == alone
+    assert len(seeds) == POOLED_GEN
+
+
+def test_audit_gen_in_process_while_threads_run(monkeypatch, capsys):
+    # a forked worker would inherit the locks the other thread holds
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        seeds = _count_generated(monkeypatch)
+        _cpus(monkeypatch, 2)
+        assert _audit_gen(capsys)[0] == 0
+        assert len(seeds) == POOLED_GEN
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 def test_dot_output(capsys):

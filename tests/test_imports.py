@@ -1,6 +1,9 @@
 """Module boundaries inside the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import newton_forest
@@ -64,3 +67,17 @@ def test_no_unread_imports():
     assert len(modules) > 5
     found = [line for path in modules for line in _unread_imports(path)]
     assert found == []
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # `audit --gen` imports the pool when it uses one; every other command
+    # would pay its ~30 ms and ~1.5 MB at start-up
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = (
+        "import sys, newton_forest.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out == "[]\n"
