@@ -89,7 +89,12 @@ def parse(text: str) -> DecoratedRootedTree:
     carry the JSON path of the offending entry, the first in document order
     (cells before edges, each entry's fields in the order `_read_document`
     tests them).  Semantic errors (not a tree, bad classification, ...)
-    propagate from :func:`build_tree`.
+    propagate from :func:`build_tree`, which reads the lists of checked
+    `Cell`s and `Edge`s that `_read_document` makes, so a shape error
+    anywhere wins over every semantic one.  Handing `build_tree` generators
+    that check each entry as it is read, with no lists between, measured
+    slower: resuming a generator once per entry costs more than appending
+    to a list and reading it back.
 
     The cyclic garbage collector is paused meanwhile and then restored as
     it was.  Neither the decoded document nor the tree holds a reference
@@ -147,6 +152,7 @@ def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:
     if type(raw_edges) is not list:
         raise ParseError("edges: expected a list")
 
+    new_tuple = tuple.__new__  # see `tree_model.make_edge`
     cells: list[Cell] = []
     add_cell = cells.append
     for i, raw in enumerate(raw_cells):
@@ -157,7 +163,7 @@ def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:
             raise _string_error(f"cells[{i}].id", cid)
         kind = raw.get("kind")
         if kind == VERTEX and len(raw) == 2:  # exactly the keys id and kind
-            add_cell(Cell(cid, VERTEX))
+            add_cell(new_tuple(Cell, (cid, VERTEX, None)))
             continue
         if kind != VERTEX and kind != ARROW:
             if type(kind) is not str:
@@ -176,7 +182,7 @@ def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:
         # a vertex reaches this line only with a key besides id and kind
         if kind == VERTEX or len(raw) != 3:
             raise _unknown_keys_error(f"cells[{i}]", raw, {"id", "kind", "decoration"})
-        add_cell(Cell(cid, ARROW, deco))
+        add_cell(new_tuple(Cell, (cid, ARROW, deco)))
 
     edges: list[Edge] = []
     add_edge = edges.append

@@ -62,11 +62,17 @@ class Edge(NamedTuple):
         return "{%s,%s}" % self.ends
 
 
+# A named tuple's own __new__ is a Python function that fills in defaults;
+# `tuple.__new__(Cell, fields)` builds the same tuple in about half the time,
+# where every field is at hand.
+_new_tuple = tuple.__new__
+
+
 def make_edge(a: CellRef, qa: int, b: CellRef, qb: int) -> Edge:
     """Build an edge decorated `qa` near `a` and `qb` near `b`."""
     if a <= b:
-        return Edge((a, b), (qa, qb))
-    return Edge((b, a), (qb, qa))
+        return _new_tuple(Edge, ((a, b), (qa, qb)))
+    return _new_tuple(Edge, ((b, a), (qb, qa)))
 
 
 @dataclass(frozen=True)
@@ -87,21 +93,28 @@ class DecoratedRootedTree:
 
     The instance is immutable and safe to share between concurrent analyses.
     Vertex/arrow classification is recomputed from valencies and the root,
-    never trusted from the input.
+    never trusted from the input: `build_tree`'s breadth-first search sorts
+    each cell into the vertices or the 0- or 1-arrows as it reaches it, and
+    returns a tree only when every declared kind and decoration agrees.
+    `vertices`, `arrows0`, `arrows1` and `arrows` are built from those lists
+    on first use.
     """
 
     cells: dict[CellRef, Cell]
     edges: tuple[Edge, ...]
     root: CellRef
-    # Each cell's edges in sorted order, its parent edge and its depth.  The
-    # lists here and below belong to the tree; readers must not change them.
+    # The search's classification: the vertices in the order it expanded
+    # them, the root first and every parent before its children, and the
+    # (0)- and (1)-arrows in the order it reached them.
+    _vertex_order: list[CellRef] = field(repr=False, compare=False)
+    _arrows0: list[CellRef] = field(repr=False, compare=False)
+    _arrows1: list[CellRef] = field(repr=False, compare=False)
+    # Each cell's edges in sorted order and its parent edge.  The lists here
+    # and below belong to the tree; readers must not change them.
     _incident: dict[CellRef, list[Edge]] = field(repr=False, compare=False)
     _parent_edge: dict[CellRef, Edge | None] = field(repr=False, compare=False)
-    _depth: dict[CellRef, int] = field(repr=False, compare=False)
-    # The breadth-first order from the root (every parent before its
-    # children) and each cell's edges to its children, in incidence order.
+    # The breadth-first order from the root (every parent before its children)
     _order: list[CellRef] = field(repr=False, compare=False)
-    _children: dict[CellRef, Sequence[Edge]] = field(repr=False, compare=False)
     # Q(e, c) for the edges e = {c, d} at c, as _Q_rows[c][d]; see `Q`.
     _Q_rows: dict[CellRef, dict[CellRef, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -112,6 +125,25 @@ class DecoratedRootedTree:
         return {
             c: {e.other(c): e for e in es} for c, es in self._incident.items()
         }
+
+    @cached_property
+    def _depth(self) -> dict[CellRef, int]:
+        depth = {self.root: 0}
+        for c in self._order[1:]:
+            depth[c] = depth[self.parent(c)] + 1  # type: ignore[index]
+        return depth
+
+    @cached_property
+    def _children(self) -> dict[CellRef, Sequence[Edge]]:
+        """Each cell's edges to its children, in incidence order: the search
+        reaches a vertex's children one after another, in that order."""
+        children: dict[CellRef, Sequence[Edge]] = dict.fromkeys(self._order, ())
+        for v in self._vertex_order:
+            children[v] = []
+        for c in self._order[1:]:
+            e = self._parent_edge[c]
+            children[e.other(c)].append(e)  # type: ignore[union-attr]
+        return children
 
     @cached_property
     def _axiom_diagnostics(self) -> tuple[ValidationDiagnostic, ...]:
@@ -125,27 +157,21 @@ class DecoratedRootedTree:
 
     @cached_property
     def vertices(self) -> frozenset[CellRef]:
-        return frozenset(c for c, cell in self.cells.items() if cell.kind == VERTEX)
+        return frozenset(self._vertex_order)
 
     @cached_property
     def arrows(self) -> frozenset[CellRef]:
-        return frozenset(c for c, cell in self.cells.items() if cell.kind == ARROW)
+        return self.arrows0 | self.arrows1
 
     @cached_property
     def arrows0(self) -> frozenset[CellRef]:
         """Arrows decorated (0)."""
-        return frozenset(
-            c for c, cell in self.cells.items()
-            if cell.kind == ARROW and cell.arrow_decoration == 0
-        )
+        return frozenset(self._arrows0)
 
     @cached_property
     def arrows1(self) -> frozenset[CellRef]:
         """Arrows decorated (1)."""
-        return frozenset(
-            c for c, cell in self.cells.items()
-            if cell.kind == ARROW and cell.arrow_decoration == 1
-        )
+        return frozenset(self._arrows1)
 
     def is_vertex(self, c: CellRef) -> bool:
         return self.cells[c].kind == VERTEX
@@ -299,10 +325,11 @@ def build_tree(
     One pass over the cells and one over the edges, in the given order, find
     the problems of the first kind and list each cell's edges.  One
     breadth-first search from the root then sorts each vertex's edges,
-    orients the tree, records the order it visits the cells in and each
-    cell's child edges, and checks each cell's declared kind and decoration
-    against its classification; a given cell that passes is kept as it is,
-    and `cells` lists them by id.
+    unless the edges came sorted, orients the tree, records the order it
+    reaches the cells in, and classifies each cell as a vertex or a 0- or
+    1-arrow, checking its declared kind and decoration against that; a
+    given cell that passes is kept as it is, and `cells` lists them by id.
+    Depths and child edges are derived from the orientation on first use.
     """
     problems: list[str] = []
 
@@ -338,37 +365,49 @@ def build_tree(
             f"not a tree: {len(by_id)} cells need {len(by_id) - 1} edges, got {len(edge_list)}"
         )
 
+    # Each cell's edges are in the order of `edge_list`, so when that is
+    # sorted, as in a canonical document, so are they.
+    sorted_edges = sorted(edge_list)
+    resort = sorted_edges != edge_list
+
     # Breadth-first from the root: each cell is reached through its parent
     # edge and its other edges lead to its children, unless the graph is not
-    # a tree, which the counts detect.
+    # a tree, which the counts detect.  A cell reached with one edge is an
+    # arrow; the others are vertices, expanded in the order reached.
     parent_edge: dict[CellRef, Edge | None] = {root: None}
-    depth: dict[CellRef, int] = {root: 0}
-    children: dict[CellRef, list[Edge]] = {}
     order = [root]
+    vertices = [root]
+    arrows0: list[CellRef] = []
+    arrows1: list[CellRef] = []
     misfits: list[CellRef] = []  # cells whose declaration disagrees
-    for c in order:
-        inc = incident[c]
-        cell = by_id[c]
-        if len(inc) == 1 and c != root:  # an arrow: its one edge leads up
-            if cell.kind != ARROW or cell.arrow_decoration not in (0, 1):
-                misfits.append(c)
-            children[c] = ()
-            continue
-        if cell.kind != VERTEX or cell.arrow_decoration is not None:
+    for c in vertices:
+        _, kind, deco = by_id[c]
+        if kind != VERTEX or deco is not None:
             misfits.append(c)
-        inc.sort()
-        below = depth[c] + 1
-        kids = children[c] = []
+        inc = incident[c]
+        if resort:
+            inc.sort()
         for e in inc:
             a, b = e.ends
             d = b if a == c else a
-            if d not in depth:
-                depth[d] = below
-                parent_edge[d] = e
-                order.append(d)
-                kids.append(e)
+            if d in parent_edge:
+                continue
+            parent_edge[d] = e
+            order.append(d)
+            if len(incident[d]) != 1:
+                vertices.append(d)
+                continue
+            _, kind, deco = by_id[d]
+            if kind != ARROW:
+                misfits.append(d)
+            elif deco == 1:
+                arrows1.append(d)
+            elif deco == 0:
+                arrows0.append(d)
+            else:
+                misfits.append(d)
     if len(order) != len(by_id):
-        missing = sorted(set(by_id) - set(depth))
+        missing = sorted(set(by_id) - set(parent_edge))
         problems.append(f"disconnected: unreachable cells {missing}")
     if problems:
         raise TreeStructureError(problems)
@@ -390,15 +429,20 @@ def build_tree(
     if problems:
         raise TreeStructureError(problems)
 
+    # `cells` lists the cells by id; a canonical document gives them so
+    ids = sorted(by_id)
+    if ids != list(by_id):
+        by_id = {cid: by_id[cid] for cid in ids}
     return DecoratedRootedTree(
-        cells={cid: by_id[cid] for cid in sorted(by_id)},
-        edges=tuple(sorted(edge_list)),
+        cells=by_id,
+        edges=tuple(sorted_edges),
         root=root,
+        _vertex_order=vertices,
+        _arrows0=arrows0,
+        _arrows1=arrows1,
         _incident=incident,
         _parent_edge=parent_edge,
-        _depth=depth,
         _order=order,
-        _children=children,
     )
 
 
@@ -479,54 +523,80 @@ def iter_axiom_diagnostics(tree: DecoratedRootedTree) -> Iterator[ValidationDiag
        equal to the maximum upward decoration;
     6. every vertex-vertex edge has negative determinant.
 
-    Cost, for n cells, apart from sorting the vertex ids once and the
-    arithmetic on large decorations: axiom 1 walks up from each (1)-arrow
-    and stops at the first cell already covered, so each cell is passed
-    once, O(n).  The dead ends are read once, from the (0)-arrows up, for
-    axioms 2 and 5.  Axioms 3 and 4 read each arrow's edge and the root's
-    once, and only the failing arrows are sorted.  Axiom 5 reads each
-    vertex's decorations once, O(deg); "upward" is every edge but the parent
-    edge.  Its coprimality clause pairs only the k decorations other than
-    +-1, O(k) when they pass and O(k^2) when one pair fails.  The same visit
-    takes the Q values at the vertex from prefix/suffix products, which
-    axiom 6 reads, and only its failing edges are sorted.  The diagnostics
-    themselves can outnumber the cells only through axiom 5's pairs; they
-    are yielded one at a time, so memory stays O(n) however many there are.
+    Axioms 1, 2, 4 and 5 list their diagnostics by cell id, axiom 5 then in
+    incidence order; axiom 3 in incidence order at the root, and axiom 6 in
+    the order of `tree.edges`.
+
+    Cost, for n cells, apart from the arithmetic on large decorations: O(n),
+    with one visit per arrow and one per vertex, in the orders of the
+    search that classified them, and a sort of only the cells and edges
+    that fail.  An arrow's visit reads the decoration near it (axiom 4); a
+    (1)-arrow's walks up until a covered cell, so each cell is passed once
+    (axiom 1); a (0)-arrow's files its edge as a dead end of its parent
+    (axioms 2 and 5).  A vertex's visit reads its decorations once, O(deg),
+    with builtins over the list of them; "upward" is every edge but the
+    parent edge.  Axiom 5's coprimality clause can fail only where two
+    decorations are other than +-1 (0 is not), so only there are those k
+    decorations tested, O(k) when they pass and O(k^2) when one pair fails.
+    The visit also keeps the vertex's product of nonzero decorations and
+    count of zero ones, from which axiom 6 takes the Q value at the parent's
+    end of each child's edge in O(1); every parent is visited before its
+    children.  A vertex that fails a clause of axiom 5 is read again, edge
+    by edge, for its diagnostics.  The diagnostics themselves can outnumber
+    the cells only through axiom 5's pairs; they are yielded one at a time,
+    so memory stays O(n) however many there are.
     """
     root = tree.root
     parent_edge = tree._parent_edge
     incident = tree._incident
-    vertices = sorted(tree.vertices)
+    vertex_order = tree._vertex_order
 
-    # Walk up from each (1)-arrow until a covered cell: the covered set is
-    # closed under going down towards the root, so its ancestors are too,
-    # and it is the same whichever arrow goes first.
+    # One visit per arrow: axiom 4 reads the decoration near it, a
+    # (1)-arrow starts axiom 1's walk, and the edge of a (0)-arrow, a leaf,
+    # is a dead end of its parent.  The walk goes up until a covered cell:
+    # the covered set is closed under going down towards the root, so its
+    # ancestors are too, and it is the same whichever arrow goes first.
     covered: set[CellRef] = set()
-    for c in tree.arrows1:
-        while (e := parent_edge[c]) is not None:
-            a, b = e.ends
-            c = b if a == c else a
-            if c in covered:
-                break
+    dead_ends: dict[CellRef, list[Edge]] = {}
+    unmarked = []
+    for alpha in tree._arrows1:
+        (a, b), (qa, qb) = parent_edge[alpha]
+        if a == alpha:
+            c, q = b, qa
+        else:
+            c, q = a, qb
+        if q != 1:
+            unmarked.append(alpha)
+        while c not in covered:
             covered.add(c)
-    for v in vertices:
-        if v not in covered:
+            e = parent_edge[c]
+            if e is None:
+                break
+            a, b = e[0]
+            c = b if a == c else a
+    for alpha in tree._arrows0:
+        e = parent_edge[alpha]
+        (a, b), (qa, qb) = e
+        if a == alpha:
+            v, q = b, qa
+        else:
+            v, q = a, qb
+        if q != 1:
+            unmarked.append(alpha)
+        dead_ends.setdefault(v, []).append(e)
+
+    # every covered cell is a vertex
+    if len(covered) < len(vertex_order):
+        for v in sorted(set(vertex_order).difference(covered)):
             yield ValidationDiagnostic(1, (v,), "no arrow decorated (1) above this vertex")
 
-    # A (0)-arrow is a leaf, so its one edge is a dead end of its parent;
-    # sorted, a vertex's dead ends are in incidence order.
-    dead_ends: dict[CellRef, list[Edge]] = {}
-    for alpha in tree.arrows0:
-        e = parent_edge[alpha]
-        a, b = e.ends
-        dead_ends.setdefault(b if a == alpha else a, []).append(e)
-    for v in vertices:
-        dead = dead_ends.get(v)
-        if dead is not None and len(dead) > 1:
-            dead.sort()
-            yield ValidationDiagnostic(
-                2, (v,), f"{len(dead)} dead ends incident to one vertex"
-            )
+    # sorted, a vertex's dead ends are in incidence order
+    for v in sorted(v for v, dead in dead_ends.items() if len(dead) > 1):
+        dead = dead_ends[v]
+        dead.sort()
+        yield ValidationDiagnostic(
+            2, (v,), f"{len(dead)} dead ends incident to one vertex"
+        )
 
     for e in incident[root]:
         if e.q_near(root) != 1:
@@ -534,62 +604,93 @@ def iter_axiom_diagnostics(tree: DecoratedRootedTree) -> Iterator[ValidationDiag
                 3, (str(e), root), f"decoration near root is {e.q_near(root)}, not 1"
             )
 
-    unmarked = []
-    for alpha in tree.arrows:
-        e = parent_edge[alpha]
-        if (e.q[0] if e.ends[0] == alpha else e.q[1]) != 1:
-            unmarked.append(alpha)
     for alpha in sorted(unmarked):
         e = parent_edge[alpha]
         yield ValidationDiagnostic(
             4, (str(e), alpha), f"decoration near arrow is {e.q_near(alpha)}, not 1"
         )
 
-    # For the edge e from each vertex w down to its parent v, Q(e, w) in
-    # q_up[w] and Q(e, v) in q_down[w], for axiom 6
-    q_up: dict[CellRef, int] = {}
-    q_down: dict[CellRef, int] = {}
-    for v in vertices:
-        inc = incident[v]
-        near = [e.q[0] if e.ends[0] == v else e.q[1] for e in inc]
-        yield from _coprime_diagnostics(v, inc, near)
-        down = parent_edge[v]
-        exceeding = 0
-        top = None  # the maximum upward decoration
-        for e, q, Q in zip(inc, near, products_but_one(near)):
-            if e is down:
-                q_up[v] = Q
-                continue
-            a, b = e.ends
-            q_down[b if a == v else a] = Q
-            if q < 1:
-                yield ValidationDiagnostic(
-                    5, (v, str(e)), f"upward decoration {q} is not positive"
-                )
-            elif q > 1:
-                exceeding += 1
-            if top is None or q > top:
-                top = q
-        if exceeding > 1:
-            yield ValidationDiagnostic(5, (v,), "more than one upward decoration exceeds 1")
-        dead = dead_ends.get(v)
-        if dead is not None and top is not None:
-            q = dead[0].q_near(v)
-            if q != top:
-                yield ValidationDiagnostic(
-                    5,
-                    (v, str(dead[0])),
-                    f"dead-end decoration {q} is not the maximum {top}",
-                )
-
-    # The vertex-vertex edges are the parent edges of the vertices but the
-    # root; the failing ones are sorted into the order of `tree.edges`.
+    # Each vertex after its parent: its product of nonzero decorations and
+    # count of zero ones give the Q values of axiom 6 at its end of the
+    # edges to its children.  The vertex-vertex edges are the parent edges
+    # of the vertices but the root.
+    nonzero: dict[CellRef, int] = {}
+    zeros: dict[CellRef, int] = {}
     failing = []
-    for w in vertices:
-        e = parent_edge[w]
-        if e is not None:
-            det = e.q[0] * e.q[1] - q_up[w] * q_down[w]
+    failing_edges = []
+    for v in vertex_order:
+        inc = incident[v]
+        near = [q0 if a == v else q1 for (a, _), (q0, q1) in inc]
+        zeros[v] = z = near.count(0)
+        nonzero[v] = math.prod(filter(None, near)) if z else math.prod(near)
+        down = parent_edge[v]
+        if down is None:
+            up = near
+        else:
+            up = near.copy()
+            del up[inc.index(down)]
+            (a, b), (qa, qb) = down
+            if a == v:
+                u, qu = b, qb
+            else:
+                u, qu = a, qa
+            det = qa * qb - math.prod(up) * _Q(nonzero[u], zeros[u], qu)
             if det >= 0:
-                failing.append((e, det))
-    for e, det in sorted(failing):
+                failing_edges.append((down, det))
+        if up:
+            dead = dead_ends.get(v)
+            if min(up) < 1 or len(up) - up.count(1) > 1 or (
+                dead is not None and dead[0].q_near(v) != max(up)
+            ):
+                failing.append(v)
+                continue
+        if len(near) - near.count(1) - near.count(-1) > 1 and not pairwise_coprime(
+            q for q in near if q != 1 and q != -1
+        ):
+            failing.append(v)
+    for v in sorted(failing):
+        yield from _axiom5_diagnostics(v, incident[v], parent_edge[v], dead_ends.get(v))
+
+    # in the order of `tree.edges`
+    for e, det in sorted(failing_edges):
         yield ValidationDiagnostic(6, (str(e),), f"edge determinant {det} is not negative")
+
+
+def _Q(nonzero: int, zeros: int, q: int) -> int:
+    """The product of a cell's decorations but one, `q`, from the product of
+    its nonzero decorations and the count of its zero ones."""
+    if q == 0:
+        return 0 if zeros > 1 else nonzero
+    return 0 if zeros else nonzero // q
+
+
+def _axiom5_diagnostics(
+    v: CellRef, inc: Sequence[Edge], down: Edge | None, dead: Sequence[Edge] | None
+) -> Iterator[ValidationDiagnostic]:
+    """Axiom 5's diagnostics at `v`, whose edges are `inc` with parent edge
+    `down` and dead ends `dead`."""
+    near = [e.q[0] if e.ends[0] == v else e.q[1] for e in inc]
+    yield from _coprime_diagnostics(v, inc, near)
+    exceeding = 0
+    top = None  # the maximum upward decoration
+    for e, q in zip(inc, near):
+        if e is down:
+            continue
+        if q < 1:
+            yield ValidationDiagnostic(
+                5, (v, str(e)), f"upward decoration {q} is not positive"
+            )
+        elif q > 1:
+            exceeding += 1
+        if top is None or q > top:
+            top = q
+    if exceeding > 1:
+        yield ValidationDiagnostic(5, (v,), "more than one upward decoration exceeds 1")
+    if dead is not None and top is not None:
+        q = dead[0].q_near(v)
+        if q != top:
+            yield ValidationDiagnostic(
+                5,
+                (v, str(dead[0])),
+                f"dead-end decoration {q} is not the maximum {top}",
+            )

@@ -192,6 +192,19 @@ PARSE_ERRORS = [
      "cells[0].decoration: expected 0 or 1, got 7"),
     ([(("cells", 0, "id"), "\udc00"), (("edges", 0, "q", 0), 0.5)],
      "cells[0].id: expected a string encodable as UTF-8, got '\\udc00'"),
+    # a structure fault before a shape fault: the shape fault wins
+    ([(("edges", 1, "ends"), ["u", "zz"]), (("edges", 3), {"ends": ["u", "v0"], "q": [0.5, 1]})],
+     "edges[3].q[0]: expected an integer, got 0.5"),
+    ([(("root",), "zz"), (("cells", 3, "kind"), "node")],
+     "cells[3].kind: expected 'vertex' or 'arrow', got 'node'"),
+    (
+        [
+            (("edges", 1, "ends"), ["u", "u"]),
+            (("edges", 3), {"ends": ["t1", "v0"], "q": [1, 1]}),
+            (("edges", 4), {"ends": ["o1", "v0"], "q": [1, 1], "w": 1}),
+        ],
+        "edges[4]: unknown keys ['w']",
+    ),
 ]
 
 STRUCTURE_ERRORS = [

@@ -1,11 +1,18 @@
 import hashlib
 import math
+import random
 
 import pytest
 
 from newton_forest.errors import TreeStructureError
 from newton_forest.oracle_gen import GeneratorConfig, generate
-from newton_forest.tree_io import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
+from newton_forest.tree_io import (
+    fixture_corpus,
+    fixture_T_A,
+    fixture_T_B,
+    fixture_T_C,
+    fixture_T_D,
+)
 from newton_forest.tree_model import (
     ARROW,
     VERTEX,
@@ -246,3 +253,84 @@ def test_validate_bytes_pinned():
                 lines = [f"structure: {exc}"]
             digest.update(("\n".join(lines) + "\0").encode("utf-8"))
     assert digest.hexdigest() == PINNED_VALIDATE_SHA256
+
+
+# The definitions of the classification sets: cells by their declared kind,
+# and arrows by their declared decoration.  A tree that builds has declared
+# every kind and decoration as the search classifies it.
+def _reference_sets(tree):
+    return {
+        "vertices": frozenset(c for c, cell in tree.cells.items() if cell.kind == VERTEX),
+        "arrows": frozenset(c for c, cell in tree.cells.items() if cell.kind == ARROW),
+        "arrows0": frozenset(
+            c for c, cell in tree.cells.items()
+            if cell.kind == ARROW and cell.arrow_decoration == 0
+        ),
+        "arrows1": frozenset(
+            c for c, cell in tree.cells.items()
+            if cell.kind == ARROW and cell.arrow_decoration == 1
+        ),
+    }
+
+
+def test_classification_sets_match_their_definition():
+    small = list(fixture_corpus().values())
+    small += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(100)]
+    trees = small + [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(12)
+    ]
+    mutants = []
+    for tree in small:
+        for cells, edges in _mutants(tree):
+            try:
+                mutants.append(build_tree(cells, edges, tree.root))
+            except TreeStructureError:
+                pass
+    assert len(mutants) > 10000
+    for tree in trees + mutants:
+        want = _reference_sets(tree)
+        assert {name: getattr(tree, name) for name in want} == want
+    # the child edges and depths, derived from the search on first use
+    for tree in trees:
+        for c in tree.cells:
+            down = tree._parent_edge[c]
+            assert list(tree._children[c]) == [e for e in tree.incident_edges(c) if e is not down]
+            assert tree._depth[c] == len(tree.path(tree.root, c)) - 1
+
+
+# sha256 over the outcome of 2000 single-decoration mutants of roadmap corpus
+# B (seeds 0..39 at max_cells=400, max_dicritical_degree=120), drawn with
+# random.Random(0) from the edge ends at vertices, so most land on the large
+# fans: the decoration near that vertex set to one of MUTANT_DECORATIONS.  The
+# outcome is as in PINNED_VALIDATE_SHA256.
+PINNED_FAN_VALIDATE_SHA256 = "73d8ba3dcd18482d88df8035940fc8049ef4f12536b9b1048624b67d2e2dbb1e"
+
+
+def test_validate_fan_mutants_pinned():
+    trees = [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(40)
+    ]
+    slots = [
+        (t, i, end)
+        for t, tree in enumerate(trees)
+        for i, e in enumerate(tree.edges)
+        for end in (0, 1)
+        if tree.is_vertex(e.ends[end])
+    ]
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for t, i, end in sorted(rng.sample(slots, 2000)):
+        tree = trees[t]
+        edges = list(tree.edges)
+        qs = list(edges[i].q)
+        qs[end] = rng.choice(MUTANT_DECORATIONS)
+        edges[i] = Edge(edges[i].ends, tuple(qs))
+        try:
+            built = build_tree(list(tree.cells.values()), edges, tree.root)
+            lines = [str(d) for d in validate_axioms(built)]
+        except TreeStructureError as exc:
+            lines = [f"structure: {exc}"]
+        digest.update(("\n".join(lines) + "\0").encode("utf-8"))
+    assert digest.hexdigest() == PINNED_FAN_VALIDATE_SHA256
