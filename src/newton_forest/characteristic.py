@@ -11,6 +11,10 @@ table by that induction: each pair's c, n-side and side defect come from
 the pairs just below it.  The derived quantities M, p, p', eta, R and
 Delta-bar all live here.  For e = {u, v}, p = F(u->v) and p' = F(v->u)
 are read from the multiplicity table.
+R and Delta-bar come from one table, built once from k, a, M and the
+n-sides: R(u, A) is base(u), kept in the vertex ledger, plus each pair's
+term 1 - 1/M(u, e) over e in A, and Delta-bar(u, A) is Delta-tilde(u) plus
+each pair's side defect, the sum of Delta-tilde over its n-side.
 For a set A of arrows, `node_h_products` gives h(w,A) and h-hat(w,A) for
 every vertex w in one O(n) walk outward from the hull of A; the oracle
 module keeps the path-by-path definition.
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import InternalInconsistencyError
 from .local_invariants import VertexLedger
@@ -125,6 +129,10 @@ class PairData:
     eta: Rational
     nonpositive: bool
     n_side: frozenset[CellRef]
+    term: Rational  # 1 - 1/M, the pair's term in R
+    # Delta-tilde summed over the n-side by definition, not taken from the
+    # induction, so that the audit's R identity does not read its own route
+    side_dt: int
 
 
 @dataclass(frozen=True)
@@ -185,14 +193,18 @@ def characteristic_numbers(
         else:
             c = Fraction(d0, a0)
         dt = defect[u, e] = per[u0].delta_tilde + sum(defect[p] for p in below)
+        M = int(table.N[u] / c)
+        n_side = frozenset([u0]).union(*(found[p].n_side for p in below))
         found[u, e] = PairData(
             c=c,
-            M=int(table.N[u] / c),
+            M=M,
             p=table.F[u, u0],
             p_prime=table.F[u0, u],
             eta=Fraction(dt) - (1 - c),
             nonpositive=dt <= 0,
-            n_side=frozenset([u0]).union(*(found[p].n_side for p in below)),
+            n_side=n_side,
+            term=Fraction(M - 1, M),
+            side_dt=ledger.delta_tilde(n_side),
         )
 
     for u0 in reversed(order[1:]):  # edges leading away from the root
@@ -209,33 +221,15 @@ def R_of(
     ledger: VertexLedger,
     chars: CharacteristicTable,
     u: CellRef,
-    A: Sequence[Edge],
+    A: Iterable[Edge],
 ) -> Rational:
     """R(u, A) = sum over adjacent dicriticals of (1 - 1/k) + (1 - 1/a)
-    + sum over e in A of (1 - 1/M(u,e))."""
-    data = ledger.per_vertex[u]
-    allowed = set(chars.edges_at[u])
+    + sum over e in A of (1 - 1/M(u,e)), read from the R table."""
+    pairs = chars.pairs
+    total = ledger.per_vertex[u].R_base
     for e in A:
-        if e not in allowed:
+        data = pairs.get((u, e))
+        if data is None:
             raise ValueError(f"edge {e} is not a positive-subtree edge at {u!r}")
-    total = Fraction(0)
-    for x in data.dicriticals:
-        total += 1 - Fraction(1, data.k[x])
-    total += 1 - Fraction(1, data.a)
-    for e in A:
-        total += 1 - Fraction(1, chars.pairs[(u, e)].M)
+        total += data.term
     return total
-
-
-def delta_bar(
-    ledger: VertexLedger,
-    chars: CharacteristicTable,
-    u: CellRef,
-    A: Sequence[Edge],
-) -> int:
-    """Genus defect of {u} together with everything beyond the edges of A."""
-    cells: set[CellRef] = {u}
-    for e in A:
-        cells |= chars.pairs[(u, e)].n_side
-    return ledger.delta_tilde(cells)
-

@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 from .characteristic import (
     R_of,
-    delta_bar,
     node_h_products,
     path_dead_end_product,
     rational_divides,
@@ -782,19 +781,46 @@ def _chk_dic_sum_div(a: Analysis) -> list[str]:
     return out
 
 
+def _R_table_at(a: Analysis, u: CellRef) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """The R table at u over one denominator L: (L, L*base(u), and per pair
+    at u, in edge order, (L*term, L*eta, side defect)), so that the R
+    identities over many edge sets at u add integers."""
+    base = a.ledger.per_vertex[u].R_base
+    data = [a.chars.pairs[u, e] for e in a.chars.edges_at[u]]
+    L = lcm(
+        base.denominator,
+        *(d.term.denominator for d in data),
+        *(d.eta.denominator for d in data),
+    )
+    return (
+        L,
+        base.numerator * (L // base.denominator),
+        [
+            (
+                d.term.numerator * (L // d.term.denominator),
+                d.eta.numerator * (L // d.eta.denominator),
+                d.side_dt,
+            )
+            for d in data
+        ],
+    )
+
+
 def _chk_R_identity(a: Analysis) -> list[str]:
+    # R + (epsilon - |A| - 1)(1 - 1/N) = 1 + (Delta-bar - 1 - sum eta)/N,
+    # multiplied through by N*L
     out = []
     per = a.ledger.per_vertex
     for u in sorted(per):
         N = a.table.N[u]
-        edges = a.chars.edges_at[u]
-        for size in range(0, min(3, len(edges)) + 1):
-            for A in combinations(edges, size):
-                R = R_of(a.ledger, a.chars, u, A)
-                bar = delta_bar(a.ledger, a.chars, u, A)
-                eta_sum = sum((a.chars.pairs[(u, e)].eta for e in A), Fraction(0))
-                lhs = R + (per[u].epsilon - len(A) - 1) * (1 - Fraction(1, N))
-                rhs = 1 + Fraction(bar - 1 - eta_sum, 1) / N
+        L, base, rows = _R_table_at(a, u)
+        for size in range(0, min(3, len(rows)) + 1):
+            for A in combinations(rows, size):
+                R = base + sum(term for term, _, _ in A)
+                bar = per[u].delta_tilde + sum(side for _, _, side in A)
+                eta_sum = sum(eta for _, eta, _ in A)
+                lhs = N * R + (per[u].epsilon - size - 1) * (N - 1) * L
+                rhs = N * L + (bar - 1) * L - eta_sum
                 if lhs != rhs:
                     out.append(f"{u!r}, |A|={size}")
                     break
@@ -802,14 +828,15 @@ def _chk_R_identity(a: Analysis) -> list[str]:
 
 
 def _chk_global_R(a: Analysis) -> list[str]:
+    # Delta-tilde(N) = (R(u, all edges) - 2) N + 2 + sum eta, multiplied
+    # through by L
     out = []
-    per = a.ledger.per_vertex
     dt_N = a.glob.delta_tilde_N
-    for u in sorted(per):
-        edges = a.chars.edges_at[u]
-        R = R_of(a.ledger, a.chars, u, edges)
-        eta_sum = sum((a.chars.pairs[(u, e)].eta for e in edges), Fraction(0))
-        if dt_N != (R - 2) * a.table.N[u] + 2 + eta_sum:
+    for u in sorted(a.ledger.per_vertex):
+        L, base, rows = _R_table_at(a, u)
+        R = base + sum(term for term, _, _ in rows)
+        eta_sum = sum(eta for _, eta, _ in rows)
+        if dt_N * L != (R - 2 * L) * a.table.N[u] + 2 * L + eta_sum:
             out.append(f"{u!r}")
     return out
 
@@ -825,13 +852,12 @@ def _chk_eta_nonneg(a: Analysis) -> list[str]:
 def _chk_monotonic(a: Analysis) -> list[str]:
     out = []
     pairs = a.chars.pairs
-    side_dt = {pair: a.ledger.delta_tilde(data.n_side) for pair, data in pairs.items()}
     for top, dtop in pairs.items():
-        dt_top = side_dt[top]
+        dt_top = dtop.side_dt
         for bot, dbot in pairs.items():
             if bot == top or not a.chars.precedes(bot, top):
                 continue
-            dt_bot = side_dt[bot]
+            dt_bot = dbot.side_dt
             if not dbot.n_side <= dtop.n_side:
                 out.append(f"{bot} !<= {top}: side sets")
             if not (dtop.c <= dbot.c and dtop.eta >= dbot.eta and dt_top >= dt_bot):
@@ -844,7 +870,7 @@ def _chk_monotonic(a: Analysis) -> list[str]:
 def _chk_nonpositive_iff(a: Analysis) -> list[str]:
     out = []
     for pair, data in sorted(a.chars.pairs.items(), key=lambda kv: str(kv[0])):
-        dt = a.ledger.delta_tilde(data.n_side)
+        dt = data.side_dt
         nonpos = dt <= 0
         if data.nonpositive != nonpos:
             out.append(f"{pair}: stored flag")
@@ -888,7 +914,7 @@ def _chk_tooth_facts(a: Analysis) -> list[str]:
     per = a.ledger.per_vertex
     for u, e in sorted(a.struct.teeth, key=str):
         data = a.chars.pairs[(u, e)]
-        dt = a.ledger.delta_tilde(data.n_side)
+        dt = data.side_dt
         ok = (
             data.nonpositive
             and data.eta == 0
@@ -1055,7 +1081,6 @@ def _chk_decompositions(a: Analysis) -> list[str]:
     per = a.ledger.per_vertex
     dt = a.ledger.delta_tilde
     dt_N = a.glob.delta_tilde_N
-    side_dt = {pair: dt(data.n_side) for pair, data in a.chars.pairs.items()}
     for z in sorted(a.decompositions):
         dec = a.decompositions[z]
         tag = f"z={z!r}"
@@ -1154,7 +1179,7 @@ def _chk_decompositions(a: Analysis) -> list[str]:
                     for p in a.chars.pairs
                     if p[0] in st.S
                     and a.chars.precedes(c0.greatest, p)
-                    and side_dt[p] <= 0
+                    and a.chars.pairs[p].side_dt <= 0
                 ]
                 if above:
                     out.append(f"{tag}: root-class top not maximal nonpositive")

@@ -14,6 +14,7 @@ reduced as "p/q" and mappings are key-sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 # Reports go through `tree_io.json_text`, so nothing here calls `json`; the
 # name stays because perfbench's tracer reads `cli.json` and puts a shim in
 # its place when it installs.
@@ -45,7 +46,7 @@ from .report import (
     decompositions_to_dict,
     render_text,
 )
-from .tree_io import export_dot, json_text, parse, serialize
+from .tree_io import collector_paused, export_dot, json_text, parse, serialize
 from .tree_model import iter_axiom_diagnostics
 
 
@@ -68,8 +69,7 @@ def _classification_line(info) -> str:
     return "valid axioms (not generic)"
 
 
-def _cmd_validate(args) -> int:
-    tree = _read_tree(args.file)
+def _validate(tree) -> int:
     # printed as found, so memory stays flat however many there are
     failed = False
     for d in iter_axiom_diagnostics(tree):
@@ -82,6 +82,14 @@ def _cmd_validate(args) -> int:
     for reason in info.reasons:
         print(f"  - {reason}")
     return 0
+
+
+def _cmd_validate(args) -> int:
+    # The collector stays paused from the parse to the verdict, and until the
+    # tree is freed: a young collection while the fresh tree is alive would
+    # walk all its objects, which hold no cycle, and free nothing.
+    with collector_paused():
+        return _validate(_read_tree(args.file))
 
 
 def _full_report(tree, z):
@@ -295,10 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `run` in this process, built on first use.  A
+    parser, its subparsers and its actions point at each other, so each
+    build would also leave about 250 objects for the cyclic collector."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

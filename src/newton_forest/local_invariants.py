@@ -5,13 +5,15 @@ the dicriticals.  For v in script-N the ledger carries the dead-end value a,
 the vertex-neighbour count r, the node data (adjacent dicriticals, their
 degrees and k-values, the sorted type), sigma, epsilon, the genus defects
 Delta and Delta-tilde, the degree gcd d(v), the unit-degree weight xi, purity,
-and the auxiliary epsilon' = a* + b + epsilon.
+the auxiliary epsilon' = a* + b + epsilon, and base(v), the part of R(v, A)
+that does not depend on A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .errors import InternalInconsistencyError, NotMinimallyCompleteError
@@ -37,6 +39,9 @@ class VertexData:
     a_star: int
     b: int
     epsilon_prime: int
+    # (1 - 1/a) plus (1 - 1/k) per adjacent dicritical: R(v, A) without the
+    # terms of the edges in A
+    R_base: Fraction
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,8 @@ def vertex_ledger(
         pure = all(du in (1, N) for du in typ)
         a_star = 1 if a > 1 else 0
         b = sum(1 for u in dics if info.degree[u] < N)
+        den = lcm(a, *k.values())
+        R_base = Fraction(sum(den - den // m for m in (a, *k.values())), den)
 
         out[v] = VertexData(
             a=a,
@@ -123,6 +130,7 @@ def vertex_ledger(
             a_star=a_star,
             b=b,
             epsilon_prime=a_star + b + epsilon,
+            R_base=R_base,
         )
     return VertexLedger(per_vertex=out)
 

@@ -232,30 +232,31 @@ def analysis_to_dict(
     return doc
 
 
+def _scalar(value: Any) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return "[" + ", ".join(_scalar(v) for v in value) + "]"
+    return str(value)
+
+
+def _emit(lines: list[str], key: str, value: Any, depth: int) -> None:
+    pad = "  " * depth
+    if isinstance(value, dict):
+        lines.append(f"{pad}{key}:")
+        for k in value:
+            _emit(lines, str(k), value[k], depth + 1)
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        lines.append(f"{pad}{key}:")
+        for i, item in enumerate(value):
+            _emit(lines, f"[{i}]", item, depth + 1)
+    else:
+        lines.append(f"{pad}{key}: {_scalar(value)}")
+
+
 def render_text(doc: dict[str, Any]) -> str:
     """Stable plain-text rendering of a report dictionary."""
     lines: list[str] = []
-
-    def emit(key: str, value: Any, depth: int) -> None:
-        pad = "  " * depth
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            for k in value:
-                emit(str(k), value[k], depth + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{pad}{key}:")
-            for i, item in enumerate(value):
-                emit(f"[{i}]", item, depth + 1)
-        else:
-            lines.append(f"{pad}{key}: {_scalar(value)}")
-
-    def _scalar(value: Any) -> str:
-        if isinstance(value, bool):
-            return "yes" if value else "no"
-        if isinstance(value, list):
-            return "[" + ", ".join(_scalar(v) for v in value) + "]"
-        return str(value)
-
     for key in doc:
-        emit(key, doc[key], 0)
+        _emit(lines, key, doc[key], 0)
     return "\n".join(lines) + "\n"

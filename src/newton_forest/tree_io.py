@@ -34,7 +34,8 @@ import gc
 import json
 import math
 import sys
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from .errors import ParseError
 from .multiplicity import source_multiplicities
@@ -82,6 +83,18 @@ def _unknown_keys_error(where: str, raw: dict, known: set[str]) -> ParseError:
     return ParseError(f"{where}: unknown keys {sorted(set(raw) - known)}")
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore it as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse(text: str) -> DecoratedRootedTree:
     """Parse an `.ntree` document.
 
@@ -96,22 +109,16 @@ def parse(text: str) -> DecoratedRootedTree:
     slower: resuming a generator once per entry costs more than appending
     to a list and reading it back.
 
-    The cyclic garbage collector is paused meanwhile and then restored as
-    it was.  Neither the decoded document nor the tree holds a reference
-    cycle, so a collection would free none of their objects, yet each full
-    one walks every object alive, and a tree of n cells allocates enough
-    objects to set off several: on a 48k-cell file they took about a third
-    of the time.
+    The cyclic garbage collector is paused meanwhile (`collector_paused`).
+    Neither the decoded document nor the tree holds a reference cycle, so a
+    collection would free none of their objects, yet each full one walks
+    every object alive, and a tree of n cells allocates enough objects to
+    set off several: on a 48k-cell file they took about a third of the time.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         # the decoded document is dropped on return, before the tree is built
         cells, edges, root = _read_document(text)
         return build_tree(cells, edges, root)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _read_document(text: str) -> tuple[list[Cell], list[Edge], CellRef]:

@@ -1,13 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from newton_forest.characteristic import (
     R_of,
     characteristic_numbers,
-    delta_bar,
     node_h_products,
     path_dead_end_product,
     rational_divides,
@@ -28,6 +28,29 @@ from newton_forest.tree_io import (
     serialize,
 )
 from newton_forest.tree_model import DecoratedRootedTree
+
+
+# R and Delta-bar summed from their definitions, as the engine did before it
+# read them from one table; the table is checked against these.
+def R_definition(ledger, chars, u, A):
+    """R(u, A) = sum over adjacent dicriticals of (1 - 1/k) + (1 - 1/a)
+    + sum over e in A of (1 - 1/M(u,e)), summed afresh."""
+    data = ledger.per_vertex[u]
+    total = Fraction(0)
+    for x in data.dicriticals:
+        total += 1 - Fraction(1, data.k[x])
+    total += 1 - Fraction(1, data.a)
+    for e in A:
+        total += 1 - Fraction(1, chars.pairs[(u, e)].M)
+    return total
+
+
+def delta_bar(ledger, chars, u, A):
+    """Genus defect of {u} together with everything beyond the edges of A."""
+    cells = {u}
+    for e in A:
+        cells |= chars.pairs[(u, e)].n_side
+    return ledger.delta_tilde(cells)
 
 
 def test_rational_gcd_basic():
@@ -164,6 +187,30 @@ def test_R_and_delta_bar_T_D():
     assert R_of(ledger, chars, "v0", [e]) == Fraction(3, 4)
     assert R_of(ledger, chars, "v0", []) == 0
     assert delta_bar(ledger, chars, "v0", []) == -5
+
+
+def test_R_table_matches_its_definition():
+    # R(u, A) from base(u) and the pair terms, and Delta-bar(u, A) from
+    # Delta-tilde(u) and the side defects, against their definitions for
+    # every A of at most three edges and for all edges at u
+    trees = list(fixture_corpus().values())
+    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(300)]
+    trees += [
+        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
+        for s in range(12)
+    ]
+    subsets = 0
+    for tree in trees:
+        a = Analysis.build(tree)
+        per = a.ledger.per_vertex
+        for u, edges in a.chars.edges_at.items():
+            sets = [A for size in range(min(3, len(edges)) + 1) for A in combinations(edges, size)]
+            for A in sets + [edges]:
+                assert R_of(a.ledger, a.chars, u, A) == R_definition(a.ledger, a.chars, u, A)
+                bar = per[u].delta_tilde + sum(a.chars.pairs[u, e].side_dt for e in A)
+                assert bar == delta_bar(a.ledger, a.chars, u, A), (u, A)
+                subsets += 1
+    assert subsets == 2377
 
 
 def test_R_rejects_foreign_edges():

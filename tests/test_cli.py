@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -765,3 +766,123 @@ def test_gen_rational(capsys):
 
     tree = parse(capsys.readouterr().out)
     assert oracle_delta_tilde_N(tree) == 0
+
+
+# sha256 over the stdout and exit code of `analyze FILE` (text format) on
+# every fixture and on generator seeds 0..99 at max_cells=40.
+PINNED_TEXT_SHA256 = "e57b1f6a6a56969da110cb44917c43f2e583c092386281baa9b59baa88f93a11"
+
+
+def test_text_output_bytes_pinned(tmp_path, capsys):
+    paths = sorted(FIXTURES.glob("*.ntree"))
+    for seed in range(100):
+        path = tmp_path / f"seed{seed}.ntree"
+        path.write_text(serialize(generate(GeneratorConfig(seed=seed, max_cells=40))))
+        paths.append(path)
+    digest = hashlib.sha256()
+    for path in paths:
+        code = run(["analyze", str(path)])
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        digest.update(f"\0exit {code}\0".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_TEXT_SHA256
+
+
+# Good calls interleaved with usage errors and help requests, each answered
+# by argparse from the parser of the calls before it.
+USAGE_ARGVS = (
+    ["analyze", str(FIXTURES / "T_D.ntree"), "--format", "json"],
+    ["analyze"],
+    ["validate", str(FIXTURES / "T_A.ntree")],
+    ["analyze", str(FIXTURES / "T_D.ntree"), "--format", "xml"],
+    ["combs", str(FIXTURES / "T_D.ntree")],
+    ["audit", "--gen", "-3"],
+    ["audit", str(FIXTURES / "T_B_1_2.ntree")],
+    ["gen", "--seed", "0", "--max-cells", "3"],
+    ["gen", "--seed", "0", "--max-cells", "12"],
+    ["frobnicate", str(FIXTURES / "T_A.ntree")],
+    ["dot", str(FIXTURES / "T_A.ntree"), "--with-report"],
+    ["--help"],
+    ["analyze", str(FIXTURES / "T_C_1_1_2.ntree")],
+    ["audit", "--help"],
+    ["analyze", str(FIXTURES / "T_D.ntree"), "--format", "json"],
+)
+
+# sha256 over the exit code, stdout and stderr of each call of USAGE_ARGVS
+# in turn, at a help width of 80 columns.
+PINNED_USAGE_SHA256 = "266cac183d9f6089a56da07fdfc5fb0b4a028d48224b42519fd5702925f8f90f"
+
+
+def _usage_outputs(capsys, argvs, fresh):
+    outputs = []
+    for argv in argvs:
+        if fresh:
+            cli._parser.cache_clear()
+        code = run(argv)
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    return outputs
+
+
+def test_usage_bytes_pinned(monkeypatch, capsys):
+    # argparse wraps usage and help text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    kept = _usage_outputs(capsys, USAGE_ARGVS, fresh=False)
+    assert kept == _usage_outputs(capsys, USAGE_ARGVS, fresh=True)
+    digest = hashlib.sha256()
+    for code, out, err in kept:
+        digest.update(f"{code}\0{out}\0{err}\0".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_USAGE_SHA256
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = 0
+    real = cli.build_parser
+
+    def counted():
+        nonlocal built
+        built += 1
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(20):
+            for argv in USAGE_ARGVS:
+                run(argv)
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert built == 1
+
+
+def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # a command's objects go when their count drops to zero, so the cyclic
+    # collector finds nothing to free after any of them; usage errors are
+    # left out, since a caught `SystemExit` keeps its frames in a cycle
+    paths = sorted(FIXTURES.glob("*.ntree"))
+    for seed in range(50):
+        path = tmp_path / f"seed{seed}.ntree"
+        path.write_text(serialize(generate(GeneratorConfig(seed=seed, max_cells=40))))
+        paths.append(path)
+    argvs = [["gen", "--seed", str(seed)] for seed in range(10)]
+    for path in map(str, paths):
+        argvs += [
+            ["analyze", path, "--format", "json"],
+            ["analyze", path],
+            ["validate", path],
+            ["combs", path],
+            ["audit", path],
+            ["dot", path, "--with-report"],
+        ]
+    run(argvs[0])  # builds the parser, which holds cycles for good
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in argvs:
+            assert run(argv) == 0, argv
+            capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
