@@ -15,9 +15,10 @@ R and Delta-bar come from one table, built once from k, a, M and the
 n-sides: R(u, A) is base(u), kept in the vertex ledger, plus each pair's
 term 1 - 1/M(u, e) over e in A, and Delta-bar(u, A) is Delta-tilde(u) plus
 each pair's side defect, the sum of Delta-tilde over its n-side.
-For a set A of arrows, `node_h_products` gives h(w,A) and h-hat(w,A) for
-every vertex w in one O(n) walk outward from the hull of A; the oracle
-module keeps the path-by-path definition.
+For the set A of (1)-arrows at a set of vertices, `node_h_products` gives
+h(w,A) and h-hat(w,A) for every vertex w in one walk outward from the hull
+of A over the vertices, each vertex's arrow edges folded into one term; the
+oracle module keeps the path-by-path definition.
 
 All rational arithmetic is exact (`fractions.Fraction`).
 """
@@ -31,7 +32,7 @@ from typing import AbstractSet, Iterable, Mapping
 
 from .errors import InternalInconsistencyError
 from .local_invariants import VertexLedger
-from .multiplicity import MultiplicityTable
+from .multiplicity import MultiplicityTable, VertexFold
 from .tree_model import CellRef, DecoratedRootedTree, Edge, products_but_one
 
 Rational = Fraction
@@ -66,10 +67,11 @@ def path_dead_end_product(tree: DecoratedRootedTree, x: CellRef, y: CellRef) -> 
 
 
 def node_h_products(
-    tree: DecoratedRootedTree, arrows: AbstractSet[CellRef]
+    fold: VertexFold, sources: AbstractSet[CellRef]
 ) -> dict[CellRef, tuple[int, int]]:
-    """(h(w,A), h-hat(w,A)) for every vertex w and a nonempty arrow set A,
-    in O(n).
+    """(h(w,A), h-hat(w,A)) for every vertex w, where A, which must not be
+    empty, is the set of (1)-arrows at the vertices in `sources`, in
+    O(vertices + vertex edges).
 
     h multiplies, over the vertices u on every path from w to A, the
     decorations near u of the edges on none of those paths; h-hat leaves
@@ -78,46 +80,61 @@ def node_h_products(
     h is its arrow-free product and h-hat = 1.  Any other vertex w has one
     arrow direction, towards a neighbour n, so h-hat(w) is h-hat(n) times
     n's arrow-free product without the edge to w (1 when n is the lone
-    arrow of A), and h(w) is h-hat(w) times w's arrow-free product.  One
-    pass up counts the arrows below each cell, and a walk outward from the
-    hull fills in the rest, each visit O(deg) through `products_but_one`.
+    arrow of A), and h(w) is h-hat(w) times w's arrow-free product.  The
+    arrow edges at a vertex w fold into one term (`VertexFold`): each of
+    its arrows in A is a direction, and the others are arrow-free, with the
+    product `dead[w]` when w is in `sources` and `Q[w]` when it is not.
+    One pass up counts the arrows below each vertex, and a walk outward
+    from the hull fills in the rest, each visit O(vertex degree) through
+    `products_but_one`; no arrow is visited.
     """
-    if not arrows:
-        raise ValueError("h-products need a nonempty arrow set")
-    parent_edge = tree._parent_edge
-    order = tree._order  # every parent before its children
-    below = dict.fromkeys(order, 0)  # arrows of A in each rooted subtree
+    order, parent, children = fold.order, fold.parent, fold.children
+    ones = fold.ones
+    below = dict.fromkeys(order, 0)  # arrows of A at and above each vertex
+    for w in sources:
+        below[w] = ones[w]
     for c in reversed(order[1:]):
-        if c in arrows:
-            below[c] = 1
-        below[parent_edge[c].other(c)] += below[c]
-    total = below[tree.root]
+        below[parent[c][0]] += below[c]
+    total = below[order[0]]
+    if not total:
+        raise ValueError("h-products need a nonempty arrow set")
 
-    free: dict[CellRef, list[tuple[CellRef, int]]] = {}  # arrow-free neighbours
+    free: dict[CellRef, list[tuple[CellRef, int]]] = {}  # arrow-free vertex neighbours
+    free_arrows: dict[CellRef, int] = {}  # product of the arrow-free arrow edges
     h_hat: dict[CellRef, int] = {}
-    for w in tree.vertices:
+    for w in order:
+        if w in sources:
+            directions = own = ones[w]
+            free_arrows[w] = fold.dead[w]
+        else:
+            directions = own = 0
+            free_arrows[w] = fold.Q[w]
         free[w] = []
-        directions = 0
-        for e in tree.incident_edges(w):
-            n = e.other(w)
-            beyond = below[n] if parent_edge[n] is e else total - below[w]
-            if beyond:
+        for n, q, _ in children[w]:
+            if below[n]:
                 directions += 1
-                if n in arrows and total == 1:
-                    h_hat[w] = 1
             else:
-                free[w].append((n, e.q_near(w)))
-        if directions > 1:
+                free[w].append((n, q))
+        up = parent.get(w)
+        if up is not None:
+            if total - below[w]:
+                directions += 1
+            else:
+                free[w].append(up[:2])
+        if directions > 1 or own == total:
             h_hat[w] = 1
 
     walk = list(h_hat)  # the hull, or the vertex next to the lone arrow
     for n in walk:
-        rest = products_but_one([q for _, q in free[n]])
+        rest = products_but_one([q for _, q in free[n]] + [free_arrows[n]])
         for (w, _), q in zip(free[n], rest):
-            if w in free and w not in h_hat:  # its one arrow direction is n
+            if w not in h_hat:  # its one arrow direction is n
                 h_hat[w] = h_hat[n] * q
                 walk.append(w)
-    return {w: (h_hat[w] * prod(q for _, q in free[w]), h_hat[w]) for w in free}
+    return {
+        w: (h_hat[w] * prod(q for _, q in free[w]) * free_arrows[w], h_hat[w])
+        for w in order
+    }
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .characteristic import (
     R_of,
@@ -32,7 +32,7 @@ from .characteristic import (
     rational_divides,
 )
 from .errors import InternalInconsistencyError
-from .multiplicity import source_multiplicities
+from .multiplicity import VertexFold, source_multiplicities
 from .report import Analysis
 from .structure import quotient_tree_H
 from .tree_model import CellRef, DecoratedRootedTree, Edge
@@ -473,35 +473,39 @@ def _chk_dead_end_mult(a: Analysis) -> list[str]:
 
 
 def _chk_unit_edge(a: Analysis) -> list[str]:
-    out = []
-    for e in a.tree.iter_vertex_edges():
-        x, y = e.ends
-        if a.tree.less_than(y, x):
-            x, y = y, x
-        if a.table.N[x] == 1:
-            det = a.tree.edge_determinant(e)
-            if y not in a.info.dicriticals or a.info.degree[y] != 1 or det != -1:
-                out.append(f"edge {e}: N({x!r})=1 but far end is not a unit dicritical")
-    return out
+    # each vertex edge from the parent x to the child y; the witnesses in
+    # the order of the tree's edges
+    fold, N, info = a.table.fold, a.table.N, a.info
+    failed = []
+    for y, (x, _, _) in fold.parent.items():
+        if N[x] == 1 and (
+            y not in info.dicriticals or info.degree[y] != 1 or fold.determinant(x, y) != -1
+        ):
+            failed.append((a.tree.edge_between(x, y), x))
+    return [
+        f"edge {e}: N({x!r})=1 but far end is not a unit dicritical"
+        for e, x in sorted(failed)
+    ]
 
 
-def _linear_paths(
-    tree: DecoratedRootedTree,
-) -> list[tuple[CellRef, CellRef, CellRef, CellRef]]:
+def _linear_paths(fold: VertexFold) -> list[tuple[CellRef, CellRef, CellRef, CellRef]]:
     """(v, v', first, last) for every path v..v' between vertices, v < v',
     whose inner cells all have valency 2; first and last are the cells next
     to v and v' on it.  Sorted by (v, v')."""
     out = []
-    for v in tree.vertices:
-        for e in tree.incident_edges(v):
-            prev, cur = v, e.other(v)
-            first = cur
-            while tree.is_vertex(cur):
+    for v in fold.order:
+        for first, _, _ in fold.vertex_edges(v):
+            prev, cur = v, first
+            while True:
                 if v < cur:
                     out.append((v, cur, first, prev))
-                if tree.valency(cur) != 2:
+                ahead = fold.vertex_edges(cur)
+                if len(ahead) + len(fold.arrows[cur]) != 2:
                     break
-                prev, cur = cur, next(n for n in tree.neighbors(cur) if n != prev)
+                beyond = [n for n, _, _ in ahead if n != prev]
+                if not beyond:  # cur's other edge leads to an arrow
+                    break
+                prev, cur = cur, beyond[0]
     out.sort()
     return out
 
@@ -510,12 +514,10 @@ def _chk_linear_paths(a: Analysis) -> list[str]:
     # both determinant identities on every linear path between vertices; the
     # x-hat sums over the arrows on each side are F of its two end edges
     out = []
-    tree, N, F = a.tree, a.table.N, a.table.F
-    for v, vp, first, last in _linear_paths(tree):
-        e = tree.edge_between(v, first)
-        ep = tree.edge_between(vp, last)
-        q, qp = e.q_near(v), ep.q_near(vp)
-        Q, Qp = tree.Q(e, v), tree.Q(ep, vp)
+    fold, N, F = a.table.fold, a.table.N, a.table.F
+    for v, vp, first, last in _linear_paths(fold):
+        q, Q = fold.near(v, first)
+        qp, Qp = fold.near(vp, last)
         det = q * qp - Q * Qp
         if (
             q * N[vp] - Qp * N[v] != det * F[v, first]
@@ -749,35 +751,42 @@ def _chk_char_chain_div(a: Analysis) -> list[str]:
     return out
 
 
-def _chk_dic_sum_div(a: Analysis) -> list[str]:
-    # one O(n) pass per node over its arrows gives the sums of x and x-hat
-    # (N[w] and the F of w's edges), one walk out from their hull gives h
-    # and h-hat for every base w; d | sx/a is tested in integers as
-    # (d a) | sx, the dead-end value a being nonzero
-    out = []
-    tree = a.tree
-    bases = sorted(tree.vertices)
-    a_value = {w: tree.a_value(w) for w in bases}
-    neighbours = {w: tree.neighbors(w) for w in bases}
+def _dicritical_sums(
+    a: Analysis,
+) -> Iterator[tuple[CellRef, CellRef, int, int, int, int]]:
+    """(z, w, sum of x, sum of x-hat, h, h-hat) for every node z and base
+    vertex w, in that order, over the set A of (1)-arrows at z's
+    dicriticals.  A reaches each pass as the fold terms at those vertices:
+    one pass over the vertices per node gives N[w], the sum of x, and the F
+    of w's vertex edges, whose sum with the number of w's arrows in A is the
+    sum of x-hat; one walk out from the hull of A gives h and h-hat."""
+    fold = a.table.fold
+    bases = sorted(fold.order)
+    neighbours = {w: [n for n, _, _ in fold.vertex_edges(w)] for w in bases}
     for z in sorted(a.glob.nd):
-        dz = a.ledger.per_vertex[z]
-        arrows = frozenset(
-            alpha
-            for u in dz.dicriticals
-            for alpha in tree.neighbors(u)
-            if alpha in tree.arrows1
-        )
-        N, F = source_multiplicities(tree, arrows)
-        hs = node_h_products(tree, arrows)
-        d = dz.d
+        sources = frozenset(a.ledger.per_vertex[z].dicriticals)
+        N, F, _ = source_multiplicities(fold, sources)
+        hs = node_h_products(fold, sources)
         for w in bases:
-            h, h_hat = hs[w]
-            sx = N[w]
             sxh = sum(F[w, n] for n in neighbours[w])
-            if not rational_divides(h * d, sx) or not rational_divides(h_hat * d, sxh):
-                out.append(f"node {z!r}, base {w!r}")
-            if not rational_divides(d * a_value[w], sx):
-                out.append(f"node {z!r}, base {w!r}: sum/a not divisible")
+            if w in sources:
+                sxh += fold.ones[w]
+            yield (z, w, N[w], sxh, *hs[w])
+
+
+def _chk_dic_sum_div(a: Analysis) -> list[str]:
+    # d | sx/a is tested in integers as (d a) | sx, the dead-end value a
+    # being nonzero; a vertex has at most one dead end (axiom 2), so a is
+    # the fold's product of dead-end decorations
+    out = []
+    per = a.ledger.per_vertex
+    a_value = a.table.fold.dead
+    for z, w, sx, sxh, h, h_hat in _dicritical_sums(a):
+        d = per[z].d
+        if not rational_divides(h * d, sx) or not rational_divides(h_hat * d, sxh):
+            out.append(f"node {z!r}, base {w!r}")
+        if not rational_divides(d * a_value[w], sx):
+            out.append(f"node {z!r}, base {w!r}: sum/a not divisible")
     return out
 
 

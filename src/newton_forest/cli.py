@@ -37,7 +37,7 @@ from .errors import (
     NotInitialVertexError,
     ParseError,
 )
-from .multiplicity import classify, source_multiplicities
+from .multiplicity import classify, multiplicities
 from .oracle_gen import GeneratorConfig, generate
 from .report import (
     Analysis,
@@ -77,7 +77,7 @@ def _validate(tree) -> int:
         failed = True
     if failed:
         return 1
-    info = classify(tree, source_multiplicities(tree, tree.arrows1)[0])
+    info = classify(tree, multiplicities(tree))
     print(_classification_line(info))
     for reason in info.reasons:
         print(f"  - {reason}")

@@ -77,22 +77,23 @@ def vertex_ledger(
             "analysis requires a minimally complete tree: " + "; ".join(info.reasons)
         )
 
+    fold = table.fold
     script_N = sorted(v for v in tree.vertices if table.N[v] > 0)
     n_set = set(script_N)
     out: dict[CellRef, VertexData] = {}
 
     for v in script_N:
         N = table.N[v]
-        a = tree.a_value(v)
+        a = fold.dead[v]  # the one dead end's decoration (axiom 2), or 1
         if N % a != 0:
             raise InternalInconsistencyError(f"a-value {a} does not divide N={N} at {v!r}")
-        vertex_neighbors = [n for n in tree.neighbors(v) if tree.is_vertex(n)]
+        vertex_neighbors = [n for n, _, _ in fold.vertex_edges(v)]
         r = len(vertex_neighbors) - 1
         dics = tuple(sorted(n for n in vertex_neighbors if n in info.dicriticals))
         is_node = bool(dics)
         k = {}
         for u in dics:
-            k[u] = -tree.edge_determinant(tree.edge_between(v, u))
+            k[u] = -fold.determinant(v, u)
         typ = tuple(sorted(info.degree[u] for u in dics))
         sigma = sum((k[u] - 1) * info.degree[u] for u in dics)
         epsilon = sum(1 for n in vertex_neighbors if n in n_set)

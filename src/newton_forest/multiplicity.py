@@ -6,10 +6,11 @@ path; the hatted variant drops the edges incident to v itself.  N_v sums
 x(v,b) over all (1)-arrows.  No table of x is kept: for an edge directed
 from c to d, F(c->d) is the sum of x-hat(c,b) over the (1)-arrows b beyond
 d, so N_c is the sum of Q(e,c) F(c->d) over the edges e = {c,d} at c.  One
-rerooting pass over the directed edges computes N for every source and F
-on every directed edge in O(n) for n cells; the pair numbers p and p' and
-the audit checks read their sums of x-hat from F.  The oracle module
-recomputes x arrow by arrow from the definition.
+rerooting pass over the directed vertex edges computes N for every vertex
+and F on every vertex edge, with each vertex's arrow edges folded into one
+term (`VertexFold`); the pair numbers p and p' and the audit checks read
+their sums of x-hat from F.  The oracle module recomputes x arrow by arrow
+from the definition.
 """
 
 from __future__ import annotations
@@ -21,14 +22,63 @@ from .tree_model import CellRef, DecoratedRootedTree
 
 
 @dataclass(frozen=True)
+class VertexFold:
+    """The tree on its vertices, each vertex's arrow edges folded into one term.
+
+    A pass sums over the (1)-arrows at the vertices of a source set D: at
+    every vertex for N, at a node's dicriticals in the audit.  At a vertex c
+    the arrow edges give the pairs (q(e,c), 1) for its (1)-arrows when c is
+    in D, and (q(e,c), 0) otherwise.  Pairs combine associatively (see
+    `_sums_but_one`), so they fold into the one pair (Q[c], S[c]) when c is
+    in D and (Q[c], 0) when it is not.
+    """
+
+    order: list[CellRef]  # the vertices, every parent before its children
+    # per non-root vertex: (its parent, the decoration near it, near the parent)
+    parent: Mapping[CellRef, tuple[CellRef, int, int]]
+    # per vertex: (child vertex, the decoration near it, near the child)
+    children: Mapping[CellRef, list[tuple[CellRef, int, int]]]
+    # per vertex: (arrow, the decoration near the vertex, the arrow's 0 or 1),
+    # the (1)-arrows first, each kind in incidence order
+    arrows: Mapping[CellRef, list[tuple[CellRef, int, int]]]
+    Q: Mapping[CellRef, int]  # product of the decorations near c on its arrow edges
+    S: Mapping[CellRef, int]  # sum over c's (1)-arrows of the product of the others
+    ones: Mapping[CellRef, int]  # number of (1)-arrows at c
+    dead: Mapping[CellRef, int]  # product of the decorations near c on its dead ends
+
+    def vertex_edges(self, c: CellRef) -> list[tuple[CellRef, int, int]]:
+        """c's edges to other vertices: (the other vertex, the decoration
+        near c, the decoration near it)."""
+        up = self.parent.get(c)
+        return self.children[c] if up is None else [*self.children[c], up]
+
+    def near(self, c: CellRef, n: CellRef) -> tuple[int, int]:
+        """(q(e,c), Q(e,c)) for the vertex edge e = {c, n}: the decoration
+        near c on e, and the product of those near c on c's other edges."""
+        q_e, Q = 0, self.Q[c]
+        for m, q, _ in self.vertex_edges(c):
+            if m == n:
+                q_e = q
+            else:
+                Q *= q
+        return q_e, Q
+
+    def determinant(self, c: CellRef, n: CellRef) -> int:
+        """q(e,c) q(e,n) - Q(e,c) Q(e,n) for the vertex edge e = {c, n}."""
+        (q_c, Q_c), (q_n, Q_n) = self.near(c, n), self.near(n, c)
+        return q_c * q_n - Q_c * Q_n
+
+
+@dataclass(frozen=True)
 class MultiplicityTable:
     """N over vertices and (0)-arrows, F on every directed edge (c, d), M(T),
-    and the number of points at infinity."""
+    the number of points at infinity, and the fold the passes read."""
 
     N: Mapping[CellRef, int]
     F: Mapping[tuple[CellRef, CellRef], int]
     M_of_T: int
     points_at_infinity: int
+    fold: VertexFold
 
 
 def _sums_but_one(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
@@ -54,66 +104,123 @@ def _sums_but_one(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return pre_S[n], but_one
 
 
-def source_multiplicities(
-    tree: DecoratedRootedTree, arrows: AbstractSet[CellRef]
-) -> tuple[dict[CellRef, int], dict[tuple[CellRef, CellRef], int]]:
-    """N over vertices and (0)-arrows, in no set order, and F on every
-    directed edge, both summed over the (1)-arrows in `arrows`, in O(n).
-
-    For an edge e directed from c to d, F(c->d) sums x-hat(c,b) over the
-    arrows b in `arrows` on d's side: 1 when d is such an arrow, 0 when d is
-    any other arrow, and otherwise the sum S over the pairs
-    (q(e',d), F(d->d')) of d's other edges e' = {d,d'}.  N_v is S over the
-    pairs of all edges at v.  One pass up the tree's breadth-first order
-    gives F on the edges directed away from the root, one pass down gives
-    the rest, each visit O(deg) through `_sums_but_one`.
-    """
+def _vertex_fold(tree: DecoratedRootedTree) -> VertexFold:
+    """The fold of `tree`, from one visit per cell."""
+    order = tree._vertex_order
     parent_edge = tree._parent_edge
-    children = tree._children
-    order = tree._order  # every parent before its children
-    zero = tree.arrows0
+    parent = {}
+    children: dict[CellRef, list[tuple[CellRef, int, int]]] = {v: [] for v in order}
+    for v in order[1:]:
+        (x, y), (qx, qy) = parent_edge[v]
+        p, qv, qp = (y, qx, qy) if x == v else (x, qy, qx)
+        parent[v] = (p, qv, qp)
+        children[p].append((v, qp, qv))
+    arrows: dict[CellRef, list[tuple[CellRef, int, int]]] = {v: [] for v in order}
+    Q = dict.fromkeys(order, 1)
+    S = dict.fromkeys(order, 0)
+    ones = dict.fromkeys(order, 0)
+    dead = dict.fromkeys(order, 1)
+    for alpha in tree._arrows1:
+        (x, y), (qx, qy) = parent_edge[alpha]
+        v, q = (y, qy) if x == alpha else (x, qx)
+        arrows[v].append((alpha, q, 1))
+        S[v] = S[v] * q + Q[v]
+        Q[v] *= q
+        ones[v] += 1
+    for alpha in tree._arrows0:
+        (x, y), (qx, qy) = parent_edge[alpha]
+        v, q = (y, qy) if x == alpha else (x, qx)
+        arrows[v].append((alpha, q, 0))
+        S[v] *= q
+        Q[v] *= q
+        dead[v] *= q
+    return VertexFold(order, parent, children, arrows, Q, S, ones, dead)
+
+
+def source_multiplicities(
+    fold: VertexFold, sources: AbstractSet[CellRef]
+) -> tuple[
+    dict[CellRef, int],
+    dict[tuple[CellRef, CellRef], int],
+    dict[CellRef, tuple[int, int]],
+]:
+    """N over the vertices, F on every directed vertex edge, and each
+    vertex's pair of vertex edges, all summed over the (1)-arrows at the
+    vertices in `sources`.  A source set costs what the vertices cost: their
+    edges to each other plus one fold term per vertex, however many arrows
+    hang off them.
+
+    For a vertex edge e directed from c to d, F(c->d) sums x-hat(c,b) over
+    those arrows b on d's side: the sum S over the pairs (q(e',d),
+    F(d->d')) of d's other vertex edges e' = {d,d'} and d's fold term.  N_v
+    is S over the pairs of all vertex edges at v and v's fold term.  One
+    pass up the vertices gives F on the edges directed away from the root,
+    one pass down gives the rest, each visit O(vertex degree) through
+    `_sums_but_one`; no arrow is visited.  The pair (Q, S) of c's vertex
+    edges alone, S being the sum at c with c's fold term left out, is what
+    c's arrow edges combine with (`multiplicities`).
+    """
+    order, parent, children = fold.order, fold.parent, fold.children
+    Q, S = fold.Q, fold.S
 
     F: dict[tuple[CellRef, CellRef], int] = {}
     for d in reversed(order[1:]):
-        c = parent_edge[d].other(d)
-        if tree.is_arrow(d):
-            F[c, d] = 1 if d in arrows else 0
-        else:
-            F[c, d], _ = _sums_but_one(
-                [(e.q_near(d), F[d, e.other(d)]) for e in children[d]]
-            )
+        q_d, s_d = Q[d], S[d] if d in sources else 0
+        for c, q, _ in children[d]:
+            q_d, s_d = q_d * q, s_d * q + q_d * F[d, c]
+        F[parent[d][0], d] = s_d
 
     N: dict[CellRef, int] = {}
+    outer: dict[CellRef, tuple[int, int]] = {}
     for c in order:
         kids = children[c]
-        up = parent_edge[c]
-        if up is not None and not kids:  # an arrow: its one pair sums to F
-            if c in zero:
-                N[c] = F[c, up.other(c)]
-            continue
-        pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
+        pairs = [(q, F[c, k]) for k, q, _ in kids]
+        up = parent.get(c)
         if up is not None:
-            pairs.append((up.q_near(c), F[c, up.other(c)]))
+            pairs.append((up[1], F[c, up[0]]))
+        q_out = 1
+        for q, _ in pairs:
+            q_out *= q
+        pairs.append((Q[c], S[c] if c in sources else 0))
         N[c], but_one = _sums_but_one(pairs)
-        for e, s in zip(kids, but_one):
-            F[e.other(c), c] = s
-    return N, F
+        for (k, _, _), s in zip(kids, but_one):
+            F[k, c] = s
+        outer[c] = (q_out, but_one[-1])
+    return N, F, outer
 
 
 def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
     """Compute the multiplicity table for a structurally valid tree.
 
-    The dead-end relation N_v = q(e,v) * N_alpha is not re-checked here; the
-    audit check `dead-end-multiplicity` owns it.
+    One visit per cell builds the fold; the rerooting pass over the
+    vertices (`source_multiplicities`, every vertex a source) gives N on the
+    vertices and F on the vertex edges.  At each vertex c the arrow edges
+    then combine with the pair of c's vertex edges from that pass: F(c->b)
+    is 1 on a (1)-arrow b and 0 on a (0)-arrow, and F(b->c), the N of a
+    dead end b, is the sum at c with b's pair left out.  The dead-end
+    relation N_v = q(e,v) * N_alpha is not re-checked here; the audit check
+    `dead-end-multiplicity` owns it.
     """
-    N, F = source_multiplicities(tree, tree.arrows1)
+    fold = _vertex_fold(tree)
+    N, F, outer = source_multiplicities(fold, tree.vertices)
+    for c, arrows in fold.arrows.items():
+        if not arrows:
+            continue
+        _, but_one = _sums_but_one([(q, one) for _, q, one in arrows] + [outer[c]])
+        for (alpha, _, one), s in zip(arrows, but_one):
+            F[c, alpha] = one
+            F[alpha, c] = s
+            if not one:
+                N[alpha] = s
     N = dict(sorted(N.items()))
     M = -sum(N[v] * (tree.valency(v) - 2) for v in N)
 
     root = tree.root
     points = tree.valency(root) - (1 if tree.dead_ends(root) else 0)
 
-    return MultiplicityTable(N=N, F=F, M_of_T=M, points_at_infinity=points)
+    return MultiplicityTable(
+        N=N, F=F, M_of_T=M, points_at_infinity=points, fold=fold
+    )
 
 
 @dataclass(frozen=True)
@@ -128,42 +235,47 @@ class DicriticalInfo:
     reasons: tuple[str, ...]  # why the strongest flag failed, for diagnostics
 
 
-def classify(tree: DecoratedRootedTree, N: Mapping[CellRef, int]) -> DicriticalInfo:
+def classify(tree: DecoratedRootedTree, table: MultiplicityTable) -> DicriticalInfo:
     """Genericity, completeness and minimal completeness of a validated tree
-    whose multiplicities are N."""
+    whose multiplicity table is `table`, read from its vertices and the
+    fold: no arrow is visited but those at a vertex that is not dicritical."""
+    N, fold = table.N, table.fold
+    arrows, ones = fold.arrows, fold.ones
+    vertices = sorted(fold.order)
     reasons: list[str] = []
 
-    dicriticals = frozenset(v for v in tree.vertices if N[v] == 0)
-    degree = {
-        u: sum(1 for n in tree.neighbors(u) if n in tree.arrows1)
-        for u in sorted(dicriticals)
-    }
+    dicriticals = frozenset(v for v in vertices if N[v] == 0)
+    degree = {u: ones[u] for u in sorted(dicriticals)}
 
     generic = True
-    for v in sorted(tree.vertices):
+    for v in vertices:
         if N[v] < 0:
             generic = False
             reasons.append(f"vertex {v!r} has negative multiplicity {N[v]}")
 
     complete = generic
-    for alpha in sorted(tree.arrows1):
-        (e,) = tree.incident_edges(alpha)
-        if e.other(alpha) not in dicriticals:
-            complete = False
-            reasons.append(f"(1)-arrow {alpha!r} is not adjacent to a dicritical")
+    for alpha in sorted(
+        alpha
+        for v in vertices
+        if v not in dicriticals
+        for alpha, _, one in arrows[v]
+        if one
+    ):
+        complete = False
+        reasons.append(f"(1)-arrow {alpha!r} is not adjacent to a dicritical")
 
     minimal = complete
     for u in sorted(dicriticals):
-        if not tree.dead_ends(u):
+        if len(arrows[u]) == ones[u]:
             minimal = False
             reasons.append(f"dicritical {u!r} has no dead end")
-    for v in sorted(tree.vertices):
-        dead = tree.dead_ends(v)
-        if dead and dead[0].q_near(v) == 1 and v not in dicriticals:
+    for v in vertices:
+        dead = arrows[v][ones[v]:]  # in incidence order
+        if dead and dead[0][1] == 1 and v not in dicriticals:
             minimal = False
             reasons.append(f"dead end decorated 1 at non-dicritical {v!r}")
-    for v in sorted(tree.vertices):
-        if v != tree.root and tree.valency(v) == 2:
+    for v in vertices:
+        if v != tree.root and len(fold.vertex_edges(v)) + len(arrows[v]) == 2:
             minimal = False
             reasons.append(f"non-root vertex {v!r} has valency 2")
 

@@ -579,7 +579,7 @@ def _screen(tree: DecoratedRootedTree, cfg: GeneratorConfig) -> DecoratedRootedT
     if validate_axioms(tree):
         return None
     table = multiplicities(tree)
-    info = classify(tree, table.N)
+    info = classify(tree, table)
     if not info.minimally_complete:
         return None
     if cfg.rational:

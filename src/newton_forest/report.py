@@ -6,7 +6,8 @@ structure, and one comb decomposition per initial vertex (or at the given
 initial vertex z).  Each stage function takes every upstream result it reads
 as a required argument and computes nothing upstream itself.  The renderers
 below serialize the bundle byte-deterministically: mappings sorted by key,
-rationals printed reduced as "p/q", integers plain.
+rationals printed reduced as "p/q", integers plain.  The report holds the
+tree itself, which `tree_io.json_text` writes as its canonical document.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class Analysis:
         if diagnostics:
             raise ValidationFailedError(diagnostics)
         table = multiplicities(tree)
-        info = classify(tree, table.N)
+        info = classify(tree, table)
         ledger = vertex_ledger(tree, table, info)  # raises if not minimally complete
         glob = global_ledger(tree, table, info, ledger)
         chars = characteristic_numbers(tree, table, ledger)
@@ -142,8 +143,9 @@ def analysis_to_dict(
     analysis: Analysis, audits: list, classification: dict[str, Any] | None
 ) -> dict[str, Any]:
     """The full report: every section, the audit verdicts, and the rational
-    structure report when the tree is rational (`classification` not None)."""
-    tree = analysis.tree
+    structure report when the tree is rational (`classification` not None).
+    The `tree` section holds the tree itself, which `json_text` writes as
+    its canonical document and `render_text` expands through `to_document`."""
     per = analysis.ledger.per_vertex
     g = analysis.glob
 
@@ -196,7 +198,7 @@ def analysis_to_dict(
     }
 
     doc: dict[str, Any] = {
-        "tree": to_document(tree),
+        "tree": analysis.tree,
         "classification": {
             "generic": analysis.info.generic,
             "complete": analysis.info.complete,
@@ -255,8 +257,12 @@ def _emit(lines: list[str], key: str, value: Any, depth: int) -> None:
 
 
 def render_text(doc: dict[str, Any]) -> str:
-    """Stable plain-text rendering of a report dictionary."""
+    """Stable plain-text rendering of a report dictionary; the tree is
+    rendered as its canonical document (`to_document`)."""
     lines: list[str] = []
     for key in doc:
-        _emit(lines, key, doc[key], 0)
+        value = doc[key]
+        if type(value) is DecoratedRootedTree:
+            value = to_document(value)
+        _emit(lines, key, value, 0)
     return "\n".join(lines) + "\n"

@@ -23,9 +23,12 @@ that cannot be written as UTF-8; a well-formed one that is not a tree is a
 `TreeStructureError`.
 
 `json_text` is the one JSON writer of the program: `serialize` writes the
-document with it in document order (root, cells, edges), and the CLI writes
-its key-sorted JSON reports with it.  Its output is byte-identical to
-`json.dumps(doc, indent=2, sort_keys=...)`.
+tree with it in document order (root, cells, edges), and the CLI writes its
+key-sorted JSON reports, whose `tree` section is the tree itself, with it.
+Its output is byte-identical to `json.dumps(doc, indent=2, sort_keys=...)`,
+where a tree stands for its canonical document (`to_document`): the key
+order and the depth fix the text of every cell and edge but its values, so
+the writer fills one template per cell and per edge from the tree.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from .errors import ParseError
-from .multiplicity import source_multiplicities
+from .multiplicity import multiplicities
 from .tree_model import (
     ARROW,
     VERTEX,
@@ -240,7 +243,7 @@ def serialize(tree: DecoratedRootedTree) -> str:
         for q in e.q:
             if not (_I64_MIN <= q <= _I64_MAX):
                 raise ValueError(f"decoration {q} on {e} exceeds the file format range")
-    return json_text(to_document(tree), sort_keys=False) + "\n"
+    return json_text(tree, sort_keys=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +271,10 @@ def json_text(value: Any, *, sort_keys: bool) -> str:
     each of exactly that type.  Any other type raises `TypeError`; a tuple
     too, which `json.dumps` would write as a list.  Reports sort their keys;
     `.ntree` documents keep theirs in document order.
+
+    A `DecoratedRootedTree` anywhere in the value is written as its
+    canonical document, the text `to_document(tree)` would give at the same
+    depth, with one formatted string per cell and per edge (`_tree_text`).
     """
     chunks: list[str] = []
     _write(value, "\n", sort_keys, chunks.append)
@@ -285,6 +292,9 @@ def _write(value: Any, newline: str, sort_keys: bool, put) -> None:
     elif type(value) is list:
         keys = None
         opening, closing = "[", "]"
+    elif type(value) is DecoratedRootedTree:
+        put(_tree_text(value, newline, sort_keys))
+        return
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
@@ -308,6 +318,55 @@ def _write(value: Any, newline: str, sort_keys: bool, put) -> None:
     put(newline + closing)
 
 
+def _tree_text(tree: DecoratedRootedTree, newline: str, sort_keys: bool) -> str:
+    """The text `_write` gives for `to_document(tree)` closed at `newline`.
+
+    The key order and the depth fix the layout of every cell and edge, so
+    each is one %-template: a cell's chosen by its decoration (None on a
+    vertex, 0 or 1 on an arrow, as `build_tree` guarantees) and filled with
+    its quoted id, an edge's filled with its quoted ends and its two
+    decorations written by `int.__repr__`.  The cells come in id order and
+    the edges sorted, as `build_tree` keeps them.
+    """
+    quote = _quote
+
+    def obj(fields: list[tuple[str, str]], inner: str, outer: str) -> str:
+        if sort_keys:
+            fields = sorted(fields)
+        return "{" + ",".join(f"{inner}{quote(k)}: {v}" for k, v in fields) + outer + "}"
+
+    def array(items: list[str], inner: str, outer: str) -> str:
+        if not items:
+            return "[]"
+        return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+    n1 = newline + "  "
+    n2 = n1 + "  "
+    n3 = n2 + "  "
+    n4 = n3 + "  "
+    cell = {None: obj([("id", "%s"), ("kind", quote(VERTEX))], n3, n2)}
+    for deco in (0, 1):
+        cell[deco] = obj(
+            [("id", "%s"), ("kind", quote(ARROW)), ("decoration", str(deco))], n3, n2
+        )
+    pair = array(["%s", "%s"], n4, n3)
+    edge = obj([("ends", pair), ("q", pair)], n3, n2)
+    num = int.__repr__
+    cells = [cell[deco] % quote(cid) for cid, _, deco in tree.cells.values()]
+    edges = [
+        edge % (quote(a), quote(b), num(qa), num(qb)) for (a, b), (qa, qb) in tree.edges
+    ]
+    return obj(
+        [
+            ("root", quote(tree.root)),
+            ("cells", array(cells, n2, n1)),
+            ("edges", array(edges, n2, n1)),
+        ],
+        n1,
+        newline,
+    )
+
+
 # ---------------------------------------------------------------------------
 # DOT export
 
@@ -327,7 +386,7 @@ def export_dot(tree: DecoratedRootedTree, report: Any = None) -> str:
         n_of = report.table.N
         dt_of = {v: d.delta_tilde for v, d in report.ledger.per_vertex.items()}
     else:
-        n_of = source_multiplicities(tree, tree.arrows1)[0]
+        n_of = multiplicities(tree).N
         dt_of = {}
 
     lines = ["digraph ntree {"]

@@ -134,18 +134,6 @@ class DecoratedRootedTree:
         return depth
 
     @cached_property
-    def _children(self) -> dict[CellRef, Sequence[Edge]]:
-        """Each cell's edges to its children, in incidence order: the search
-        reaches a vertex's children one after another, in that order."""
-        children: dict[CellRef, Sequence[Edge]] = dict.fromkeys(self._order, ())
-        for v in self._vertex_order:
-            children[v] = []
-        for c in self._order[1:]:
-            e = self._parent_edge[c]
-            children[e.other(c)].append(e)  # type: ignore[union-attr]
-        return children
-
-    @cached_property
     def _axiom_diagnostics(self) -> tuple[ValidationDiagnostic, ...]:
         # kept so that a tree is checked once however often it is validated
         return tuple(iter_axiom_diagnostics(self))
@@ -329,7 +317,7 @@ def build_tree(
     reaches the cells in, and classifies each cell as a vertex or a 0- or
     1-arrow, checking its declared kind and decoration against that; a
     given cell that passes is kept as it is, and `cells` lists them by id.
-    Depths and child edges are derived from the orientation on first use.
+    Depths are derived from the orientation on first use.
     """
     problems: list[str] = []
 

@@ -94,7 +94,7 @@ def test_criterion_1_fixture_exactness():
     for name, want in expected.items():
         tree = corpus[name]
         assert validate_axioms(tree) == [], name
-        info = classify(tree, multiplicities(tree).N)
+        info = classify(tree, multiplicities(tree))
         assert info.minimally_complete, name
         degrees = [info.degree[u] for u in sorted(info.dicriticals)]
         assert math.gcd(*degrees) == 1, name
@@ -257,7 +257,7 @@ def test_criterion_6_fault_injection():
         if validate_axioms(tree):
             per_kind["axioms"] += 1
             continue
-        info = classify(tree, multiplicities(tree).N)
+        info = classify(tree, multiplicities(tree))
         if not info.minimally_complete:
             per_kind["classification"] += 1
             continue
@@ -280,7 +280,7 @@ def test_criterion_6_fault_injection():
     # prove the exception really is a different valid minimally complete tree
     _, valid_tree = uncaught[0]
     assert validate_axioms(valid_tree) == []
-    info = classify(valid_tree, multiplicities(valid_tree).N)
+    info = classify(valid_tree, multiplicities(valid_tree))
     assert info.generic and info.complete and info.minimally_complete
     assert Analysis.build(valid_tree).glob.delta_tilde_N == -4
     assert valid_tree != fixture_T_D()

@@ -249,21 +249,18 @@ def test_h_products_need_arrows():
         oracle_h(fixture_T_A(), "v0", [])
 
 
-def _node_arrow_sets(tree):
-    a = Analysis.build(tree)
-    for z in sorted(a.glob.nd):
-        yield sorted(
-            alpha
-            for u in a.ledger.per_vertex[z].dicriticals
-            for alpha in tree.neighbors(u)
-            if alpha in tree.arrows1
-        )
+def _arrows_at(tree, sources):
+    """The (1)-arrows at the vertices in `sources`, sorted."""
+    return sorted(
+        alpha for u in sources for alpha in tree.neighbors(u) if alpha in tree.arrows1
+    )
 
 
 def test_node_h_products_match_definition():
     # the walk outward from the hull equals the path-by-path definition for
-    # every vertex: on each node's arrow set, and on random arrow subsets of
-    # sizes 1-3, which reach |A| = 1 and hulls no node arrow set has
+    # every vertex: on the (1)-arrows at each node's dicriticals, and at
+    # random sets of 1-3 vertices that carry (1)-arrows, which reach |A| = 1
+    # and hulls no node arrow set has
     trees = list(fixture_corpus().values())
     trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(200)]
     trees += [
@@ -271,23 +268,29 @@ def test_node_h_products_match_definition():
         for s in range(4)
     ]
     rng = random.Random(0)
-    checked = 0
+    checked = lone = 0
     for tree in trees:
-        arrows = sorted(tree.arrows)
-        sets = list(_node_arrow_sets(tree))
-        sets += [rng.sample(arrows, min(k, len(arrows))) for k in (1, 2, 3)]
-        for A in sets:
-            hs = node_h_products(tree, frozenset(A))
+        a = Analysis.build(tree)
+        fold = a.table.fold
+        carriers = sorted(v for v in tree.vertices if fold.ones[v])
+        sets = [a.ledger.per_vertex[z].dicriticals for z in sorted(a.glob.nd)]
+        sets += [rng.sample(carriers, min(k, len(carriers))) for k in (1, 2, 3)]
+        for sources in sets:
+            A = _arrows_at(tree, sources)
+            lone += len(A) == 1
+            hs = node_h_products(fold, frozenset(sources))
             assert set(hs) == tree.vertices
             for w in sorted(tree.vertices):
                 assert hs[w] == oracle_h(tree, w, A), (w, A)
                 checked += 1
-    assert checked > 6000
+    assert checked > 6000 and lone > 100
 
 
 def test_node_h_products_need_arrows():
-    with pytest.raises(ValueError):
-        node_h_products(fixture_T_A(), frozenset())
+    fold = multiplicities(fixture_T_A()).fold
+    for sources in (frozenset(), frozenset({"v0"})):  # v0 carries no (1)-arrow
+        with pytest.raises(ValueError):
+            node_h_products(fold, sources)
 
 
 def test_monotonicity_on_chain():
@@ -332,7 +335,7 @@ def test_induction_walks_no_paths(monkeypatch):
     inputs = []
     for tree in trees:
         table = multiplicities(tree)
-        inputs.append((tree, table, vertex_ledger(tree, table, classify(tree, table.N))))
+        inputs.append((tree, table, vertex_ledger(tree, table, classify(tree, table))))
 
     def refused(*args, **kwargs):
         raise AssertionError("the induction walked the tree")
@@ -351,7 +354,7 @@ def test_induction_needs_a_positive_subtree_holding_the_root(
     # seed 34 has the positive chain v0 - v1 - v2 under the root v0
     tree = generate(GeneratorConfig(seed=34, max_cells=40))
     table = multiplicities(tree)
-    ledger = vertex_ledger(tree, table, classify(tree, table.N))
+    ledger = vertex_ledger(tree, table, classify(tree, table))
     assert sorted(ledger.per_vertex) == ["v0", "v1", "v2"]
     assert tree.path("v0", "v2") == ("v0", "v1", "v2")
 

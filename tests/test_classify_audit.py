@@ -7,6 +7,7 @@ import pytest
 
 from newton_forest.classify_audit import (
     REGISTRY,
+    _dicritical_sums,
     audit_analysis,
     audit_failures,
     divisor_trichotomy,
@@ -25,6 +26,8 @@ from newton_forest.oracle_gen import (
     generate,
 )
 from newton_forest.report import Analysis
+from newton_forest.multiplicity import _sums_but_one
+from newton_forest.tree_model import products_but_one
 from newton_forest.tree_io import (
     fixture_T_A,
     fixture_T_B,
@@ -498,3 +501,113 @@ def test_divisor_trichotomy_case_c():
         table=dataclasses.replace(a.table, N={**a.table.N, "v0": 6}),
     )
     assert divisor_trichotomy(a, "v0") == "c"
+
+
+# The sums of `dicritical-sum-divisibility` computed over all cells, as the
+# check did before its passes read each vertex's arrow edges as one folded
+# term: one pass over every cell per node for the sums of x and x-hat, and
+# one walk over every cell for h and h-hat.
+
+
+def _cell_source_multiplicities(tree, arrows):
+    """N over vertices and (0)-arrows and F on every directed edge, summed
+    over the (1)-arrows in `arrows`, by one rerooting pass over every cell."""
+    parent_edge, order = tree._parent_edge, tree._order
+    children = {
+        c: [e for e in tree.incident_edges(c) if e is not parent_edge[c]] for c in order
+    }
+    F = {}
+    for d in reversed(order[1:]):
+        c = parent_edge[d].other(d)
+        if tree.is_arrow(d):
+            F[c, d] = 1 if d in arrows else 0
+        else:
+            F[c, d], _ = _sums_but_one(
+                [(e.q_near(d), F[d, e.other(d)]) for e in children[d]]
+            )
+    N = {}
+    for c in order:
+        kids, up = children[c], parent_edge[c]
+        if up is not None and not kids:
+            if c in tree.arrows0:
+                N[c] = F[c, up.other(c)]
+            continue
+        pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
+        if up is not None:
+            pairs.append((up.q_near(c), F[c, up.other(c)]))
+        N[c], but_one = _sums_but_one(pairs)
+        for e, s in zip(kids, but_one):
+            F[e.other(c), c] = s
+    return N, F
+
+
+def _cell_node_h_products(tree, arrows):
+    """(h, h-hat) at every vertex for the arrow set `arrows`, by one walk
+    outward from its hull over every cell."""
+    parent_edge, order = tree._parent_edge, tree._order
+    below = dict.fromkeys(order, 0)
+    for c in reversed(order[1:]):
+        if c in arrows:
+            below[c] = 1
+        below[parent_edge[c].other(c)] += below[c]
+    total = below[tree.root]
+    free, h_hat = {}, {}
+    for w in tree.vertices:
+        free[w] = []
+        directions = 0
+        for e in tree.incident_edges(w):
+            n = e.other(w)
+            beyond = below[n] if parent_edge[n] is e else total - below[w]
+            if beyond:
+                directions += 1
+                if n in arrows and total == 1:
+                    h_hat[w] = 1
+            else:
+                free[w].append((n, e.q_near(w)))
+        if directions > 1:
+            h_hat[w] = 1
+    walk = list(h_hat)
+    for n in walk:
+        rest = products_but_one([q for _, q in free[n]])
+        for (w, _), q in zip(free[n], rest):
+            if w in free and w not in h_hat:
+                h_hat[w] = h_hat[n] * q
+                walk.append(w)
+    h = {}
+    for w in free:
+        h[w] = h_hat[w]
+        for _, q in free[w]:
+            h[w] *= q
+    return {w: (h[w], h_hat[w]) for w in free}
+
+
+def test_dicritical_sums_match_the_cell_level_passes():
+    # N, the sum of F, h and h-hat at every (node, base), from the passes
+    # over the vertices, equal one pass over every cell per node
+    configs = [GeneratorConfig(seed=s, max_cells=40) for s in range(300)]
+    configs += [
+        GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120) for s in range(40)
+    ]
+    configs += [
+        GeneratorConfig(seed=s, max_cells=120, max_dicritical_degree=6) for s in range(200)
+    ]
+    trees = list(fixture_corpus().values()) + [generate(c) for c in configs]
+    checked = 0
+    for tree in trees:
+        a = analysis(tree)
+        want = []
+        for z in sorted(a.glob.nd):
+            A = frozenset(
+                alpha
+                for u in a.ledger.per_vertex[z].dicriticals
+                for alpha in tree.neighbors(u)
+                if alpha in tree.arrows1
+            )
+            N, F = _cell_source_multiplicities(tree, A)
+            hs = _cell_node_h_products(tree, A)
+            for w in sorted(tree.vertices):
+                sxh = sum(F[w, n] for n in tree.neighbors(w))
+                want.append((z, w, N[w], sxh, *hs[w]))
+        assert list(_dicritical_sums(a)) == want
+        checked += len(want)
+    assert checked > 7500  # 7976 (node, base) pairs

@@ -69,15 +69,36 @@ def test_no_unread_imports():
     assert found == []
 
 
+# The package modules that `import newton_forest.cli` loads.  Without
+# cached bytecode each is compiled at every start-up, about half of the
+# import's time, so a module added here costs every short run.
+CLI_MODULES = [
+    "newton_forest",
+    "newton_forest.characteristic",
+    "newton_forest.classify_audit",
+    "newton_forest.cli",
+    "newton_forest.errors",
+    "newton_forest.local_invariants",
+    "newton_forest.multiplicity",
+    "newton_forest.oracle_gen",
+    "newton_forest.report",
+    "newton_forest.structure",
+    "newton_forest.tree_io",
+    "newton_forest.tree_model",
+]
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # `audit --gen` imports the pool when it uses one; every other command
-    # would pay its ~30 ms and ~1.5 MB at start-up
+    # would pay its ~30 ms and ~1.5 MB at start-up.  Nor does the import
+    # load a package module beyond CLI_MODULES.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     script = (
         "import sys, newton_forest.cli\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'newton_forest'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    assert out == "[]\n"
+    assert out == f"[]\n{CLI_MODULES}\n"

@@ -1,5 +1,5 @@
 from newton_forest.multiplicity import classify, multiplicities, source_multiplicities
-from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F, oracle_N
+from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate, oracle_F, oracle_N
 from newton_forest.tree_io import (
     fixture_corpus,
     fixture_T_A,
@@ -60,11 +60,13 @@ def test_x_rejects_zero_arrows():
     t = fixture_T_A()
     tab = multiplicities(t)
     assert tab.F["u", "o1"] == 0 and tab.F["u", "t1"] == 1
-    # and only the (1)-arrows the pass is given
-    N, F = source_multiplicities(t, frozenset())
+    # and only the (1)-arrows at the vertices the pass is given
+    N, F, _ = source_multiplicities(tab.fold, frozenset())
     assert set(N.values()) == set(F.values()) == {0}
-    N, F = source_multiplicities(fixture_T_D(), frozenset({"t1"}))
-    assert F["v0", "w"] == 2 and F["u", "t2"] == 0
+    t = fixture_T_B(2, 3)
+    N, F, _ = source_multiplicities(multiplicities(t).fold, frozenset({"u1"}))
+    assert F["v0", "u1"] == 2 and F["v0", "u2"] == 0 and F["u1", "v0"] == 0
+    assert N == {v: _oracle_x(t, v, "t1", hat=False) for v in t.vertices}
     assert N["v0"] == 2
 
 
@@ -100,7 +102,7 @@ def test_points_at_infinity_T_B():
 
 def test_classify_T_A():
     t = fixture_T_A()
-    info = classify(t, multiplicities(t).N)
+    info = classify(t, multiplicities(t))
     assert info.generic and info.complete and info.minimally_complete
     assert info.dicriticals == {"u"}
     assert info.degree["u"] == 1
@@ -108,7 +110,7 @@ def test_classify_T_A():
 
 def test_classify_T_D():
     t = fixture_T_D()
-    info = classify(t, multiplicities(t).N)
+    info = classify(t, multiplicities(t))
     assert info.minimally_complete
     assert info.degree == {"u": 3}
 
@@ -118,7 +120,7 @@ def test_classify_valency_two_dicritical():
     cells = [Cell("v0", VERTEX), Cell("u", VERTEX), Cell("t1", ARROW, 1)]
     edges = [make_edge("v0", 1, "u", 0), make_edge("u", 1, "t1", 1)]
     t = build_tree(cells, edges, "v0")
-    info = classify(t, multiplicities(t).N)
+    info = classify(t, multiplicities(t))
     assert info.generic and info.complete
     assert not info.minimally_complete
     assert any("no dead end" in r for r in info.reasons)
@@ -133,7 +135,7 @@ def test_classify_non_generic():
     edges = [make_edge("v0", 1, "u", -1),
              make_edge("u", 1, "t1", 1), make_edge("u", 1, "o1", 1)]
     t = build_tree(cells, edges, "v0")
-    info = classify(t, multiplicities(t).N)
+    info = classify(t, multiplicities(t))
     assert not info.generic
     assert not info.minimally_complete
 
@@ -147,8 +149,9 @@ def test_source_multiplicities_match_oracle():
         for s in range(4)
     ]
     for tree in trees:
-        N, _ = source_multiplicities(tree, tree.arrows1)
-        assert N == {v: oracle_N(tree, v) for v in tree.vertices | tree.arrows0}
-        # the pass leaves N in its own order; the table sorts it once
-        table_N = multiplicities(tree).N
-        assert table_N == N and list(table_N) == sorted(N)
+        table = multiplicities(tree)
+        N, _, _ = source_multiplicities(table.fold, tree.vertices)
+        assert N == {v: oracle_N(tree, v) for v in tree.vertices}
+        # the table adds the dead ends to the pass's N and sorts it once
+        assert table.N == {v: oracle_N(tree, v) for v in tree.vertices | tree.arrows0}
+        assert list(table.N) == sorted(table.N)

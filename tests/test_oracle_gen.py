@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import time
@@ -17,7 +18,7 @@ from newton_forest.oracle_gen import (
 )
 from newton_forest.report import Analysis
 from newton_forest.tree_io import fixture_T_D, fixture_corpus, serialize
-from newton_forest.tree_model import validate_axioms
+from newton_forest.tree_model import DecoratedRootedTree, validate_axioms
 
 
 def test_oracle_N_matches_engine_on_fixtures():
@@ -65,7 +66,7 @@ def test_generated_trees_validate():
     for seed in range(25):
         tree = generate(GeneratorConfig(seed=seed, max_cells=40))
         assert validate_axioms(tree) == []
-        info = classify(tree, multiplicities(tree).N)
+        info = classify(tree, multiplicities(tree))
         assert info.generic and info.minimally_complete
         assert len(tree.cells) <= 40
 
@@ -194,7 +195,7 @@ def test_screen_rejects_trees_not_minimally_complete():
             "v0",
         )
         assert validate_axioms(tree) == []
-        assert not classify(tree, multiplicities(tree).N).minimally_complete
+        assert not classify(tree, multiplicities(tree)).minimally_complete
         assert og._screen(tree, GeneratorConfig(seed=0)) is None, q
 
 
@@ -267,3 +268,19 @@ def test_support_solve_is_quadratic_on_a_wide_fan(monkeypatch):
         best = min(best, time.perf_counter() - start)
     assert ok and set(supports.values()) == {-255}
     assert best < 0.5, best
+
+
+def test_generated_trees_carry_no_analysis_cache():
+    # a caller may keep many generated trees alive, as the benchmark's
+    # corpus-small keeps 1000: the screen may leave on a tree only its own
+    # fields and the diagnostics and cell sets it reads, not the fold of
+    # `multiplicities` or any other per-analysis view
+    allowed = {f.name for f in dataclasses.fields(DecoratedRootedTree)}
+    allowed |= {"_axiom_diagnostics", "arrows0", "arrows1", "vertices"}
+    configs = [GeneratorConfig(seed=s) for s in range(40)]
+    configs += [
+        GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120) for s in range(4)
+    ]
+    configs += [GeneratorConfig(seed=s, rational=True) for s in range(4)]
+    for config in configs:
+        assert set(generate(config).__dict__) <= allowed, config

@@ -18,8 +18,15 @@ from newton_forest.cli import run
 from newton_forest.multiplicity import multiplicities
 from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F
 from newton_forest.report import Analysis
-from newton_forest.tree_io import fixture_corpus, json_text, parse, serialize
-from newton_forest.tree_model import Cell, build_tree, make_edge, validate_axioms
+from newton_forest.tree_io import fixture_corpus, json_text, parse, serialize, to_document
+from newton_forest.tree_model import (
+    ARROW,
+    VERTEX,
+    Cell,
+    build_tree,
+    make_edge,
+    validate_axioms,
+)
 
 TREE_SETTINGS = settings(
     max_examples=40,
@@ -241,6 +248,59 @@ def test_json_text_matches_json_dumps(doc):
         assert json_text(doc, sort_keys=sort_keys) == json.dumps(
             doc, indent=2, sort_keys=sort_keys
         )
+
+
+_I64 = (-(2**63), 2**63 - 1)
+_decorations = st.one_of(
+    st.integers(*_I64), st.sampled_from([_I64[0], _I64[1], -1, 0, 1])
+)
+
+
+@st.composite
+def _any_trees(draw):
+    """A tree of up to 12 cells in any shape, no axiom asked of it: ids with
+    quotes, backslashes, control, non-ASCII and astral characters, arrows
+    decorated 0 or 1 and edge decorations up to the int64 bounds."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(_json_strings, min_size=n, max_size=n, unique=True))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    valency = Counter(parents) + Counter(range(1, n))
+    cells = [
+        Cell(c, ARROW, draw(st.integers(0, 1)))
+        if i and valency[i] == 1
+        else Cell(c, VERTEX)
+        for i, c in enumerate(ids)
+    ]
+    edges = [
+        make_edge(ids[p], draw(_decorations), ids[i], draw(_decorations))
+        for i, p in enumerate(parents, start=1)
+    ]
+    return build_tree(cells, edges, ids[0])
+
+
+def _assert_tree_text_is_dumps(tree):
+    # the tree at depth 0, and at depth 1 in a dict and in a list
+    doc = to_document(tree)
+    for sort_keys in (False, True):
+        for value, want in ((tree, doc), ({"tree": tree}, {"tree": doc}), ([tree], [doc])):
+            assert json_text(value, sort_keys=sort_keys) == json.dumps(
+                want, indent=2, sort_keys=sort_keys
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_trees())
+def test_json_text_writes_a_tree_as_json_dumps_of_its_document(tree):
+    _assert_tree_text_is_dumps(tree)
+
+
+def test_json_text_writes_the_corpora_as_json_dumps():
+    configs = [GeneratorConfig(seed=s, max_cells=40) for s in range(300)]
+    configs += [
+        GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120) for s in range(40)
+    ]
+    for tree in list(fixture_corpus().values()) + [generate(c) for c in configs]:
+        _assert_tree_text_is_dumps(tree)
 
 
 def test_json_text_rejects_other_types():
