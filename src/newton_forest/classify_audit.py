@@ -711,6 +711,7 @@ def _chk_root_degree(a: Analysis) -> list[str]:
 
 def _chk_char_divides(a: Analysis) -> list[str]:
     out = []
+    near = a.table.fold.near
     for (u, e), data in a.chars.pairs.items():
         N = a.table.N[u]
         if data.c <= 0:
@@ -720,7 +721,7 @@ def _chk_char_divides(a: Analysis) -> list[str]:
                 out.append(f"{u}|{e}: c does not divide {name}={val}")
         if data.M < 1 or Fraction(N) != data.M * data.c:
             out.append(f"{u}|{e}: M={data.M}")
-        if N != a.tree.Q(e, u) * data.p + e.q_near(u) * data.p_prime:
+        if N != near(u, e.other(u))[1] * data.p + e.q_near(u) * data.p_prime:
             out.append(f"{u}|{e}: N != Q*p + q*p'")
     return out
 

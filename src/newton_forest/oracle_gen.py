@@ -1,11 +1,12 @@
-"""Brute-force oracles and a rejection-sampling generator of valid trees.
+"""A rejection-sampling generator of valid trees, and the two oracles the
+benchmark reads.
 
-The oracles recompute multiplicities, characteristic numbers and the global
-defect straight from their definitions, sharing no state or code path with
-the main engine: `oracle_N` multiplies decorations path by path with no
-memoization, `oracle_h` intersects the paths to each arrow, `oracle_c`
-recurses over the pair poset with no cache, and `oracle_delta_tilde_N`
-takes the 2 - M - D route.
+`oracle_N` and `oracle_delta_tilde_N` recompute multiplicities and the
+global defect straight from their definitions, sharing no state or code
+path with the main engine: `oracle_N` multiplies decorations path by path
+with no memoization, and `oracle_delta_tilde_N` takes the 2 - M - D route.
+`perfbench/workloads.py` checks its outputs with them; the other
+definition-level oracles live with the tests, in `tests/oracles.py`.
 
 The generator samples a skeleton of positive vertices with attachment plans,
 solves the one linear condition per dicritical (the decoration on its
@@ -32,9 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import Sequence
+from math import gcd, prod
 
 from .errors import GenerationError
 from .multiplicity import classify, multiplicities
@@ -73,89 +72,8 @@ def oracle_N(tree: DecoratedRootedTree, v: CellRef) -> int:
     return sum(_oracle_x(tree, v, alpha, hat=False) for alpha in sorted(tree.arrows1))
 
 
-def oracle_F(tree: DecoratedRootedTree, c: CellRef, d: CellRef) -> int:
-    """Sum of x-hat(c, alpha) over the (1)-arrows alpha whose path from c
-    passes the neighbour d of c."""
-    return sum(
-        _oracle_x(tree, c, alpha, hat=True)
-        for alpha in sorted(tree.arrows1)
-        if d in tree.path(c, alpha)
-    )
-
-
-def oracle_h(
-    tree: DecoratedRootedTree, w: CellRef, A: Sequence[CellRef]
-) -> tuple[int, int]:
-    """(h(w,A), h-hat(w,A)) from the definition: products over the vertices
-    shared by all the paths from w to the arrows in A, of the decorations
-    near them on edges in none of those paths; h-hat leaves out w.  A must
-    be nonempty."""
-    if not A:
-        raise ValueError("h-products need a nonempty arrow set")
-    paths = {alpha: tree.path(w, alpha) for alpha in A}
-    common = set(paths[A[0]])
-    for alpha in A[1:]:
-        common &= set(paths[alpha])
-    edge_sets = {
-        alpha: set(tree.path_edges(w, alpha)) for alpha in A
-    }
-    h = 1
-    h_hat = 1
-    for u in sorted(common):
-        if not tree.is_vertex(u):
-            continue
-        for e in tree.incident_edges(u):
-            if all(e not in edge_sets[alpha] for alpha in A):
-                h *= e.q_near(u)
-                if u != w:
-                    h_hat *= e.q_near(u)
-    return h, h_hat
-
-
-def _oracle_positive(tree: DecoratedRootedTree) -> set[CellRef]:
-    return {v for v in tree.vertices if oracle_N(tree, v) > 0}
-
-
 def _oracle_dicriticals(tree: DecoratedRootedTree) -> set[CellRef]:
     return {v for v in tree.vertices if oracle_N(tree, v) == 0}
-
-
-def _oracle_d(tree: DecoratedRootedTree, dics: set[CellRef], v: CellRef) -> int:
-    degrees = [
-        sum(1 for x in tree.neighbors(u) if x in tree.arrows1)
-        for u in tree.neighbors(v)
-        if u in dics
-    ]
-    if degrees:
-        return gcd(*degrees)
-    return oracle_N(tree, v)
-
-
-def oracle_c(tree: DecoratedRootedTree, u: CellRef, e: Edge) -> Fraction:
-    """Characteristic number by definitional recursion, cache-free.
-
-    The positive/dicritical split is read off once per call; the recursion
-    itself re-derives every lower characteristic number from scratch.
-    """
-    positive = _oracle_positive(tree)
-    dics = _oracle_dicriticals(tree)
-    if u not in positive or e.other(u) not in positive:
-        raise ValueError(f"({u!r}, {e}) is not a poset pair")
-
-    def rec(u_: CellRef, e_: Edge) -> Fraction:
-        u0 = e_.other(u_)
-        a0 = tree.a_value(u0)
-        d0 = _oracle_d(tree, dics, u0)
-        others = [n for n in sorted(tree.neighbors(u0)) if n != u_ and n in positive]
-        if not others:
-            return Fraction(d0, a0)
-        values = [Fraction(d0)] + [rec(u0, tree.edge_between(u0, n)) for n in others]
-        # gcd of rationals over a common denominator
-        m = lcm(*(v.denominator for v in values))
-        g = gcd(*(abs(v.numerator) * (m // v.denominator) for v in values))
-        return Fraction(g, m) / a0
-
-    return rec(u, e)
 
 
 def oracle_delta_tilde_N(tree: DecoratedRootedTree) -> int:

@@ -1,4 +1,4 @@
-"""Parse and serialize the `.ntree` file format; DOT export; fixture corpus.
+"""Parse and serialize the `.ntree` file format; DOT export.
 
 An `.ntree` document is JSON with the exact keys of the in-memory model:
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import sys
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -428,112 +427,3 @@ def export_dot(tree: DecoratedRootedTree, report: Any = None) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Fixture corpus
-#
-# T_A          one dicritical of degree 1 hanging from the root.
-# T_B(a1,a2)   root between two degree-1 dicriticals; needs gcd(a1,a2)=1.
-# T_C(d)       root with three dicriticals of degrees d=(d1,d2,d3); each di
-#              must divide the sum of the other two.
-# T_D          two-vertex chain with one degree-3 dicritical; the decoration
-#              near the dicritical on its supporting edge is the unique
-#              integer making its multiplicity vanish (which is 0 here).
-
-
-def fixture_T_A() -> DecoratedRootedTree:
-    cells = [
-        Cell("v0", VERTEX),
-        Cell("u", VERTEX),
-        Cell("t1", ARROW, 1),
-        Cell("o1", ARROW, 0),
-    ]
-    edges = [
-        make_edge("v0", 1, "u", 0),
-        make_edge("u", 1, "t1", 1),
-        make_edge("u", 1, "o1", 1),
-    ]
-    return build_tree(cells, edges, "v0")
-
-
-def fixture_T_B(a1: int, a2: int) -> DecoratedRootedTree:
-    if a1 < 1 or a2 < 1 or math.gcd(a1, a2) != 1:
-        raise ValueError("T_B needs positive coprime parameters")
-    cells = [
-        Cell("v0", VERTEX),
-        Cell("u1", VERTEX),
-        Cell("u2", VERTEX),
-        Cell("t1", ARROW, 1),
-        Cell("t2", ARROW, 1),
-        Cell("o1", ARROW, 0),
-        Cell("o2", ARROW, 0),
-    ]
-    edges = [
-        make_edge("v0", 1, "u1", -a2),
-        make_edge("v0", 1, "u2", -a1),
-        make_edge("u1", a1, "o1", 1),
-        make_edge("u1", 1, "t1", 1),
-        make_edge("u2", a2, "o2", 1),
-        make_edge("u2", 1, "t2", 1),
-    ]
-    return build_tree(cells, edges, "v0")
-
-
-def fixture_T_C(d: tuple[int, int, int]) -> DecoratedRootedTree:
-    d1, d2, d3 = d
-    if min(d) < 1:
-        raise ValueError("T_C needs positive degrees")
-    for di, dj, dk in ((d1, d2, d3), (d2, d1, d3), (d3, d1, d2)):
-        if (dj + dk) % di != 0:
-            raise ValueError("T_C needs each degree to divide the sum of the others")
-    x = [-(d2 + d3) // d1, -(d1 + d3) // d2, -(d1 + d2) // d3]
-    cells = [Cell("v0", VERTEX)]
-    edges = []
-    for i, di in enumerate((d1, d2, d3), start=1):
-        u = f"u{i}"
-        cells.append(Cell(u, VERTEX))
-        edges.append(make_edge("v0", 1, u, x[i - 1]))
-        cells.append(Cell(f"o{i}", ARROW, 0))
-        edges.append(make_edge(u, 1, f"o{i}", 1))
-        for j in range(1, di + 1):
-            t = f"t{i}_{j}"
-            cells.append(Cell(t, ARROW, 1))
-            edges.append(make_edge(u, 1, t, 1))
-    return build_tree(cells, edges, "v0")
-
-
-def fixture_T_D() -> DecoratedRootedTree:
-    cells = [
-        Cell("v0", VERTEX),
-        Cell("w", VERTEX),
-        Cell("u", VERTEX),
-        Cell("ow", ARROW, 0),
-        Cell("ou", ARROW, 0),
-        Cell("t1", ARROW, 1),
-        Cell("t2", ARROW, 1),
-        Cell("t3", ARROW, 1),
-    ]
-    edges = [
-        make_edge("v0", 1, "w", 1),
-        make_edge("w", 2, "ow", 1),
-        make_edge("w", 1, "u", 0),
-        make_edge("u", 1, "ou", 1),
-        make_edge("u", 1, "t1", 1),
-        make_edge("u", 1, "t2", 1),
-        make_edge("u", 1, "t3", 1),
-    ]
-    return build_tree(cells, edges, "v0")
-
-
-def fixture_corpus() -> dict[str, DecoratedRootedTree]:
-    """The named fixtures shipped with the repository."""
-    return {
-        "T_A": fixture_T_A(),
-        "T_B_1_1": fixture_T_B(1, 1),
-        "T_B_1_2": fixture_T_B(1, 2),
-        "T_B_2_3": fixture_T_B(2, 3),
-        "T_C_1_1_1": fixture_T_C((1, 1, 1)),
-        "T_C_1_1_2": fixture_T_C((1, 1, 2)),
-        "T_C_1_2_3": fixture_T_C((1, 2, 3)),
-        "T_D": fixture_T_D(),
-    }

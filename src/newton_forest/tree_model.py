@@ -97,7 +97,9 @@ class DecoratedRootedTree:
     each cell into the vertices or the 0- or 1-arrows as it reaches it, and
     returns a tree only when every declared kind and decoration agrees.
     `vertices`, `arrows0`, `arrows1` and `arrows` are built from those lists
-    on first use.
+    on first use; they, the depths, the edge lookup and the axiom
+    diagnostics are the only state a tree gains, each a function of its
+    fields.  Whatever an analysis derives is kept on the analysis.
     """
 
     cells: dict[CellRef, Cell]
@@ -115,10 +117,6 @@ class DecoratedRootedTree:
     _parent_edge: dict[CellRef, Edge | None] = field(repr=False, compare=False)
     # The breadth-first order from the root (every parent before its children)
     _order: list[CellRef] = field(repr=False, compare=False)
-    # Q(e, c) for the edges e = {c, d} at c, as _Q_rows[c][d]; see `Q`.
-    _Q_rows: dict[CellRef, dict[CellRef, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def _edge_to(self) -> dict[CellRef, dict[CellRef, Edge]]:
@@ -161,9 +159,6 @@ class DecoratedRootedTree:
         """Arrows decorated (1)."""
         return frozenset(self._arrows1)
 
-    def is_vertex(self, c: CellRef) -> bool:
-        return self.cells[c].kind == VERTEX
-
     def is_arrow(self, c: CellRef) -> bool:
         return self.cells[c].kind == ARROW
 
@@ -199,35 +194,6 @@ class DecoratedRootedTree:
         if not ends:
             return 1
         return ends[0].q_near(v)
-
-    # -- decorations ---------------------------------------------------------
-
-    def Q(self, edge: Edge, end: CellRef) -> int:
-        """Product of decorations near `end` of all other edges incident to it.
-
-        Read from the tree's table, which keeps `Q_row(end)` from the first
-        time `end` is asked for, so each cell costs O(deg) once."""
-        if end not in edge.ends:
-            raise ValueError(f"cell {end!r} is not an end of edge {edge}")
-        row = self._Q_rows.get(end)
-        if row is None:
-            row = self._Q_rows[end] = self.Q_row(end)
-        return row[edge.other(end)]
-
-    def Q_row(self, c: CellRef) -> dict[CellRef, int]:
-        """Q(e, c) for every edge e = {c, d} at c, keyed by d, in O(deg)."""
-        inc = self.incident_edges(c)
-        qs = products_but_one([e.q[0] if e.ends[0] == c else e.q[1] for e in inc])
-        return {
-            (e.ends[1] if e.ends[0] == c else e.ends[0]): q for e, q in zip(inc, qs)
-        }
-
-    def edge_determinant(self, edge: Edge) -> int:
-        """q(e,x)q(e,y) - Q(e,x)Q(e,y); defined for vertex-vertex edges only."""
-        x, y = edge.ends
-        if not (self.is_vertex(x) and self.is_vertex(y)):
-            raise ValueError(f"edge {edge} has an arrow end; determinant undefined")
-        return edge.q[0] * edge.q[1] - self.Q(edge, x) * self.Q(edge, y)
 
     # -- paths and the tree order ---------------------------------------------
 
@@ -292,12 +258,6 @@ class DecoratedRootedTree:
                     seen.add(d)
                     stack.append(d)
         return seen == members
-
-    def iter_vertex_edges(self) -> Iterator[Edge]:
-        """Edges whose two ends are both vertices."""
-        for e in self.edges:
-            if self.is_vertex(e.ends[0]) and self.is_vertex(e.ends[1]):
-                yield e
 
 
 def build_tree(

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from newton_forest.classify_audit import (
+    audit_analysis,
     audit_failures,
     is_rational_tree,
     rational_structure_report,
@@ -19,19 +20,25 @@ from newton_forest.classify_audit import (
 )
 from newton_forest.errors import TreeStructureError
 from newton_forest.multiplicity import classify, multiplicities
-from newton_forest.oracle_gen import (
-    GeneratorConfig,
-    generate,
-    oracle_N,
-    oracle_c,
-    oracle_delta_tilde_N,
-)
 from newton_forest.report import Analysis
-from newton_forest.tree_io import fixture_T_D, fixture_corpus, parse, serialize
+from newton_forest.tree_io import parse, serialize
 from newton_forest.tree_model import validate_axioms
 
-CORPUS_SEEDS = range(1000)
-MAX_CELLS = 40
+import corpora
+from corpora import CORPUS_A, CORPUS_B
+from oracles import (
+    comb_steps,
+    fixture_corpus,
+    fixture_T_B,
+    fixture_T_C,
+    fixture_T_D,
+    oracle_c,
+    oracle_delta_tilde_N,
+    oracle_N,
+    reference_comb_step,
+)
+
+CORPUS_SEEDS = range(len(CORPUS_A))
 
 _timings: dict[str, float] = {}
 
@@ -45,9 +52,7 @@ def _line(criterion: str, passed: bool, detail: str = "") -> None:
 @pytest.fixture(scope="session")
 def corpus():
     t0 = time.perf_counter()
-    trees = [
-        generate(GeneratorConfig(seed=s, max_cells=MAX_CELLS)) for s in CORPUS_SEEDS
-    ]
+    trees = corpora.trees(CORPUS_A)
     _timings["generate"] = time.perf_counter() - t0
     return trees
 
@@ -70,11 +75,7 @@ def test_generator_corpus_a_pinned(corpus):
 
 def test_generator_corpus_b_pinned():
     """Wide fans: seeds 0..39 at 400 cells and dicritical degree up to 120."""
-    trees = (
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(40)
-    )
-    assert _serialized_sha256(trees) == (
+    assert _serialized_sha256(corpora.trees(CORPUS_B)) == (
         "3a82e618fdf162b8a29867b1ac1ef049491b9341e7b3d2c9db4aec7c3f11127c"
     )
 
@@ -132,8 +133,8 @@ def test_criterion_2_T_D_ledger():
 def test_criterion_3_theorem_suite(corpus):
     t0 = time.perf_counter()
     failures = []
-    for seed, tree in zip(CORPUS_SEEDS, corpus):
-        bad = audit_failures(theorem_audit(tree))
+    for seed, key in zip(CORPUS_SEEDS, CORPUS_A):
+        bad = audit_failures(audit_analysis(corpora.analysis(key)))
         if bad:
             failures.append((seed, [(r.check_id, r.witness) for r in bad]))
     audit_time = time.perf_counter() - t0
@@ -149,15 +150,19 @@ def test_criterion_3_theorem_suite(corpus):
     assert total < 60.0
 
 
-def test_criterion_4_oracle_equivalence(corpus):
+def test_criterion_4_oracle_equivalence():
     t0 = time.perf_counter()
-    for seed, tree in zip(CORPUS_SEEDS, corpus):
-        a = Analysis.build(tree)
+    for seed, key in zip(CORPUS_SEEDS, CORPUS_A):
+        a = corpora.analysis(key)
+        tree = a.tree
         for v in sorted(tree.vertices | tree.arrows0):
             assert oracle_N(tree, v) == a.table.N[v], (seed, v)
         for (u, e), data in a.chars.pairs.items():
             assert oracle_c(tree, u, e) == data.c, (seed, u, e)
         assert oracle_delta_tilde_N(tree) == a.glob.delta_tilde_N, seed
+        for upper, pair in comb_steps(a):
+            want = reference_comb_step(a.ledger, a.chars, a.struct, upper, pair)
+            assert (pair in a.struct.combs) == want, (seed, upper, pair)
     _line(
         "4 (oracle equivalence)",
         True,
@@ -165,11 +170,11 @@ def test_criterion_4_oracle_equivalence(corpus):
     )
 
 
-def test_criterion_5_rational_structure(corpus):
+def test_criterion_5_rational_structure():
     rational = 0
     canonical = 0
-    for seed, tree in zip(CORPUS_SEEDS, corpus):
-        a = Analysis.build(tree)
+    for seed, key in zip(CORPUS_SEEDS, CORPUS_A):
+        a = corpora.analysis(key)
         if not is_rational_tree(a):
             continue
         rational += 1
@@ -181,10 +186,8 @@ def test_criterion_5_rational_structure(corpus):
 
     # every canonical tree is recognized
     recognized = []
-    from newton_forest.tree_io import fixture_T_B, fixture_T_C
-
     for tree, want in [
-        (fixture_corpus()["T_A"], "T_A"),
+        (corpora.tree("T_A"), "T_A"),
         (fixture_T_B(1, 1), "T_B(1,1)"),
         (fixture_T_B(2, 3), "T_B(2,3)"),
         (fixture_T_B(3, 4), "T_B(3,4)"),

@@ -17,40 +17,22 @@ from newton_forest.cli import run
 from newton_forest.errors import InternalInconsistencyError
 from newton_forest.local_invariants import VertexLedger, vertex_ledger
 from newton_forest.multiplicity import classify, multiplicities
-from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate, oracle_h
 from newton_forest.report import Analysis
-from newton_forest.tree_io import (
-    fixture_corpus,
+from newton_forest.tree_io import serialize
+from newton_forest.tree_model import DecoratedRootedTree
+
+import corpora
+from corpora import CORPUS_A, CORPUS_B, FIXTURES
+from oracles import (
+    R_definition,
+    _oracle_x,
+    delta_bar,
     fixture_T_A,
     fixture_T_B,
     fixture_T_C,
     fixture_T_D,
-    serialize,
+    oracle_h,
 )
-from newton_forest.tree_model import DecoratedRootedTree
-
-
-# R and Delta-bar summed from their definitions, as the engine did before it
-# read them from one table; the table is checked against these.
-def R_definition(ledger, chars, u, A):
-    """R(u, A) = sum over adjacent dicriticals of (1 - 1/k) + (1 - 1/a)
-    + sum over e in A of (1 - 1/M(u,e)), summed afresh."""
-    data = ledger.per_vertex[u]
-    total = Fraction(0)
-    for x in data.dicriticals:
-        total += 1 - Fraction(1, data.k[x])
-    total += 1 - Fraction(1, data.a)
-    for e in A:
-        total += 1 - Fraction(1, chars.pairs[(u, e)].M)
-    return total
-
-
-def delta_bar(ledger, chars, u, A):
-    """Genus defect of {u} together with everything beyond the edges of A."""
-    cells = {u}
-    for e in A:
-        cells |= chars.pairs[(u, e)].n_side
-    return ledger.delta_tilde(cells)
 
 
 def test_rational_gcd_basic():
@@ -158,15 +140,10 @@ def _far_side(tree, u, v):
 def test_p_and_p_prime_match_oracle():
     # p(u, e) sums x-hat(u, .) over the (1)-arrows beyond e, p'(u, e) sums
     # x-hat(v, .) over the rest, for e = {u, v}
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(60)]
-    trees += [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(4)
-    ]
     checked = 0
-    for tree in trees:
-        for (u, e), data in Analysis.build(tree).chars.pairs.items():
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:60] + CORPUS_B[:4]):
+        tree = a.tree
+        for (u, e), data in a.chars.pairs.items():
             v = e.other(u)
             beyond = _far_side(tree, u, v)
             ones = sorted(tree.arrows1)
@@ -193,15 +170,8 @@ def test_R_table_matches_its_definition():
     # R(u, A) from base(u) and the pair terms, and Delta-bar(u, A) from
     # Delta-tilde(u) and the side defects, against their definitions for
     # every A of at most three edges and for all edges at u
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(300)]
-    trees += [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(12)
-    ]
     subsets = 0
-    for tree in trees:
-        a = Analysis.build(tree)
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:300] + CORPUS_B[:12]):
         per = a.ledger.per_vertex
         for u, edges in a.chars.edges_at.items():
             sets = [A for size in range(min(3, len(edges)) + 1) for A in combinations(edges, size)]
@@ -261,16 +231,10 @@ def test_node_h_products_match_definition():
     # every vertex: on the (1)-arrows at each node's dicriticals, and at
     # random sets of 1-3 vertices that carry (1)-arrows, which reach |A| = 1
     # and hulls no node arrow set has
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(200)]
-    trees += [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(4)
-    ]
     rng = random.Random(0)
     checked = lone = 0
-    for tree in trees:
-        a = Analysis.build(tree)
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:200] + CORPUS_B[:4]):
+        tree = a.tree
         fold = a.table.fold
         carriers = sorted(v for v in tree.vertices if fold.ones[v])
         sets = [a.ledger.per_vertex[z].dicriticals for z in sorted(a.glob.nd)]
@@ -295,10 +259,7 @@ def test_node_h_products_need_arrows():
 
 def test_monotonicity_on_chain():
     # three-vertex skeleton from the analysis pipeline of a generated tree
-    from newton_forest.oracle_gen import GeneratorConfig, generate
-
-    tree = generate(GeneratorConfig(seed=11, max_cells=40))
-    a = Analysis.build(tree)
+    a = corpora.analysis(CORPUS_A[11])
     for top in a.chars.pairs:
         for bot in a.chars.pairs:
             if a.chars.precedes(bot, top):
@@ -326,14 +287,8 @@ PINNED_TABLES_SHA256 = "247acd60910b7b9aea2b0c6339510d2b4abf32800969f1b065ed71e7
 def test_induction_walks_no_paths(monkeypatch):
     # the table comes from the breadth-first order and script-E alone: no
     # neighbour list, path or edge lookup per pair
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(50)]
-    trees += [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(12)
-    ]
     inputs = []
-    for tree in trees:
+    for tree in map(corpora.fresh, FIXTURES + CORPUS_A[:50] + CORPUS_B[:12]):
         table = multiplicities(tree)
         inputs.append((tree, table, vertex_ledger(tree, table, classify(tree, table))))
 
@@ -352,7 +307,7 @@ def test_induction_needs_a_positive_subtree_holding_the_root(
     tmp_path, monkeypatch, capsys
 ):
     # seed 34 has the positive chain v0 - v1 - v2 under the root v0
-    tree = generate(GeneratorConfig(seed=34, max_cells=40))
+    tree = corpora.fresh(CORPUS_A[34])
     table = multiplicities(tree)
     ledger = vertex_ledger(tree, table, classify(tree, table))
     assert sorted(ledger.per_vertex) == ["v0", "v1", "v2"]

@@ -18,22 +18,18 @@ from newton_forest.classify_audit import (
     theorem_audit,
 )
 from newton_forest.local_invariants import VertexLedger
-from newton_forest.oracle_gen import (
-    GeneratorConfig,
-    _assemble,
-    _solve_supports,
-    _VertexPlan,
-    generate,
-)
+from newton_forest.oracle_gen import _assemble, _solve_supports, _VertexPlan
 from newton_forest.report import Analysis
-from newton_forest.multiplicity import _sums_but_one
-from newton_forest.tree_model import products_but_one
-from newton_forest.tree_io import (
+
+import corpora
+from corpora import CORPUS_120_6, CORPUS_A, CORPUS_B, FIXTURES, RATIONAL
+from oracles import (
+    cell_node_h_products,
+    cell_source_multiplicities,
     fixture_T_A,
     fixture_T_B,
     fixture_T_C,
     fixture_T_D,
-    fixture_corpus,
 )
 
 
@@ -112,9 +108,8 @@ def test_rational_structure_report_canonical():
 def test_rational_structure_report_chain():
     # find a generated rational tree with a nontrivial skeleton
     found = None
-    for seed in range(400):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
-        a = Analysis.build(tree)
+    for key in CORPUS_A[:400]:
+        a = corpora.analysis(key)
         if is_rational_tree(a) and len(a.struct.S) > 1:
             found = a
             break
@@ -132,7 +127,7 @@ def test_rational_structure_report_rejects_non_rational():
 
 def test_rational_report_survives_tampered_omega():
     # a tampered Omega is reported as a failing clause, never raised
-    a = analysis(generate(GeneratorConfig(seed=0, rational=True)))
+    a = corpora.analysis(RATIONAL[0])
     assert is_rational_tree(a) and len(a.struct.S) > 1
     for omega in (frozenset(), frozenset({"v1"})):
         assert "v1" not in a.decompositions
@@ -146,8 +141,8 @@ def test_rational_report_survives_tampered_omega():
 
 
 def test_theorem_audit_clean_on_fixtures():
-    for name, tree in fixture_corpus().items():
-        assert audit_failures(theorem_audit(tree)) == [], name
+    for name in FIXTURES:
+        assert audit_failures(theorem_audit(corpora.tree(name))) == [], name
 
 
 def test_audit_catches_corrupted_report():
@@ -188,8 +183,8 @@ def test_root_degree_bound_gated_out_on_T_D():
 
 
 def _generated(predicate):
-    for seed in range(300):
-        a = analysis(generate(GeneratorConfig(seed=seed, max_cells=40)))
+    for key in CORPUS_A[:300]:
+        a = corpora.analysis(key)
         if predicate(a):
             return a
     raise AssertionError("no generated tree has the wanted shape")
@@ -297,14 +292,7 @@ _REWRITTEN = ("dicritical-sum-divisibility", "linear-path-determinants")
 def _tampered_analyses():
     """Each analysis, then copies with N[v] moved by +1 and -2 for up to 12
     vertices, then copies with each node's d set to d+1, 2d and 7."""
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(150)]
-    trees += [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(12)
-    ]
-    for tree in trees:
-        a = analysis(tree)
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:150] + CORPUS_B[:12]):
         yield a
         for v in sorted(a.tree.vertices)[:12]:
             for step in (1, -2):
@@ -348,8 +336,7 @@ def test_defect_two_witnesses_pinned():
     run = _CHECKS["defect-two-structure"]
     digest = hashlib.sha256()
     multi = witnesses = 0
-    for seed in range(300):
-        a = analysis(generate(GeneratorConfig(seed=seed, max_cells=40)))
+    for a in corpora.analyses(CORPUS_A[:300]):
         multi += any(len(d.classes) in (2, 3) for d in a.decompositions.values())
         a = dataclasses.replace(a, glob=dataclasses.replace(a.glob, delta_tilde_N=2))
         for witness in run(a):
@@ -365,14 +352,7 @@ def _comb_tampered_analyses():
     """The fixtures, seeds 0..299 at 40 cells and corpus B's seeds 0..11, each
     honest, then with one class of one decomposition split at every cut, then
     with every two classes of one decomposition merged."""
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(300)]
-    trees += [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(12)
-    ]
-    for tree in trees:
-        a = analysis(tree)
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:300] + CORPUS_B[:12]):
         yield a
         for z, dec in sorted(a.decompositions.items()):
             tampered = []
@@ -414,11 +394,9 @@ def test_comb_relation_witnesses_pinned():
 def test_rational_report_same_at_every_initial_vertex():
     # `analyze --z z` decomposes at z alone; the rational report must not
     # depend on which initial vertex the analysis was built at
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, rational=True)) for s in range(40)]
     rational = wide = pairs = 0
-    for tree in trees:
-        a = analysis(tree)
+    for a in corpora.analyses(FIXTURES + RATIONAL[:40]):
+        tree = a.tree
         if not is_rational_tree(a):
             continue
         rational += 1
@@ -456,10 +434,8 @@ def test_comb_checks_read_the_comb_pairs(monkeypatch):
     from newton_forest import classify_audit, structure
     from newton_forest.tree_model import DecoratedRootedTree
 
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s)) for s in range(100)]
-    trees += [generate(GeneratorConfig(seed=s, rational=True)) for s in range(40)]
-    analyses = [analysis(tree) for tree in trees]
+    keys = FIXTURES + CORPUS_A[:100] + RATIONAL[:40]
+    analyses = [analysis(corpora.fresh(key)) for key in keys]
 
     def no_R(*args):
         raise AssertionError("R recomputed")
@@ -503,98 +479,12 @@ def test_divisor_trichotomy_case_c():
     assert divisor_trichotomy(a, "v0") == "c"
 
 
-# The sums of `dicritical-sum-divisibility` computed over all cells, as the
-# check did before its passes read each vertex's arrow edges as one folded
-# term: one pass over every cell per node for the sums of x and x-hat, and
-# one walk over every cell for h and h-hat.
-
-
-def _cell_source_multiplicities(tree, arrows):
-    """N over vertices and (0)-arrows and F on every directed edge, summed
-    over the (1)-arrows in `arrows`, by one rerooting pass over every cell."""
-    parent_edge, order = tree._parent_edge, tree._order
-    children = {
-        c: [e for e in tree.incident_edges(c) if e is not parent_edge[c]] for c in order
-    }
-    F = {}
-    for d in reversed(order[1:]):
-        c = parent_edge[d].other(d)
-        if tree.is_arrow(d):
-            F[c, d] = 1 if d in arrows else 0
-        else:
-            F[c, d], _ = _sums_but_one(
-                [(e.q_near(d), F[d, e.other(d)]) for e in children[d]]
-            )
-    N = {}
-    for c in order:
-        kids, up = children[c], parent_edge[c]
-        if up is not None and not kids:
-            if c in tree.arrows0:
-                N[c] = F[c, up.other(c)]
-            continue
-        pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
-        if up is not None:
-            pairs.append((up.q_near(c), F[c, up.other(c)]))
-        N[c], but_one = _sums_but_one(pairs)
-        for e, s in zip(kids, but_one):
-            F[e.other(c), c] = s
-    return N, F
-
-
-def _cell_node_h_products(tree, arrows):
-    """(h, h-hat) at every vertex for the arrow set `arrows`, by one walk
-    outward from its hull over every cell."""
-    parent_edge, order = tree._parent_edge, tree._order
-    below = dict.fromkeys(order, 0)
-    for c in reversed(order[1:]):
-        if c in arrows:
-            below[c] = 1
-        below[parent_edge[c].other(c)] += below[c]
-    total = below[tree.root]
-    free, h_hat = {}, {}
-    for w in tree.vertices:
-        free[w] = []
-        directions = 0
-        for e in tree.incident_edges(w):
-            n = e.other(w)
-            beyond = below[n] if parent_edge[n] is e else total - below[w]
-            if beyond:
-                directions += 1
-                if n in arrows and total == 1:
-                    h_hat[w] = 1
-            else:
-                free[w].append((n, e.q_near(w)))
-        if directions > 1:
-            h_hat[w] = 1
-    walk = list(h_hat)
-    for n in walk:
-        rest = products_but_one([q for _, q in free[n]])
-        for (w, _), q in zip(free[n], rest):
-            if w in free and w not in h_hat:
-                h_hat[w] = h_hat[n] * q
-                walk.append(w)
-    h = {}
-    for w in free:
-        h[w] = h_hat[w]
-        for _, q in free[w]:
-            h[w] *= q
-    return {w: (h[w], h_hat[w]) for w in free}
-
-
 def test_dicritical_sums_match_the_cell_level_passes():
     # N, the sum of F, h and h-hat at every (node, base), from the passes
     # over the vertices, equal one pass over every cell per node
-    configs = [GeneratorConfig(seed=s, max_cells=40) for s in range(300)]
-    configs += [
-        GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120) for s in range(40)
-    ]
-    configs += [
-        GeneratorConfig(seed=s, max_cells=120, max_dicritical_degree=6) for s in range(200)
-    ]
-    trees = list(fixture_corpus().values()) + [generate(c) for c in configs]
     checked = 0
-    for tree in trees:
-        a = analysis(tree)
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:300] + CORPUS_B + CORPUS_120_6):
+        tree = a.tree
         want = []
         for z in sorted(a.glob.nd):
             A = frozenset(
@@ -603,8 +493,8 @@ def test_dicritical_sums_match_the_cell_level_passes():
                 for alpha in tree.neighbors(u)
                 if alpha in tree.arrows1
             )
-            N, F = _cell_source_multiplicities(tree, A)
-            hs = _cell_node_h_products(tree, A)
+            N, F = cell_source_multiplicities(tree, A)
+            hs = cell_node_h_products(tree, A)
             for w in sorted(tree.vertices):
                 sxh = sum(F[w, n] for n in tree.neighbors(w))
                 want.append((z, w, N[w], sxh, *hs[w]))

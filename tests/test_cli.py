@@ -12,10 +12,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from newton_forest import cli
 from newton_forest.cli import run
 from newton_forest.errors import GenerationError, InternalInconsistencyError
-from newton_forest.oracle_gen import GeneratorConfig, generate
 from newton_forest.tree_io import parse, serialize
 from newton_forest.tree_model import (
     ARROW,
@@ -25,6 +26,9 @@ from newton_forest.tree_model import (
     make_edge,
     validate_axioms,
 )
+
+import corpora
+from corpora import CORPUS_A, CORPUS_B
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -375,9 +379,9 @@ PINNED_OUTPUT_SHA256 = "ff076e1abbca659950e0322cdd6c68206299b6b0508f0fb25bb68051
 def _pinned_argvs(directory: Path) -> list[list[str]]:
     fixtures = sorted(FIXTURES.glob("*.ntree"))
     argvs = [["analyze", str(f), "--format", "json"] for f in fixtures]
-    for seed in range(100):
+    for seed, key in enumerate(CORPUS_A[:100]):
         path = directory / f"seed{seed}.ntree"
-        path.write_text(serialize(generate(GeneratorConfig(seed=seed, max_cells=40))))
+        path.write_text(serialize(corpora.tree(key)))
         argvs.append(["analyze", str(path), "--format", "json"])
     argvs += [["audit", str(f)] for f in fixtures]
     return argvs
@@ -400,10 +404,9 @@ PINNED_CORPUS_B_SHA256 = "621de4b97f0fcd0cf5f6ed74fac025084c4e6357efebde062a049f
 
 def test_corpus_b_bytes_pinned(tmp_path, capsys):
     digest = hashlib.sha256()
-    for seed in range(40):
-        config = GeneratorConfig(seed=seed, max_cells=400, max_dicritical_degree=120)
+    for seed, key in enumerate(CORPUS_B):
         path = tmp_path / f"seed{seed}.ntree"
-        path.write_text(serialize(generate(config)))
+        path.write_text(serialize(corpora.tree(key)))
         code = run(["analyze", str(path), "--format", "json"])
         digest.update(capsys.readouterr().out.encode("utf-8"))
         digest.update(f"\0exit {code}\0".encode("utf-8"))
@@ -453,9 +456,9 @@ PINNED_COMBS_SHA256 = "1d12a187186e490ab00ffb033280eaf80febc0de61892ea2606130313
 
 def test_combs_bytes_pinned(tmp_path, capsys):
     paths = sorted(FIXTURES.glob("*.ntree"))
-    for seed in range(100):
+    for seed, key in enumerate(CORPUS_A[:100]):
         path = tmp_path / f"seed{seed}.ntree"
-        path.write_text(serialize(generate(GeneratorConfig(seed=seed, max_cells=40))))
+        path.write_text(serialize(corpora.tree(key)))
         paths.append(path)
     digest = hashlib.sha256()
     for path in paths:
@@ -471,12 +474,14 @@ def test_audit_file(capsys):
     assert "0 failures" in out
 
 
+@pytest.mark.own_generation
 def test_audit_gen(capsys):
     assert run(["audit", "--gen", "12", "--seed", "3", "--max-cells", "40"]) == 0
     out = capsys.readouterr().out
     assert "12 trees audited, 0 failures" in out
 
 
+@pytest.mark.own_generation
 def test_audit_gen_validates_each_tree_once(monkeypatch, capsys):
     # the generator's screen validates each tree it keeps; the analysis
     # reuses those diagnostics instead of checking the tree again
@@ -495,6 +500,7 @@ def test_audit_gen_validates_each_tree_once(monkeypatch, capsys):
     assert len(checked) == 30
 
 
+@pytest.mark.own_generation
 def test_audit_gen_negative_exit_2(capsys):
     # no plan fits in 3 cells: a usage error at once, not 3000 attempts
     for argv, message in (
@@ -548,6 +554,7 @@ def _count_generated(monkeypatch):
     return seeds
 
 
+@pytest.mark.own_generation
 def test_audit_gen_pool_prints_the_in_process_bytes(monkeypatch, capsys):
     seeds = _count_generated(monkeypatch)
     for seed in (0, 41):
@@ -563,6 +570,7 @@ def test_audit_gen_pool_prints_the_in_process_bytes(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.own_generation
 def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
     # one check fails on every tree with an odd number of cells
     import newton_forest.classify_audit as classify_audit
@@ -606,6 +614,7 @@ def _raise(exc):
     return fault
 
 
+@pytest.mark.own_generation
 def test_audit_gen_worker_errors_exit_as_in_process(monkeypatch, capsys):
     for exc, code in (
         (InternalInconsistencyError("N(v) = 0 at v3"), 3),
@@ -622,6 +631,7 @@ def test_audit_gen_worker_errors_exit_as_in_process(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.own_generation
 def test_audit_gen_dead_worker_exit_3(monkeypatch, capsys):
     _fail_at_seed(monkeypatch, 50, lambda: os._exit(1))
     _cpus(monkeypatch, 2)
@@ -633,6 +643,7 @@ def test_audit_gen_dead_worker_exit_3(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.own_generation
 def test_audit_gen_without_semaphores_runs_in_process(monkeypatch, capsys):
     import _multiprocessing
 
@@ -648,6 +659,7 @@ def test_audit_gen_without_semaphores_runs_in_process(monkeypatch, capsys):
     assert len(seeds) == POOLED_GEN
 
 
+@pytest.mark.own_generation
 def test_audit_gen_in_process_while_threads_run(monkeypatch, capsys):
     # a forked worker would inherit the locks the other thread holds
     release = threading.Event()
@@ -748,6 +760,7 @@ def test_dot_escapes_cell_ids(tmp_path, capsys):
             assert '"' not in rest and "\\" not in rest, line
 
 
+@pytest.mark.own_generation
 def test_gen_roundtrip(capsys):
     assert run(["gen", "--seed", "9", "--max-cells", "30"]) == 0
     text = capsys.readouterr().out
@@ -759,10 +772,11 @@ def test_gen_roundtrip(capsys):
     assert len(tree.cells) <= 30
 
 
+@pytest.mark.own_generation
 def test_gen_rational(capsys):
     assert run(["gen", "--seed", "4", "--rational"]) == 0
-    from newton_forest.oracle_gen import oracle_delta_tilde_N
     from newton_forest.tree_io import parse
+    from oracles import oracle_delta_tilde_N
 
     tree = parse(capsys.readouterr().out)
     assert oracle_delta_tilde_N(tree) == 0
@@ -775,9 +789,9 @@ PINNED_TEXT_SHA256 = "e57b1f6a6a56969da110cb44917c43f2e583c092386281baa9b59baa88
 
 def test_text_output_bytes_pinned(tmp_path, capsys):
     paths = sorted(FIXTURES.glob("*.ntree"))
-    for seed in range(100):
+    for seed, key in enumerate(CORPUS_A[:100]):
         path = tmp_path / f"seed{seed}.ntree"
-        path.write_text(serialize(generate(GeneratorConfig(seed=seed, max_cells=40))))
+        path.write_text(serialize(corpora.tree(key)))
         paths.append(path)
     digest = hashlib.sha256()
     for path in paths:
@@ -823,6 +837,7 @@ def _usage_outputs(capsys, argvs, fresh):
     return outputs
 
 
+@pytest.mark.own_generation
 def test_usage_bytes_pinned(monkeypatch, capsys):
     # argparse wraps usage and help text to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
@@ -835,6 +850,7 @@ def test_usage_bytes_pinned(monkeypatch, capsys):
     assert digest.hexdigest() == PINNED_USAGE_SHA256
 
 
+@pytest.mark.own_generation
 def test_parser_built_once(monkeypatch, capsys):
     built = 0
     real = cli.build_parser
@@ -856,14 +872,15 @@ def test_parser_built_once(monkeypatch, capsys):
     assert built == 1
 
 
+@pytest.mark.own_generation
 def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
     # a command's objects go when their count drops to zero, so the cyclic
     # collector finds nothing to free after any of them; usage errors are
     # left out, since a caught `SystemExit` keeps its frames in a cycle
     paths = sorted(FIXTURES.glob("*.ntree"))
-    for seed in range(50):
+    for seed, key in enumerate(CORPUS_A[:50]):
         path = tmp_path / f"seed{seed}.ntree"
-        path.write_text(serialize(generate(GeneratorConfig(seed=seed, max_cells=40))))
+        path.write_text(serialize(corpora.tree(key)))
         paths.append(path)
     argvs = [["gen", "--seed", str(seed)] for seed in range(10)]
     for path in map(str, paths):

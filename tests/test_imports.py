@@ -102,3 +102,85 @@ def test_cli_import_leaves_out_the_process_pool():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
     assert out == f"[]\n{CLI_MODULES}\n"
+
+
+# Definitions that `src` keeps only because perfbench/workloads.py reads
+# them from `oracle_gen`: ROADMAP item 1's benchmark change moves them to
+# tests/oracles.py, and then this set is empty.
+PERFBENCH_ORACLES = {"oracle_N", "_oracle_x", "_oracle_dicriticals", "oracle_delta_tilde_N"}
+
+
+def _names_read(node: ast.AST, skip: set) -> set[str]:
+    """Every name `node` reads, as a bare name, an attribute or an imported
+    name, outside the definitions in `skip`."""
+    found = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        stack.extend(child for child in ast.iter_child_nodes(node) if child not in skip)
+    return found
+
+
+def _shipped_definitions(modules: list[ast.Module]) -> dict[ast.AST, str]:
+    """Each module-level function and class of `modules`, and each method of
+    `DecoratedRootedTree`, with its name."""
+    defs = {}
+    for module in modules:
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node] = node.name
+            if isinstance(node, ast.ClassDef) and node.name == "DecoratedRootedTree":
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        defs[member] = member.name
+    return defs
+
+
+def test_no_shipped_name_serves_only_the_tests():
+    # Every definition is read by the program outside its own body, or is
+    # one of the oracles that perfbench reads.  Reads from a definition
+    # that nothing reads do not count, so a helper of dead code is dead
+    # too.  Names are matched as written: a method counts as read wherever
+    # an attribute of its name is.
+    modules = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    defs = _shipped_definitions(modules)
+    # what each definition reads, its methods apart, and what the modules
+    # read outside every definition
+    reads = {node: _names_read(node, defs.keys() - {node}) for node in defs}
+    top = set().union(*(_names_read(m, defs.keys()) for m in modules))
+    allowed = {node for node, name in defs.items() if name in PERFBENCH_ORACLES}
+
+    def read_by(name, readers):
+        return name in top or any(name in reads[node] for node in readers)
+
+    unread: set = set()
+    while True:
+        live = defs.keys() - unread
+        more = {
+            node
+            for node, name in defs.items()
+            if node in live - allowed and not read_by(name, live - {node})
+        }
+        if not more:
+            break
+        unread |= more
+    assert sorted(defs[node] for node in unread) == []
+    # the allow-list is exact: each name is read by nothing in the program
+    # but the other allowed oracles, and perfbench reaches it
+    assert {defs[node] for node in allowed} == PERFBENCH_ORACLES
+    for node in allowed:
+        assert not read_by(defs[node], defs.keys() - allowed), defs[node]
+    reached = set()
+    for path in sorted((PACKAGE.parent.parent / "perfbench").glob("*.py")):
+        reached |= _names_read(ast.parse(path.read_text(encoding="utf-8")), set())
+    for _ in allowed:  # through the oracles it reaches, one step at a time
+        for node in allowed:
+            if defs[node] in reached:
+                reached |= reads[node]
+    assert PERFBENCH_ORACLES <= reached

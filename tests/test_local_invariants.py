@@ -2,8 +2,10 @@ import pytest
 
 from newton_forest.errors import NotMinimallyCompleteError
 from newton_forest.report import Analysis
-from newton_forest.tree_io import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
 from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
+
+import corpora
+from oracles import fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
 
 
 def test_vertex_ledger_T_B_1_2():
@@ -55,16 +57,16 @@ def test_global_ledger_routes():
 
 def test_fixture_defect_table():
     expected = {
-        (fixture_T_A, ()): 0,
-        (fixture_T_B, (1, 1)): 0,
-        (fixture_T_B, (1, 2)): 0,
-        (fixture_T_B, (2, 3)): 0,
-        (fixture_T_C, ((1, 1, 1),)): 2,
-        (fixture_T_C, ((1, 1, 2),)): 2,
-        (fixture_T_C, ((1, 2, 3),)): 2,
+        "T_A": 0,
+        "T_B_1_1": 0,
+        "T_B_1_2": 0,
+        "T_B_2_3": 0,
+        "T_C_1_1_1": 2,
+        "T_C_1_1_2": 2,
+        "T_C_1_2_3": 2,
     }
-    for (builder, args), want in expected.items():
-        assert Analysis.build(builder(*args)).glob.delta_tilde_N == want
+    for name, want in expected.items():
+        assert corpora.analysis(name).glob.delta_tilde_N == want, name
 
 
 def test_nd_star_and_xi():

@@ -1,13 +1,18 @@
 from newton_forest.multiplicity import classify, multiplicities, source_multiplicities
-from newton_forest.oracle_gen import GeneratorConfig, _oracle_x, generate, oracle_F, oracle_N
-from newton_forest.tree_io import (
-    fixture_corpus,
+from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
+
+import corpora
+from corpora import CORPUS_A, CORPUS_B, FIXTURES
+from oracles import (
+    Q,
+    _oracle_x,
     fixture_T_A,
     fixture_T_B,
     fixture_T_C,
     fixture_T_D,
+    oracle_F,
+    oracle_N,
 )
-from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
 
 
 def _assert_F_sums_x(tree, table):
@@ -18,7 +23,7 @@ def _assert_F_sums_x(tree, table):
         for e in edges:
             assert table.F[c, e.other(c)] == oracle_F(tree, c, e.other(c))
         if c in table.N:
-            assert table.N[c] == sum(tree.Q(e, c) * table.F[c, e.other(c)] for e in edges)
+            assert table.N[c] == sum(Q(tree, e, c) * table.F[c, e.other(c)] for e in edges)
 
 
 def test_x_values_T_A():
@@ -26,7 +31,7 @@ def test_x_values_T_A():
     tab = multiplicities(t)
     assert tab.F["v0", "u"] == 1  # x(v0, t1) = 1
     # x(u, t1) = 0: Q near u carries the zero decoration toward v0
-    assert t.Q(t.edge_between("u", "t1"), "u") * tab.F["u", "t1"] == 0
+    assert Q(t, t.edge_between("u", "t1"), "u") * tab.F["u", "t1"] == 0
     _assert_F_sums_x(t, tab)
 
 
@@ -35,13 +40,13 @@ def test_x_values_T_B():
     tab = multiplicities(t)
     assert tab.F["v0", "u1"] == 1  # x(v0, t1) = a1
     # x(u1, t2) = a1 * a2 along (u1, v0, u2, t2); t2 is the one arrow beyond v0
-    assert t.Q(t.edge_between("u1", "v0"), "u1") * tab.F["u1", "v0"] == 2
+    assert Q(t, t.edge_between("u1", "v0"), "u1") * tab.F["u1", "v0"] == 2
     _assert_F_sums_x(t, tab)
     t = fixture_T_B(2, 3)
     tab = multiplicities(t)
     assert tab.F["v0", "u1"] == 2
     assert tab.F["u1", "v0"] == 3
-    assert t.Q(t.edge_between("u1", "v0"), "u1") * tab.F["u1", "v0"] == 6
+    assert Q(t, t.edge_between("u1", "v0"), "u1") * tab.F["u1", "v0"] == 6
     _assert_F_sums_x(t, tab)
 
 
@@ -142,13 +147,7 @@ def test_classify_non_generic():
 
 def test_source_multiplicities_match_oracle():
     # generated trees carry zero decorations, which the pass must keep exact
-    trees = list(fixture_corpus().values())
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(60)]
-    trees += [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(4)
-    ]
-    for tree in trees:
+    for tree in corpora.trees(FIXTURES + CORPUS_A[:60] + CORPUS_B[:4]):
         table = multiplicities(tree)
         N, _, _ = source_multiplicities(table.fold, tree.vertices)
         assert N == {v: oracle_N(tree, v) for v in tree.vertices}

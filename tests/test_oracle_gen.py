@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import hashlib
 import random
 import time
@@ -7,22 +9,22 @@ from fractions import Fraction
 import pytest
 
 from newton_forest import oracle_gen as og
+from newton_forest.classify_audit import audit_analysis
 from newton_forest.errors import GenerationError
 from newton_forest.multiplicity import multiplicities
-from newton_forest.oracle_gen import (
-    GeneratorConfig,
-    generate,
-    oracle_N,
-    oracle_c,
-    oracle_delta_tilde_N,
-)
-from newton_forest.report import Analysis
-from newton_forest.tree_io import fixture_T_D, fixture_corpus, serialize
+from newton_forest.oracle_gen import GeneratorConfig, generate
+from newton_forest.report import Analysis, analysis_to_dict
+from newton_forest.tree_io import json_text, serialize
 from newton_forest.tree_model import DecoratedRootedTree, validate_axioms
+
+import corpora
+from corpora import CORPUS_A, CORPUS_B, FIXTURES, RATIONAL
+from oracles import _oracle_x, fixture_T_D, oracle_c, oracle_delta_tilde_N, oracle_N
 
 
 def test_oracle_N_matches_engine_on_fixtures():
-    for name, tree in fixture_corpus().items():
+    for name in FIXTURES:
+        tree = corpora.tree(name)
         table = multiplicities(tree)
         for v in sorted(tree.vertices | tree.arrows0):
             assert oracle_N(tree, v) == table.N[v], (name, v)
@@ -46,12 +48,12 @@ def test_oracle_delta_tilde_T_D():
 
 
 def test_oracle_delta_tilde_fixtures():
-    from newton_forest.report import Analysis
+    for name in FIXTURES:
+        want = corpora.analysis(name).glob.delta_tilde_N
+        assert oracle_delta_tilde_N(corpora.tree(name)) == want, name
 
-    for name, tree in fixture_corpus().items():
-        assert oracle_delta_tilde_N(tree) == Analysis.build(tree).glob.delta_tilde_N, name
 
-
+@pytest.mark.own_generation
 def test_generate_reproducible():
     a = generate(GeneratorConfig(seed=42, max_cells=40))
     b = generate(GeneratorConfig(seed=42, max_cells=40))
@@ -63,8 +65,7 @@ def test_generate_reproducible():
 def test_generated_trees_validate():
     from newton_forest.multiplicity import classify
 
-    for seed in range(25):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
+    for tree in corpora.trees(CORPUS_A[:25]):
         assert validate_axioms(tree) == []
         info = classify(tree, multiplicities(tree))
         assert info.generic and info.minimally_complete
@@ -74,8 +75,7 @@ def test_generated_trees_validate():
 def test_generate_rational_filter():
     import math
 
-    tree = generate(GeneratorConfig(seed=5, max_cells=40, rational=True))
-    a = Analysis.build(tree)
+    a = corpora.analysis(RATIONAL[5])
     assert a.glob.delta_tilde_N == 0
     degs = [a.info.degree[u] for u in sorted(a.glob.script_D)]
     assert math.gcd(*degs) == 1
@@ -84,14 +84,14 @@ def test_generate_rational_filter():
 def test_generator_rational_pinned():
     """The seed->tree mapping of the rational filter: seeds 0..199 at 40 cells."""
     digest = hashlib.sha256()
-    for seed in range(200):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40, rational=True))
+    for tree in corpora.trees(RATIONAL):
         digest.update(serialize(tree).encode("utf-8"))
     assert digest.hexdigest() == (
         "f18cfd0bab2a479eca2131d8a33a43b1cb3d9de6ace0ad07f9106a668345855e"
     )
 
 
+@pytest.mark.own_generation
 def test_rational_filter_reads_the_screen(monkeypatch):
     """The rational filter tests 2 - M - D and the degree gcd on the table
     and classification that `_screen` computed: one `multiplicities` and one
@@ -109,6 +109,7 @@ def test_rational_filter_reads_the_screen(monkeypatch):
     assert calls == {"validate_axioms": 175, "multiplicities": 175, "classify": 175}
 
 
+@pytest.mark.own_generation
 def test_generation_budget_error():
     # no attempt of any mode fits in 3 cells, so the whole budget is spent
     with pytest.raises(GenerationError) as err:
@@ -118,8 +119,8 @@ def test_generation_budget_error():
 
 def test_oracle_agreement_on_generated():
     for seed in (3, 17, 31):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
-        a = Analysis.build(tree)
+        a = corpora.analysis(CORPUS_A[seed])
+        tree = a.tree
         for v in sorted(tree.vertices | tree.arrows0):
             assert oracle_N(tree, v) == a.table.N[v]
         for (u, e), data in a.chars.pairs.items():
@@ -130,9 +131,7 @@ def test_oracle_agreement_on_generated():
 def test_coverage_over_a_small_corpus():
     # the acceptance corpus asserts this over 1000 seeds; keep a quick gate here
     seen = {"single": 0, "brush": 0, "omega0": 0, "omega1": 0, "omega2": 0, "multi": 0}
-    for seed in range(150):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
-        a = Analysis.build(tree)
+    for a in corpora.analyses(CORPUS_A[:150]):
         seen["single"] += len(a.glob.script_N) == 1
         seen["brush"] += a.struct.is_brush
         seen[f"omega{len(a.struct.Omega)}"] += 1
@@ -212,7 +211,7 @@ def test_slot_contributions_match_oracle():
         draft = og._assemble(probe, {})
         for (i, j), row in og._slot_contributions(plan).items():
             for (i2, j2), value in row.items():
-                want = og._oracle_x(draft, f"u{i}_{j}", f"t{i2}_{j2}_0", hat=True)
+                want = _oracle_x(draft, f"u{i}_{j}", f"t{i2}_{j2}_0", hat=True)
                 assert value == want, (seed, k, (i, j), (i2, j2))
                 pairs += 1
         zero_down += any(p.parent is not None and p.down_q == 0 for p in plan)
@@ -270,13 +269,14 @@ def test_support_solve_is_quadratic_on_a_wide_fan(monkeypatch):
     assert best < 0.5, best
 
 
+@pytest.mark.own_generation
 def test_generated_trees_carry_no_analysis_cache():
     # a caller may keep many generated trees alive, as the benchmark's
     # corpus-small keeps 1000: the screen may leave on a tree only its own
     # fields and the diagnostics and cell sets it reads, not the fold of
     # `multiplicities` or any other per-analysis view
-    allowed = {f.name for f in dataclasses.fields(DecoratedRootedTree)}
-    allowed |= {"_axiom_diagnostics", "arrows0", "arrows1", "vertices"}
+    fields = [f.name for f in dataclasses.fields(DecoratedRootedTree)]
+    allowed = set(fields) | {"_axiom_diagnostics", "arrows0", "arrows1", "vertices"}
     configs = [GeneratorConfig(seed=s) for s in range(40)]
     configs += [
         GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120) for s in range(4)
@@ -284,3 +284,20 @@ def test_generated_trees_carry_no_analysis_cache():
     configs += [GeneratorConfig(seed=s, rational=True) for s in range(4)]
     for config in configs:
         assert set(generate(config).__dict__) <= allowed, config
+
+    # Nor does an analysis, its audit or its report leave anything on the
+    # tree, which the corpora share between tests: every field keeps its
+    # value, and the tree gains only its declared cached properties.
+    cached = {
+        name
+        for name, value in vars(DecoratedRootedTree).items()
+        if isinstance(value, functools.cached_property)
+    }
+    for key in FIXTURES + CORPUS_A[:200] + CORPUS_B[:12]:
+        tree = corpora.fresh(key)
+        before = copy.deepcopy({name: getattr(tree, name) for name in fields})
+        a = Analysis.build(tree)
+        audits = audit_analysis(a)
+        json_text(analysis_to_dict(a, audits, None), sort_keys=True)
+        assert {name: getattr(tree, name) for name in fields} == before, key
+        assert set(tree.__dict__) <= set(fields) | cached, key

@@ -16,9 +16,9 @@ from newton_forest.characteristic import rational_divides, rational_gcd
 from newton_forest.classify_audit import audit_analysis, audit_failures, theorem_audit
 from newton_forest.cli import run
 from newton_forest.multiplicity import multiplicities
-from newton_forest.oracle_gen import GeneratorConfig, generate, oracle_F
+from newton_forest.oracle_gen import GeneratorConfig
 from newton_forest.report import Analysis
-from newton_forest.tree_io import fixture_corpus, json_text, parse, serialize, to_document
+from newton_forest.tree_io import json_text, parse, serialize, to_document
 from newton_forest.tree_model import (
     ARROW,
     VERTEX,
@@ -27,6 +27,10 @@ from newton_forest.tree_model import (
     make_edge,
     validate_axioms,
 )
+
+import corpora
+from corpora import CORPUS_120_6, CORPUS_A, CORPUS_B, FIXTURES
+from oracles import Q, oracle_F
 
 TREE_SETTINGS = settings(
     max_examples=40,
@@ -60,8 +64,12 @@ def test_rational_gcd_of_multiples(x, ms):
     assert rational_gcd(values) == abs(x)
 
 
+def _config(seed: int):
+    return GeneratorConfig(seed=seed, max_cells=36)
+
+
 def _tree(seed: int):
-    return generate(GeneratorConfig(seed=seed, max_cells=36))
+    return corpora.tree(_config(seed))
 
 
 @TREE_SETTINGS
@@ -101,7 +109,7 @@ def test_x_factorization_property(seed):
         edges = tree.incident_edges(c)
         for e in edges:
             assert table.F[c, e.other(c)] == oracle_F(tree, c, e.other(c))
-        assert table.N[c] == sum(tree.Q(e, c) * table.F[c, e.other(c)] for e in edges)
+        assert table.N[c] == sum(Q(tree, e, c) * table.F[c, e.other(c)] for e in edges)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -114,8 +122,7 @@ def test_audits_hold_on_arbitrary_generated_trees(seed):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 5000))
 def test_decomposition_covering_property(seed):
-    tree = _tree(seed)
-    a = Analysis.build(tree)
+    a = corpora.analysis(_config(seed))
     for z, dec in a.decompositions.items():
         covered = set()
         for cls in dec.classes:
@@ -147,10 +154,9 @@ def _bijections(tree, key):
     return [dict(zip(ids, shuffled)), {c: f"{k:x}_" for c, k in zip(ids, fresh)}]
 
 
-def _invariants(tree, rename=lambda c: c):
-    """The analysis and audit of `tree`, each cell id passed through
+def _invariants(a, rename=lambda c: c):
+    """The analysis `a` and its audit, each cell id passed through
     `rename`, and no order kept that comes from sorting cell ids."""
-    a = Analysis.build(tree)
     results = audit_analysis(a)
     st_ = a.struct
     return {
@@ -177,16 +183,16 @@ def _invariants(tree, rename=lambda c: c):
 
 def test_renaming_changes_no_invariant():
     # renaming the cells by a bijection must map every invariant along with it
-    trees = list(fixture_corpus().items()) + [
-        (f"seed {s}", generate(GeneratorConfig(seed=s, max_cells=40)))
-        for s in range(300)
-    ]
-    for name, tree in trees:
-        bijections = _bijections(tree, name)
-        want = [_invariants(tree, new_id.get) for new_id in bijections]
+    names = [(name, name) for name in FIXTURES]
+    names += [(f"seed {key.seed}", key) for key in CORPUS_A[:300]]
+    for name, key in names:
+        a = corpora.analysis(key)
+        bijections = _bijections(a.tree, name)
+        want = [_invariants(a, new_id.get) for new_id in bijections]
         assert want[0]["failures"] == [], name
         for k, new_id in enumerate(bijections):
-            assert _invariants(_renamed(tree, new_id)) == want[k], (name, k)
+            renamed = Analysis.build(_renamed(a.tree, new_id))
+            assert _invariants(renamed) == want[k], (name, k)
 
 
 # sha256 over the stdout and exit code of `combs` on generator seeds 0..199
@@ -199,15 +205,10 @@ PINNED_RELABELED_COMBS_SHA256 = "58475f6ee622025f46bb53de2ed334312ae9595328a4901
 
 
 def test_relabeled_combs_pinned(tmp_path, capsys):
-    configs = [GeneratorConfig(seed=s, max_cells=40) for s in range(200)]
-    configs += [
-        GeneratorConfig(seed=s, max_cells=120, max_dicritical_degree=6)
-        for s in range(40)
-    ]
     path = tmp_path / "relabeled.ntree"
     digest = hashlib.sha256()
-    for config in configs:
-        tree = generate(config)
+    for config in CORPUS_A[:200] + CORPUS_120_6[:40]:
+        tree = corpora.tree(config)
         shuffle = _bijections(tree, f"seed {config.seed} at {config.max_cells}")[0]
         path.write_text(serialize(_renamed(tree, shuffle)))
         code = run(["combs", str(path)])
@@ -295,11 +296,7 @@ def test_json_text_writes_a_tree_as_json_dumps_of_its_document(tree):
 
 
 def test_json_text_writes_the_corpora_as_json_dumps():
-    configs = [GeneratorConfig(seed=s, max_cells=40) for s in range(300)]
-    configs += [
-        GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120) for s in range(40)
-    ]
-    for tree in list(fixture_corpus().values()) + [generate(c) for c in configs]:
+    for tree in corpora.trees(FIXTURES + CORPUS_A[:300] + CORPUS_B):
         _assert_tree_text_is_dumps(tree)
 
 

@@ -5,7 +5,10 @@ import pytest
 from newton_forest import characteristic, local_invariants, multiplicity, structure
 from newton_forest.report import Analysis
 from newton_forest.structure import quotient_tree_H, rooted_tree_H
-from newton_forest.tree_io import fixture_T_A, fixture_T_D
+
+import corpora
+from corpora import CORPUS_A, CORPUS_B, FIXTURES
+from oracles import comb_steps, fixture_T_A, fixture_T_D, reference_comb_step
 
 
 def test_structure_T_D():
@@ -59,12 +62,9 @@ def test_decomposition_rejects_non_initial():
 
 def test_two_loose_ends_decomposition():
     # generated two-ended chain: single class from either end, zero drop
-    from newton_forest.oracle_gen import GeneratorConfig, generate
-
     found = None
-    for seed in range(200):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
-        a = Analysis.build(tree)
+    for key in CORPUS_A[:200]:
+        a = corpora.analysis(key)
         if len(a.struct.Omega) == 2:
             found = a
             break
@@ -116,12 +116,9 @@ def test_quotient_H_needs_two_classes():
 
 
 def test_quotient_H_on_generated_multicomb():
-    from newton_forest.oracle_gen import GeneratorConfig, generate
-
     seen = 0
-    for seed in range(300):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
-        a = Analysis.build(tree)
+    for key in CORPUS_A[:300]:
+        a = corpora.analysis(key)
         for dec in a.decompositions.values():
             if len(dec.classes) > 1:
                 h = quotient_tree_H(dec)
@@ -173,54 +170,12 @@ def test_stage_inputs_required():
             )
 
 
-def _reference_comb_step(ledger, chars, struct, upper, pair):
-    # the comb test as a step from the pair above: at three positive
-    # neighbours the tooth must sit on the edge that is neither `pair`'s
-    # nor `upper`'s
-    v, f = pair
-    eps = ledger.per_vertex[v].epsilon
-    if eps not in (2, 3):
-        return False
-    r1 = structure.R_of(ledger, chars, v, [f])
-    if eps == 2:
-        return r1 < 1
-    if r1 != 0:
-        return False
-    (third,) = [e for e in chars.edges_at[v] if e != f and e != upper[1]]
-    return (v, third) in struct.teeth
-
-
-def _comb_steps(a):
-    # every step of every skeleton chain toward every initial vertex z: the
-    # pair toward z of a vertex u over that of its neighbour toward z
-    tree = a.tree
-    for z in sorted(a.struct.In):
-        for u in sorted(a.struct.S - {z}):
-            path = tree.path(u, z)
-            if len(path) > 2:
-                upper = (u, tree.edge_between(u, path[1]))
-                yield upper, (path[1], tree.edge_between(path[1], path[2]))
-
-
-def _comb_corpus():
-    from newton_forest.oracle_gen import GeneratorConfig, generate
-    from newton_forest.tree_io import fixture_corpus
-
-    yield from fixture_corpus().values()
-    for seed in range(300):
-        yield generate(GeneratorConfig(seed=seed, max_cells=40))
-    for seed in range(12):
-        yield generate(
-            GeneratorConfig(seed=seed, max_cells=400, max_dicritical_degree=120)
-        )
-
-
 def _count_comb_steps(trees):
     steps = eps3 = by_tooth = 0
     for tree in trees:
         a = Analysis.build(tree)
-        for upper, pair in _comb_steps(a):
-            want = _reference_comb_step(a.ledger, a.chars, a.struct, upper, pair)
+        for upper, pair in comb_steps(a):
+            want = reference_comb_step(a.ledger, a.chars, a.struct, upper, pair)
             assert (pair in a.struct.combs) == want, (upper, pair)
             steps += 1
             if a.ledger.per_vertex[pair[0]].epsilon == 3:
@@ -232,8 +187,9 @@ def _count_comb_steps(trees):
 def test_comb_pairs_match_the_step_test(monkeypatch):
     # `struct.combs` holds the one comb test; on every step of every chain it
     # agrees with the test written against the pair above
-    # (steps, steps at three positive neighbours, those passed by a tooth)
-    trees = list(_comb_corpus())
+    # (steps, steps at three positive neighbours, those passed by a tooth).
+    # The analyses are built here, the second time under the patch.
+    trees = [corpora.fresh(key) for key in FIXTURES + CORPUS_A[:300] + CORPUS_B[:12]]
     assert _count_comb_steps(trees) == (242, 75, 0)
 
     # R = 0 at every vertex of three positive neighbours opens the tooth

@@ -9,25 +9,20 @@ import pytest
 import newton_forest
 from newton_forest.errors import ParseError, TreeStructureError
 from newton_forest.report import Analysis
-from newton_forest.tree_io import (
-    export_dot,
-    fixture_T_A,
-    fixture_T_B,
-    fixture_T_C,
-    fixture_T_D,
-    fixture_corpus,
-    parse,
-    serialize,
-)
+from newton_forest.tree_io import export_dot, parse, serialize
 from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
+
+import corpora
+from corpora import FIXTURES
+from oracles import fixture_corpus, fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
 from test_cli import _broom
 
 FIXture_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_round_trip_is_identity_on_canonical_form():
-    for name, tree in fixture_corpus().items():
-        text = serialize(tree)
+    for name in FIXTURES:
+        text = serialize(corpora.tree(name))
         again = parse(text)
         assert serialize(again) == text, name
 

@@ -5,14 +5,7 @@ import random
 import pytest
 
 from newton_forest.errors import TreeStructureError
-from newton_forest.oracle_gen import GeneratorConfig, generate
-from newton_forest.tree_io import (
-    fixture_corpus,
-    fixture_T_A,
-    fixture_T_B,
-    fixture_T_C,
-    fixture_T_D,
-)
+from newton_forest.multiplicity import multiplicities
 from newton_forest.tree_model import (
     ARROW,
     VERTEX,
@@ -22,6 +15,10 @@ from newton_forest.tree_model import (
     make_edge,
     validate_axioms,
 )
+
+import corpora
+from corpora import CORPUS_A, CORPUS_B, FIXTURES
+from oracles import Q, fixture_T_A, fixture_T_B, fixture_T_C, fixture_T_D
 
 
 def ta_parts():
@@ -75,7 +72,7 @@ def test_build_kind_cross_check():
 def test_root_is_vertex_even_at_valency_one():
     t = fixture_T_A()
     assert t.valency("v0") == 1
-    assert t.is_vertex("v0")
+    assert "v0" in t.vertices
 
 
 def test_missing_arrow_decoration():
@@ -88,40 +85,52 @@ def test_missing_arrow_decoration():
 def test_Q_values():
     t = fixture_T_A()
     e = t.edge_between("v0", "u")
-    assert t.Q(e, "u") == 1  # product over the two arrow edges
-    assert t.Q(e, "v0") == 1  # empty product
+    assert Q(t, e, "u") == 1  # product over the two arrow edges
+    assert Q(t, e, "v0") == 1  # empty product
+    assert multiplicities(t).fold.near("u", "v0") == (0, 1)
     tb = fixture_T_B(1, 2)
     e = tb.edge_between("v0", "u1")
-    assert tb.Q(e, "u1") == 1  # dead end (a1=1) times arrow edge
+    assert Q(tb, e, "u1") == 1  # dead end (a1=1) times arrow edge
+    assert multiplicities(tb).fold.near("u1", "v0") == (-2, 1)
     with pytest.raises(ValueError):
-        t.Q(e, "t1")  # not an end of the edge
+        Q(t, e, "t1")  # not an end of the edge
 
 
 def test_Q_is_product_of_other_decorations():
+    # at every vertex c: near(c, n) gives the decoration near c on the
+    # vertex edge {c, n} and Q, the product of those on c's other edges
     trees = [fixture_T_B(2, 3), fixture_T_C((1, 2, 3)), fixture_T_D()]
-    trees += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(20)]
+    trees += corpora.trees(CORPUS_A[:20])
     for t in trees:
+        fold = multiplicities(t).fold
         for c in sorted(t.cells):
             for e in t.incident_edges(c):
                 others = [f.q_near(c) for f in t.incident_edges(c) if f != e]
-                assert t.Q(e, c) == math.prod(others), (c, str(e))
+                assert Q(t, e, c) == math.prod(others), (c, str(e))
+                if c in t.vertices and e.other(c) in t.vertices:
+                    n = e.other(c)
+                    assert fold.near(c, n) == (e.q_near(c), Q(t, e, c)), (c, str(e))
 
 
 def test_edge_determinants():
-    t = fixture_T_A()
-    assert t.edge_determinant(t.edge_between("v0", "u")) == -1
-    tb = fixture_T_B(1, 2)
-    assert tb.edge_determinant(tb.edge_between("v0", "u1")) == -3
-    with pytest.raises(ValueError):
-        t.edge_determinant(t.edge_between("u", "t1"))
+    fold = multiplicities(fixture_T_A()).fold
+    assert fold.determinant("v0", "u") == -1
+    fb = multiplicities(fixture_T_B(1, 2)).fold
+    assert fb.determinant("v0", "u1") == -3
+    with pytest.raises(KeyError):
+        fold.determinant("u", "t1")  # an arrow is no vertex of the fold
 
 
 def test_determinant_symmetric_in_ends():
-    t = fixture_T_D()
-    for e in t.iter_vertex_edges():
-        x, y = e.ends
-        qx, qy = e.q_near(x), e.q_near(y)
-        assert qx * qy - t.Q(e, x) * t.Q(e, y) == qy * qx - t.Q(e, y) * t.Q(e, x)
+    # q(e,x) q(e,y) - Q(e,x) Q(e,y) on every vertex edge e = {x, y}, from
+    # either end and from the definition of Q
+    for name in FIXTURES:
+        t = corpora.tree(name)
+        fold = multiplicities(t).fold
+        for y, (x, _, _) in fold.parent.items():
+            e = t.edge_between(x, y)
+            want = e.q_near(x) * e.q_near(y) - Q(t, e, x) * Q(t, e, y)
+            assert fold.determinant(x, y) == fold.determinant(y, x) == want, (name, str(e))
 
 
 def test_paths_and_order():
@@ -244,8 +253,7 @@ def _mutants(tree):
 
 def test_validate_bytes_pinned():
     digest = hashlib.sha256()
-    for seed in range(60):
-        tree = generate(GeneratorConfig(seed=seed, max_cells=40))
+    for tree in corpora.trees(CORPUS_A[:60]):
         for cells, edges in _mutants(tree):
             try:
                 lines = [str(d) for d in validate_axioms(build_tree(cells, edges, tree.root))]
@@ -274,12 +282,8 @@ def _reference_sets(tree):
 
 
 def test_classification_sets_match_their_definition():
-    small = list(fixture_corpus().values())
-    small += [generate(GeneratorConfig(seed=s, max_cells=40)) for s in range(100)]
-    trees = small + [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(12)
-    ]
+    small = corpora.trees(FIXTURES + CORPUS_A[:100])
+    trees = small + corpora.trees(CORPUS_B[:12])
     mutants = []
     for tree in small:
         for cells, edges in _mutants(tree):
@@ -306,16 +310,13 @@ PINNED_FAN_VALIDATE_SHA256 = "73d8ba3dcd18482d88df8035940fc8049ef4f12536b9b10486
 
 
 def test_validate_fan_mutants_pinned():
-    trees = [
-        generate(GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120))
-        for s in range(40)
-    ]
+    trees = corpora.trees(CORPUS_B)
     slots = [
         (t, i, end)
         for t, tree in enumerate(trees)
         for i, e in enumerate(tree.edges)
         for end in (0, 1)
-        if tree.is_vertex(e.ends[end])
+        if e.ends[end] in tree.vertices
     ]
     rng = random.Random(0)
     digest = hashlib.sha256()
