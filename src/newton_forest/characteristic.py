@@ -20,7 +20,9 @@ h(w,A) and h-hat(w,A) for every vertex w in one walk outward from the hull
 of A over the vertices, each vertex's arrow edges folded into one term; the
 oracle module keeps the path-by-path definition.
 
-All rational arithmetic is exact (`fractions.Fraction`).
+All rational arithmetic is exact (`fractions.Fraction`).  `rational_gcd` and
+`rational_divides` read numerators and denominators, which ints have too, so
+a divisibility test is one integer remainder and builds no `Fraction`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ Pair = tuple[CellRef, Edge]
 
 def rational_gcd(values: Iterable[Rational | int]) -> Rational:
     """The unique xi >= 0 with <values> = xi * Z as a sub-Z-module of Q."""
-    vals = [Fraction(v) for v in values]
+    vals = list(values)
     if not vals:
         return Fraction(0)
     m = lcm(*(v.denominator for v in vals))
@@ -51,19 +53,12 @@ def rational_gcd(values: Iterable[Rational | int]) -> Rational:
 
 
 def rational_divides(a: Rational | int, b: Rational | int) -> bool:
-    """Whether b lies in a*Z (with 0 dividing only 0)."""
-    if isinstance(a, int) and isinstance(b, int):
-        return b == 0 if a == 0 else b % a == 0
-    a, b = Fraction(a), Fraction(b)
-    if a == 0:
+    """Whether b lies in a*Z (with 0 dividing only 0): whether
+    a.numerator * b.denominator divides b.numerator * a.denominator."""
+    den = a.numerator * b.denominator
+    if den == 0:
         return b == 0
-    return (b / a).denominator == 1
-
-
-def path_dead_end_product(tree: DecoratedRootedTree, x: CellRef, y: CellRef) -> int:
-    """Product of dead-end values a_v over the vertices of the path x..y,
-    leaving out y.  Equals 1 when x == y."""
-    return prod(tree.a_value(c) for c in tree.path(x, y)[:-1])
+    return b.numerator * a.denominator % den == 0
 
 
 def node_h_products(
@@ -203,7 +198,7 @@ def characteristic_numbers(
         below = [(u0, f) for f in edges_at[u0] if f != e]
         d0, a0 = per[u0].d, per[u0].a
         if below:
-            values = [Fraction(d0)] + [found[p].c for p in below]
+            values = [d0] + [found[p].c for p in below]
             if any(v == 0 for v in values):
                 raise InternalInconsistencyError("zero fed to a characteristic gcd")
             c = rational_gcd(values) / a0
@@ -217,7 +212,7 @@ def characteristic_numbers(
             M=M,
             p=table.F[u, u0],
             p_prime=table.F[u0, u],
-            eta=Fraction(dt) - (1 - c),
+            eta=c + (dt - 1),
             nonpositive=dt <= 0,
             n_side=n_side,
             term=Fraction(M - 1, M),

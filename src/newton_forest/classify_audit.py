@@ -23,14 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .characteristic import (
-    R_of,
-    node_h_products,
-    path_dead_end_product,
-    rational_divides,
-)
+from .characteristic import R_of, node_h_products, rational_divides
 from .errors import InternalInconsistencyError
 from .multiplicity import VertexFold, source_multiplicities
 from .report import Analysis
@@ -38,15 +33,13 @@ from .structure import quotient_tree_H
 from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     passed: bool
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class RootFanEdge:
+class RootFanEdge(NamedTuple):
     edge: Edge
     far_end: CellRef
     a: int
@@ -55,8 +48,7 @@ class RootFanEdge:
     x: int
 
 
-@dataclass(frozen=True)
-class RootFanData:
+class RootFanData(NamedTuple):
     """Per-root-edge invariants in the one-skeleton-vertex case."""
 
     N: int
@@ -464,11 +456,11 @@ def _chk_connected(a: Analysis) -> list[str]:
 
 def _chk_dead_end_mult(a: Analysis) -> list[str]:
     out = []
-    for v in sorted(a.tree.vertices):
-        for e in a.tree.dead_ends(v):
-            alpha = e.other(v)
-            if a.table.N[v] != e.q_near(v) * a.table.N[alpha]:
-                out.append(f"{v!r}: N={a.table.N[v]} != {e.q_near(v)}*N({alpha!r})")
+    N, fold = a.table.N, a.table.fold
+    for v in sorted(fold.order):
+        for alpha, q, _ in fold.arrows[v][fold.ones[v]:]:
+            if N[v] != q * N[alpha]:
+                out.append(f"{v!r}: N={N[v]} != {q}*N({alpha!r})")
     return out
 
 
@@ -596,11 +588,14 @@ def _chk_epsilon_sign(a: Analysis) -> list[str]:
 
 
 def _chk_sigma_ratio(a: Analysis) -> list[str]:
+    # sigma/N = sum of 1 - 1/k over the dicriticals at v, times N*lcm(k)
     out = []
     for v, d in sorted(a.ledger.per_vertex.items()):
-        lhs = Fraction(d.sigma, a.table.N[v])
-        rhs = sum((1 - Fraction(1, d.k[u]) for u in d.dicriticals), Fraction(0))
-        if lhs != rhs:
+        ks = [d.k[u] for u in d.dicriticals]
+        L = lcm(*ks)
+        if d.sigma * L != a.table.N[v] * sum(L - L // k for k in ks):
+            lhs = Fraction(d.sigma, a.table.N[v])
+            rhs = sum((1 - Fraction(1, k) for k in ks), Fraction(0))
             out.append(f"{v!r}: sigma/N={lhs} != {rhs}")
     return out
 
@@ -610,7 +605,7 @@ def _chk_low_end(a: Analysis) -> list[str]:
     for v, d in sorted(a.ledger.per_vertex.items()):
         if d.epsilon == 1 and d.delta_tilde <= 0:
             N = a.table.N[v]
-            if Fraction(d.delta_tilde) != 1 - Fraction(d.d, d.a):
+            if (1 - d.delta_tilde) * d.a != d.d:
                 out.append(f"{v!r}: defect {d.delta_tilde} != 1 - d/a")
             if d.is_node:
                 want = (d.d,) + (N,) * (len(d.type) - 1)
@@ -714,12 +709,13 @@ def _chk_char_divides(a: Analysis) -> list[str]:
     near = a.table.fold.near
     for (u, e), data in a.chars.pairs.items():
         N = a.table.N[u]
-        if data.c <= 0:
-            out.append(f"{u}|{e}: c={data.c} not positive")
+        c = data.c
+        if c.numerator <= 0:
+            out.append(f"{u}|{e}: c={c} not positive")
         for name, val in (("p", data.p), ("p'", data.p_prime), ("N", N)):
-            if not rational_divides(data.c, val):
+            if not rational_divides(c, val):
                 out.append(f"{u}|{e}: c does not divide {name}={val}")
-        if data.M < 1 or Fraction(N) != data.M * data.c:
+        if data.M < 1 or N * c.denominator != data.M * c.numerator:
             out.append(f"{u}|{e}: M={data.M}")
         if N != near(u, e.other(u))[1] * data.p + e.q_near(u) * data.p_prime:
             out.append(f"{u}|{e}: N != Q*p + q*p'")
@@ -734,20 +730,37 @@ def _chk_M_one_order(a: Analysis) -> list[str]:
     return out
 
 
+def _dead_end_products(fold: VertexFold, u: CellRef) -> dict[CellRef, int]:
+    """For every vertex x, the product of the dead-end values a over the path
+    x..u leaving out u, carried outward from u (a vertex has at most one dead
+    end, so a is the fold's `dead`)."""
+    dead = fold.dead
+    alpha = {u: 1}
+    walk = [u]
+    for x in walk:
+        for y, _, _ in fold.vertex_edges(x):
+            if y not in alpha:
+                alpha[y] = alpha[x] * dead[y]
+                walk.append(y)
+    return alpha
+
+
 def _chk_char_chain_div(a: Analysis) -> list[str]:
+    # alpha(x, u) c(u, e) divides c at every pair (x, f) below (u, e), and
+    # d(z) at every node z on the n-side of (u, e)
     out = []
     pairs = a.chars.pairs
     per = a.ledger.per_vertex
+    alpha = {u: _dead_end_products(a.table.fold, u) for u in {u for u, _ in pairs}}
     for top, dtop in pairs.items():
-        u = top[0]
+        u, side, c = top[0], dtop.n_side, dtop.c
         for bot, dbot in pairs.items():
-            if bot != top and a.chars.precedes(bot, top):
-                alpha = path_dead_end_product(a.tree, bot[0], u)
-                if not rational_divides(alpha * dtop.c, dbot.c):
-                    out.append(f"{bot[0]}|{bot[1]} under {u}|{top[1]}")
-        for z in sorted(a.glob.nd & dtop.n_side):
-            alpha = path_dead_end_product(a.tree, z, u)
-            if not rational_divides(alpha * dtop.c, per[z].d):
+            x = bot[0]
+            if x in side and u not in dbot.n_side and bot != top:
+                if not rational_divides(alpha[u][x] * c, dbot.c):
+                    out.append(f"{x}|{bot[1]} under {u}|{top[1]}")
+        for z in sorted(a.glob.nd & side):
+            if not rational_divides(alpha[u][z] * c, per[z].d):
                 out.append(f"d({z!r}) under {u}|{top[1]}")
     return out
 
@@ -762,17 +775,19 @@ def _dicritical_sums(
     of w's vertex edges, whose sum with the number of w's arrows in A is the
     sum of x-hat; one walk out from the hull of A gives h and h-hat."""
     fold = a.table.fold
-    bases = sorted(fold.order)
-    neighbours = {w: [n for n, _, _ in fold.vertex_edges(w)] for w in bases}
+    ones = fold.ones
+    # each base with the keys of F on its vertex edges
+    bases = [(w, [(w, n) for n, _, _ in fold.vertex_edges(w)]) for w in sorted(fold.order)]
     for z in sorted(a.glob.nd):
         sources = frozenset(a.ledger.per_vertex[z].dicriticals)
         N, F, _ = source_multiplicities(fold, sources)
         hs = node_h_products(fold, sources)
-        for w in bases:
-            sxh = sum(F[w, n] for n in neighbours[w])
+        for w, keys in bases:
+            sxh = sum(map(F.__getitem__, keys))
             if w in sources:
-                sxh += fold.ones[w]
-            yield (z, w, N[w], sxh, *hs[w])
+                sxh += ones[w]
+            h, h_hat = hs[w]
+            yield z, w, N[w], sxh, h, h_hat
 
 
 def _chk_dic_sum_div(a: Analysis) -> list[str]:
@@ -886,7 +901,7 @@ def _chk_nonpositive_iff(a: Analysis) -> list[str]:
             out.append(f"{pair}: stored flag")
         if nonpos != (data.eta == 0):
             out.append(f"{pair}: nonpositive vs eta")
-        if nonpos and Fraction(dt) != 1 - data.c:
+        if nonpos and (1 - dt) * data.c.denominator != data.c.numerator:
             out.append(f"{pair}: defect != 1 - c")
         if nonpos and (data.c.denominator != 1 or data.c < 1):
             out.append(f"{pair}: c={data.c} not a positive integer")
@@ -928,7 +943,7 @@ def _chk_tooth_facts(a: Analysis) -> list[str]:
         ok = (
             data.nonpositive
             and data.eta == 0
-            and Fraction(dt) == 1 - data.c
+            and (1 - dt) * data.c.denominator == data.c.numerator
             and dt + per[u].delta_tilde > 0
             and data.M > 1
         )
@@ -1222,13 +1237,9 @@ def _chk_comb_relation(a: Analysis) -> list[str]:
     return out
 
 
-def _gate_rational(a: Analysis) -> bool:
-    return is_rational_tree(a)
-
-
 def _chk_rational(a: Analysis) -> list[str]:
     out = []
-    rep = rational_structure_report(a)
+    rep = a.rational_report
     for clause in rep.failures:
         out.append(f"{clause.check_id}: {clause.witness}")
     st = a.struct
@@ -1384,10 +1395,14 @@ REGISTRY: tuple[Check, ...] = (
     ("single-vertex-parity", _gate_single_N, _chk_parity),
     ("comb-decomposition", _always, _chk_decompositions),
     ("comb-relation", _always, _chk_comb_relation),
-    ("rational-structure", _gate_rational, _chk_rational),
+    ("rational-structure", is_rational_tree, _chk_rational),
     ("defect-two-structure", _gate_defect2, _chk_defect2),
     ("defect-four-structure", _gate_defect4, _chk_defect4),
 )
+
+
+# A passing check's result is one tuple, the same on every analysis.
+_PASSED = {check_id: CheckResult(check_id, True) for check_id, _, _ in REGISTRY}
 
 
 def audit_analysis(analysis: Analysis) -> list[CheckResult]:
@@ -1402,7 +1417,7 @@ def audit_analysis(analysis: Analysis) -> list[CheckResult]:
                 CheckResult(check_id, False, "; ".join(failures[:4]))
             )
         else:
-            results.append(CheckResult(check_id, True))
+            results.append(_PASSED.get(check_id) or CheckResult(check_id, True))
     return results
 
 

@@ -27,8 +27,6 @@ from itertools import repeat
 from .classify_audit import (
     audit_analysis,
     audit_failures,
-    is_rational_tree,
-    rational_structure_report,
     theorem_audit,
 )
 from .errors import (
@@ -92,30 +90,10 @@ def _cmd_validate(args) -> int:
         return _validate(_read_tree(args.file))
 
 
-def _full_report(tree, z):
-    analysis = Analysis.build(tree, z=z)
-    audits = audit_analysis(analysis)
-    classification = None
-    if is_rational_tree(analysis):
-        rep = rational_structure_report(analysis)
-        classification = {
-            "is_rational": rep.is_rational,
-            "recognized": str(rep.recognized) if rep.recognized else None,
-            "chain": list(rep.chain),
-            "trichotomy_case": rep.trichotomy_case,
-            "nd_shape": rep.nd_shape,
-            "clauses": [
-                {"check": c.check_id, "passed": c.passed, "witness": c.witness}
-                for c in rep.clauses
-            ],
-        }
-    return analysis, audits, classification
-
-
 def _cmd_analyze(args) -> int:
-    tree = _read_tree(args.file)
-    analysis, audits, classification = _full_report(tree, z=args.z)
-    doc = analysis_to_dict(analysis, audits, classification)
+    analysis = Analysis.build(_read_tree(args.file), z=args.z)
+    audits = audit_analysis(analysis)
+    doc = analysis_to_dict(analysis, audits)
     if args.format == "json":
         print(json_text(doc, sort_keys=True))
     else:

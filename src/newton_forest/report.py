@@ -13,7 +13,7 @@ tree itself, which `tree_io.json_text` writes as its canonical document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Any, Mapping
 
 from .characteristic import CharacteristicTable, Pair, characteristic_numbers
@@ -85,11 +85,15 @@ class Analysis:
             decompositions=decomps,
         )
 
+    @cached_property
+    def rational_report(self):
+        """The rational structure report, built on first read (by the audit
+        or `analysis_to_dict`) and kept; None when the tree is not rational."""
+        from . import classify_audit  # which imports this module
 
-def rat(x: Fraction | int) -> str:
-    """Reduced rational text: 'p/q', or plain decimal for integers."""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        if not classify_audit.is_rational_tree(self):
+            return None
+        return classify_audit.rational_structure_report(self)
 
 
 def _pair_key(pair: Pair) -> str:
@@ -139,11 +143,9 @@ def decompositions_to_dict(analysis: Analysis) -> dict[str, Any]:
     return decomps
 
 
-def analysis_to_dict(
-    analysis: Analysis, audits: list, classification: dict[str, Any] | None
-) -> dict[str, Any]:
+def analysis_to_dict(analysis: Analysis, audits: list) -> dict[str, Any]:
     """The full report: every section, the audit verdicts, and the rational
-    structure report when the tree is rational (`classification` not None).
+    structure report when the tree is rational (`Analysis.rational_report`).
     The `tree` section holds the tree itself, which `json_text` writes as
     its canonical document and `render_text` expands through `to_document`."""
     per = analysis.ledger.per_vertex
@@ -173,11 +175,11 @@ def analysis_to_dict(
     for pair in sorted(analysis.chars.pairs, key=_pair_key):
         data = analysis.chars.pairs[pair]
         char_rows[_pair_key(pair)] = {
-            "c": rat(data.c),
+            "c": str(data.c),
             "M": data.M,
             "p": data.p,
             "p_prime": data.p_prime,
-            "eta": rat(data.eta),
+            "eta": str(data.eta),
             "nonpositive": data.nonpositive,
             "n_side": sorted(data.n_side),
         }
@@ -225,13 +227,23 @@ def analysis_to_dict(
         "structure": structure,
         "decompositions": decompositions_to_dict(analysis),
     }
-    if classification is not None:
-        doc["rational_structure"] = classification
-    doc["audit"] = [
-        {"check": r.check_id, "passed": r.passed, "witness": r.witness}
-        for r in audits
-    ]
+    rep = analysis.rational_report
+    if rep is not None:
+        doc["rational_structure"] = {
+            "is_rational": rep.is_rational,
+            "recognized": str(rep.recognized) if rep.recognized else None,
+            "chain": list(rep.chain),
+            "trichotomy_case": rep.trichotomy_case,
+            "nd_shape": rep.nd_shape,
+            "clauses": _check_rows(rep.clauses),
+        }
+    doc["audit"] = _check_rows(audits)
     return doc
+
+
+def _check_rows(results) -> list[dict[str, Any]]:
+    """One row per audit check or rational-report clause."""
+    return [{"check": r.check_id, "passed": r.passed, "witness": r.witness} for r in results]
 
 
 def _scalar(value: Any) -> str:

@@ -28,7 +28,8 @@ key-sorted JSON reports, whose `tree` section is the tree itself, with it.
 Its output is byte-identical to `json.dumps(doc, indent=2, sort_keys=...)`,
 where a tree stands for its canonical document (`to_document`): the key
 order and the depth fix the text of every cell and edge but its values, so
-the writer fills one template per cell and per edge from the tree.
+the writer fills one template per cell and per edge from the tree, and one
+per list of flat rows, such as a report's audit rows.
 """
 
 from __future__ import annotations
@@ -289,6 +290,10 @@ def _write(value: Any, newline: str, sort_keys: bool, put) -> None:
         keys = sorted(value) if sort_keys else value
         opening, closing = "{", "}"
     elif type(value) is list:
+        text = value and type(value[0]) is dict and _rows_text(value, newline, sort_keys)
+        if text:
+            put(text)
+            return
         keys = None
         opening, closing = "[", "]"
     elif type(value) is DecoratedRootedTree:
@@ -315,6 +320,30 @@ def _write(value: Any, newline: str, sort_keys: bool, put) -> None:
             put(sep + text_of(item))
         sep = comma
     put(newline + closing)
+
+
+def _rows_text(rows: list, newline: str, sort_keys: bool) -> str | None:
+    """The text `_write` gives for `rows` closed at `newline` if they are flat:
+    dicts with the first row's str keys, in its order, and scalar values.
+    The keys and the depth fix a flat row's text but its values, so the list
+    is one %-template filled with the texts of all the values at once.  None
+    for any other list."""
+    order = list(rows[0])
+    if (
+        set(map(type, rows)) != {dict}
+        or set(map(type, order)) != {str}
+        or not all(map(order.__eq__, map(list, rows)))
+    ):
+        return None
+    keys = sorted(order) if sort_keys else order
+    try:  # a value that is not a scalar raises
+        texts = [_SCALAR_TEXT[type(v)](v) for v in [row[k] for row in rows for k in keys]]
+    except KeyError:
+        return None
+    inner = newline + "  "
+    row = "{" + ",".join([f"{inner}  {_quote(k).replace('%', '%%')}: %s" for k in keys])
+    template = ("," + inner).join([row + inner + "}"] * len(rows))
+    return "[" + inner + template % tuple(texts) + newline + "]"
 
 
 def _tree_text(tree: DecoratedRootedTree, newline: str, sort_keys: bool) -> str:

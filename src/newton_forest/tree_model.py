@@ -241,23 +241,16 @@ class DecoratedRootedTree:
         return c == x
 
     def connected(self, subset: Iterable[CellRef]) -> bool:
-        """Whether every path between members of `subset` stays inside it."""
+        """Whether every path between members of `subset` stays inside it: the
+        members span a forest, which is one tree exactly when it has one edge
+        fewer than it has members, each edge counted at its end away from the
+        root."""
         members = set(subset)
         for c in members:
             if c not in self.cells:
                 raise KeyError(f"unknown cell {c!r}")
-        if len(members) <= 1:
-            return True
-        start = next(iter(members))
-        seen = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for d in self.neighbors(c):
-                if d in members and d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return seen == members
+        edges = sum(1 for c in members if self.parent(c) in members)
+        return not members or edges == len(members) - 1
 
 
 def build_tree(

@@ -150,8 +150,9 @@ def fixture_corpus() -> dict[str, DecoratedRootedTree]:
 
 
 # ---------------------------------------------------------------------------
-# Oracles: `oracle_F` and `oracle_h` multiply decorations path by path,
-# `oracle_c` recurses over the pair poset with no cache.
+# Oracles: `oracle_F`, `oracle_h` and `path_dead_end_product` multiply
+# decorations path by path, `oracle_c` recurses over the pair poset with no
+# cache.
 
 
 def Q(tree: DecoratedRootedTree, e: Edge, c: CellRef) -> int:
@@ -240,6 +241,12 @@ def oracle_c(tree: DecoratedRootedTree, u: CellRef, e: Edge) -> Fraction:
         return Fraction(g, m) / a0
 
     return rec(u, e)
+
+
+def path_dead_end_product(tree: DecoratedRootedTree, x: CellRef, y: CellRef) -> int:
+    """Product of dead-end values a_v over the vertices of the path x..y,
+    leaving out y, walked path by path.  Equals 1 when x == y."""
+    return math.prod(tree.a_value(c) for c in tree.path(x, y)[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from newton_forest.characteristic import (
     R_of,
     characteristic_numbers,
     node_h_products,
-    path_dead_end_product,
     rational_divides,
     rational_gcd,
 )
@@ -32,6 +31,7 @@ from oracles import (
     fixture_T_C,
     fixture_T_D,
     oracle_h,
+    path_dead_end_product,
 )
 
 

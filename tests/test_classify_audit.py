@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from newton_forest.classify_audit import (
     REGISTRY,
+    _dead_end_products,
     _dicritical_sums,
     audit_analysis,
     audit_failures,
@@ -30,6 +32,7 @@ from oracles import (
     fixture_T_B,
     fixture_T_C,
     fixture_T_D,
+    path_dead_end_product,
 )
 
 
@@ -501,3 +504,33 @@ def test_dicritical_sums_match_the_cell_level_passes():
         assert list(_dicritical_sums(a)) == want
         checked += len(want)
     assert checked > 7500  # 7976 (node, base) pairs
+
+
+def test_carried_dead_end_products_match_the_path_products():
+    # `characteristic-chain-divisibility` carries the dead-end products out
+    # from each pair's vertex u; at every comparable pair below (u, e), and
+    # at every node on its n-side, the carried product is the one walked
+    # along the tree path to u, u left out.  Where a(x) or a(u) exceeds 1, a
+    # product that left out x or took in u would differ.
+    checked = Counter()
+    for a in corpora.analyses(FIXTURES + CORPUS_A + CORPUS_B):
+        pairs = a.chars.pairs
+        for top, dtop in pairs.items():
+            u = top[0]
+            alpha = _dead_end_products(a.table.fold, u)
+            below = [bot[0] for bot in pairs if a.chars.precedes(bot, top)]
+            for kind, xs in (("pairs", below), ("nodes", a.glob.nd & dtop.n_side)):
+                for x in xs:
+                    want = path_dead_end_product(a.tree, x, u)
+                    assert alpha[x] == want, (top, x)
+                    checked[kind] += 1
+                    checked[kind, "a(x) > 1"] += a.tree.a_value(x) > 1
+                    checked[kind, "a(u) > 1"] += a.tree.a_value(u) > 1
+    assert checked == {
+        "pairs": 1294,
+        ("pairs", "a(x) > 1"): 148,
+        ("pairs", "a(u) > 1"): 313,
+        "nodes": 3683,
+        ("nodes", "a(x) > 1"): 768,
+        ("nodes", "a(u) > 1"): 745,
+    }

@@ -278,11 +278,12 @@ class _LineCounter:
 
 
 def test_validate_streams_diagnostics(tmp_path):
-    # a root with 1000 arrows decorated 2 near it: 1000 axiom-3 lines,
-    # 499500 non-coprime pairs and one "more than one upward" line.  Printed
-    # as found, the peak stays near the size of the tree; collecting the
-    # diagnostics into a list first peaks at about 188 MB.
-    arms = 1000
+    # a root with 400 arrows decorated 2 near it: 400 axiom-3 lines, 79800
+    # non-coprime pairs and one "more than one upward" line.  Printed as
+    # found, the peak stays near the size of the tree (0.4-0.7 MB);
+    # collecting the diagnostics into a list first peaks at about 20.8 MB,
+    # over ten times the bound.
+    arms = 400
     cells = [Cell("r", VERTEX)] + [Cell(f"t{i}", ARROW, 1) for i in range(arms)]
     edges = [make_edge("r", 2, f"t{i}", 1) for i in range(arms)]
     path = tmp_path / "star.ntree"
@@ -296,8 +297,8 @@ def test_validate_streams_diagnostics(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert out.lines == 500501
-    assert peak < 20_000_000, peak
+    assert out.lines == 80201
+    assert peak < 2_000_000, peak
 
 
 def test_validate_large_valid_broom(tmp_path, capsys):
@@ -356,6 +357,52 @@ def test_analyze_rational_report_included(capsys):
     assert run(["analyze", str(FIXTURES / "T_B_2_3.ntree"), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rational_structure"]["recognized"] == "T_B(2,3)"
+
+
+def test_analyze_builds_one_rational_report(monkeypatch, capsys):
+    # counted through a wrapper put, as perfbench's tracer puts its own, into
+    # every package module that holds the function: the audit's
+    # `rational-structure` check and the report read one report per call
+    import newton_forest.classify_audit as classify_audit
+
+    original = classify_audit.rational_structure_report
+    calls = []
+
+    def counted(analysis):
+        calls.append(analysis)
+        return original(analysis)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "newton_forest":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    for name, fmt, want in (("T_A", "json", 1), ("T_A", "text", 1), ("T_D", "json", 0)):
+        calls.clear()
+        assert run(["analyze", str(FIXTURES / f"{name}.ntree"), "--format", fmt]) == 0
+        assert ("rational_structure" in capsys.readouterr().out) == bool(want)
+        assert len(calls) == want, (name, fmt)
+
+
+def test_analyze_writes_failing_rows_as_json_dumps(monkeypatch, capsys, tmp_path):
+    # a rational tree whose Omega was tampered with fails the audit and the
+    # rational report's clauses; both lists of rows come out as json.dumps
+    # writes them
+    import dataclasses
+
+    good = corpora.analysis(corpora.RATIONAL[0])
+    bad = dataclasses.replace(
+        good, struct=dataclasses.replace(good.struct, Omega=frozenset({"v1"}))
+    )
+    monkeypatch.setattr(cli.Analysis, "build", staticmethod(lambda tree, z=None: bad))
+    path = tmp_path / "rational.ntree"
+    path.write_text(serialize(good.tree))
+    assert run(["analyze", str(path), "--format", "json"]) == 3
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert not all(row["passed"] for row in doc["audit"])
+    assert not all(row["passed"] for row in doc["rational_structure"]["clauses"])
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_analyze_byte_identical(capsys):

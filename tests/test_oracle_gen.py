@@ -298,6 +298,6 @@ def test_generated_trees_carry_no_analysis_cache():
         before = copy.deepcopy({name: getattr(tree, name) for name in fields})
         a = Analysis.build(tree)
         audits = audit_analysis(a)
-        json_text(analysis_to_dict(a, audits, None), sort_keys=True)
+        json_text(analysis_to_dict(a, audits), sort_keys=True)
         assert {name: getattr(tree, name) for name in fields} == before, key
         assert set(tree.__dict__) <= set(fields) | cached, key

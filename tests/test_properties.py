@@ -64,6 +64,35 @@ def test_rational_gcd_of_multiples(x, ms):
     assert rational_gcd(values) == abs(x)
 
 
+# ints and Fractions of both signs, zeros among them, mostly small so that
+# numerators and denominators share factors, and values built as a multiple
+# of another so that divisibility holds often
+_divisibility_values = st.one_of(
+    st.integers(-6, 6),
+    st.integers(),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([0, Fraction(0)]),
+)
+
+
+@st.composite
+def _divisibility_pairs(draw):
+    a = draw(_divisibility_values)
+    if draw(st.booleans()):
+        return a, draw(_divisibility_values)
+    b = a * draw(st.integers(-6, 6))
+    return a, Fraction(b) if draw(st.booleans()) else b
+
+
+@settings(max_examples=300)
+@given(_divisibility_pairs())
+def test_rational_divides_matches_its_definition(pair):
+    a, b = pair
+    want = b == 0 if a == 0 else (Fraction(b) / Fraction(a)).denominator == 1
+    assert rational_divides(a, b) is want
+
+
 def _config(seed: int):
     return GeneratorConfig(seed=seed, max_cells=36)
 
@@ -249,6 +278,67 @@ def test_json_text_matches_json_dumps(doc):
         assert json_text(doc, sort_keys=sort_keys) == json.dumps(
             doc, indent=2, sort_keys=sort_keys
         )
+
+
+# Texts for keys and witnesses: the escapes of `_json_strings`, and the
+# characters a %-template reads.
+_row_texts = st.one_of(
+    _json_strings,
+    st.sampled_from(["%", "%s", "%%s", "%(x)s", "%d", 'a"b\\c%s', "\ud800%s\U0001f600"]),
+)
+_row_values = st.one_of(
+    _row_texts,
+    st.booleans(),
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), 2**63 - 1, 0]),
+)
+
+
+@st.composite
+def _row_lists(draw):
+    """A nonempty list of dict rows: audit-like rows (check, passed, witness)
+    that pass or fail, or rows over drawn keys, some of them broken by
+    another key order or key set, an empty dict, a nested value or an item
+    that is not a dict."""
+    audit = draw(st.booleans())
+    if audit:
+        keys = ["check", "passed", "witness"]
+    else:
+        keys = draw(st.lists(_row_texts, min_size=1, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = {k: draw(_row_values) for k in keys}
+        if audit:
+            row["passed"] = passed = draw(st.booleans())
+            row["witness"] = "" if passed else draw(_row_texts)
+        changes = ["none"] * 6 + ["order", "drop", "add", "empty", "nested", "item"]
+        change = draw(st.sampled_from(changes))
+        if change == "order":
+            row = dict(reversed(row.items()))
+        elif change == "drop":
+            del row[keys[0]]
+        elif change == "add":
+            row[draw(_row_texts)] = draw(_row_values)
+        elif change == "empty":
+            row = {}
+        elif change == "nested":
+            row[keys[-1]] = draw(_json_documents)
+        elif change == "item":
+            row = draw(_json_documents)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lists())
+def test_json_text_writes_rows_as_json_dumps(rows):
+    # the list at depth 0, 1 and 2
+    for doc in (rows, {"audit": rows}, [{"rows": rows}]):
+        for sort_keys in (False, True):
+            assert json_text(doc, sort_keys=sort_keys) == json.dumps(
+                doc, indent=2, sort_keys=sort_keys
+            )
 
 
 _I64 = (-(2**63), 2**63 - 1)
