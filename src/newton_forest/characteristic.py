@@ -11,10 +11,12 @@ table by that induction: each pair's c, n-side and side defect come from
 the pairs just below it.  The derived quantities M, p, p', eta, R and
 Delta-bar all live here.  For e = {u, v}, p = F(u->v) and p' = F(v->u)
 are read from the multiplicity table.
-R and Delta-bar come from one table, built once from k, a, M and the
-n-sides: R(u, A) is base(u), kept in the vertex ledger, plus each pair's
-term 1 - 1/M(u, e) over e in A, and Delta-bar(u, A) is Delta-tilde(u) plus
-each pair's side defect, the sum of Delta-tilde over its n-side.
+R and its identities read one integer table per vertex u (`R_table`), made
+from the values the report prints: over one denominator L it holds
+L*base(u), base(u) being (1 - 1/a) plus (1 - 1/k) per adjacent dicritical,
+and per pair at u the term L*(1 - 1/M), L*eta and the side defect, the sum
+of Delta-tilde over the n-side.  R(u, A) is base(u) plus the terms of the
+edges in A, and Delta-bar(u, A) is Delta-tilde(u) plus their side defects.
 For the set A of (1)-arrows at a set of vertices, `node_h_products` gives
 h(w,A) and h-hat(w,A) for every vertex w in one walk outward from the hull
 of A over the vertices, each vertex's arrow edges folded into one term; the
@@ -141,7 +143,6 @@ class PairData:
     eta: Rational
     nonpositive: bool
     n_side: frozenset[CellRef]
-    term: Rational  # 1 - 1/M, the pair's term in R
     # Delta-tilde summed over the n-side by definition, not taken from the
     # induction, so that the audit's R identity does not read its own route
     side_dt: int
@@ -215,7 +216,6 @@ def characteristic_numbers(
             eta=c + (dt - 1),
             nonpositive=dt <= 0,
             n_side=n_side,
-            term=Fraction(M - 1, M),
             side_dt=ledger.delta_tilde(n_side),
         )
 
@@ -229,19 +229,43 @@ def characteristic_numbers(
     )
 
 
+def R_table(
+    ledger: VertexLedger, chars: CharacteristicTable, u: CellRef
+) -> tuple[int, int, dict[Edge, tuple[int, int, int]]] | None:
+    """The R table at u over one denominator L, the lcm of a, the k's, the
+    M's and the eta denominators at u: (L, L*base(u), and per edge of
+    script-E at u, in edge order, (L*term, L*eta, side defect)), so that
+    the R identities over many edge sets at u add integers.  None when a, a
+    k or an M is 0, where R is undefined."""
+    d = ledger.per_vertex[u]
+    data = [(e, chars.pairs[u, e]) for e in chars.edges_at[u]]
+    units = (d.a, *d.k.values())
+    L = lcm(*units, *(p.M for _, p in data), *(p.eta.denominator for _, p in data))
+    if not L:
+        return None
+    rows = {
+        e: (L - L // p.M, p.eta.numerator * (L // p.eta.denominator), p.side_dt)
+        for e, p in data
+    }
+    return L, sum(L - L // m for m in units), rows
+
+
 def R_of(
     ledger: VertexLedger,
     chars: CharacteristicTable,
     u: CellRef,
     A: Iterable[Edge],
-) -> Rational:
+) -> Rational | None:
     """R(u, A) = sum over adjacent dicriticals of (1 - 1/k) + (1 - 1/a)
-    + sum over e in A of (1 - 1/M(u,e)), read from the R table."""
-    pairs = chars.pairs
-    total = ledger.per_vertex[u].R_base
+    + sum over e in A of (1 - 1/M(u,e)), read from the R table; None where
+    R is undefined."""
+    table = R_table(ledger, chars, u)
+    if table is None:
+        return None
+    L, total, rows = table
     for e in A:
-        data = pairs.get((u, e))
-        if data is None:
+        row = rows.get(e)
+        if row is None:
             raise ValueError(f"edge {e} is not a positive-subtree edge at {u!r}")
-        total += data.term
-    return total
+        total += row[0]
+    return Fraction(total, L)

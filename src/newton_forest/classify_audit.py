@@ -25,7 +25,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .characteristic import R_of, node_h_products, rational_divides
+from .characteristic import R_of, R_table, node_h_products, rational_divides
 from .errors import InternalInconsistencyError
 from .multiplicity import VertexFold, source_multiplicities
 from .report import Analysis
@@ -69,7 +69,6 @@ class CanonicalMatch:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    is_rational: bool
     recognized: CanonicalMatch | None
     chain: tuple[CellRef, ...]  # empty for canonical trees
     trichotomy_case: str | None  # case at the chain end, when applicable
@@ -139,7 +138,7 @@ def root_fan_data(analysis: Analysis) -> RootFanData:
     for e in tree.incident_edges(root):
         far = e.other(root)
         if far in analysis.info.dicriticals:
-            a = tree.a_value(far)
+            a = analysis.table.fold.dead[far]  # its one dead end (axiom 2)
             d = analysis.info.degree[far]
         else:
             data = analysis.chars.pairs[(root, e)]
@@ -169,42 +168,39 @@ def recognize_canonical(analysis: Analysis) -> CanonicalMatch | None:
     T_C(d1,d2,d3) the three-dicritical fan with its forced decorations.
     """
     tree = analysis.tree
-    root = tree.root
+    fold = analysis.table.fold
     info = analysis.info
     if len(analysis.glob.script_N) != 1:
         return None
     dics = sorted(info.dicriticals)
-    if set(tree.neighbors(root)) != set(dics):
+    if set(tree.neighbors(tree.root)) != set(dics):
         return None
+    near = {}  # each dicritical's decoration on its root edge
     for u in dics:
-        # each dicritical carries exactly its arrows, one dead end, one root edge
-        arrows_here = [n for n in tree.neighbors(u) if n in tree.arrows1]
-        dead = tree.dead_ends(u)
-        if len(dead) != 1 or tree.valency(u) != len(arrows_here) + 2:
+        # each dicritical carries exactly its arrows, one dead end, one root
+        # edge (to its parent, the root)
+        arrows, ones = fold.arrows[u], fold.ones[u]
+        if len(arrows) != ones + 1 or fold.children[u]:
             return None
-        if any(tree.edge_between(u, t).q_near(u) != 1 for t in arrows_here):
+        if any(q != 1 for _, q, _ in arrows[:ones]):
             return None
-        if tree.edge_between(root, u).q_near(root) != 1:
+        _, near[u], q_root = fold.parent[u]
+        if q_root != 1:
             return None
+    a_value = fold.dead  # the one dead end's decoration
 
     if len(dics) == 1:
         u = dics[0]
-        if (
-            info.degree[u] == 1
-            and tree.a_value(u) == 1
-            and tree.edge_between(root, u).q_near(u) == 0
-        ):
+        if info.degree[u] == 1 and a_value[u] == 1 and near[u] == 0:
             return CanonicalMatch("T_A", ())
         return None
 
     if len(dics) == 2:
         u1, u2 = dics
-        a1, a2 = tree.a_value(u1), tree.a_value(u2)
+        a1, a2 = a_value[u1], a_value[u2]
         if (info.degree[u1], info.degree[u2]) != (1, 1) or gcd(a1, a2) != 1:
             return None
-        if tree.edge_between(root, u1).q_near(u1) != -a2:
-            return None
-        if tree.edge_between(root, u2).q_near(u2) != -a1:
+        if near[u1] != -a2 or near[u2] != -a1:
             return None
         return CanonicalMatch("T_B", tuple(sorted((a1, a2))))
 
@@ -217,9 +213,7 @@ def recognize_canonical(analysis: Analysis) -> CanonicalMatch | None:
             return None
         total = sum(d)
         for deg, u in rows:
-            if tree.a_value(u) != 1:
-                return None
-            if tree.edge_between(root, u).q_near(u) != -((total - deg) // deg):
+            if a_value[u] != 1 or near[u] != -((total - deg) // deg):
                 return None
         return CanonicalMatch("T_C", d)
 
@@ -251,7 +245,6 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
 
     def chainless() -> ClassificationReport:
         return ClassificationReport(
-            is_rational=True,
             recognized=recognized,
             chain=(),
             trichotomy_case=None,
@@ -365,7 +358,6 @@ def rational_structure_report(analysis: Analysis) -> ClassificationReport:
         clauses.extend(shape_clauses)
 
     return ClassificationReport(
-        is_rational=True,
         recognized=recognized,
         chain=chain,
         trichotomy_case=tri,
@@ -593,8 +585,9 @@ def _chk_sigma_ratio(a: Analysis) -> list[str]:
     for v, d in sorted(a.ledger.per_vertex.items()):
         ks = [d.k[u] for u in d.dicriticals]
         L = lcm(*ks)
-        if d.sigma * L != a.table.N[v] * sum(L - L // k for k in ks):
-            lhs = Fraction(d.sigma, a.table.N[v])
+        N = a.table.N[v]
+        if d.sigma * L != N * sum(L - L // k for k in ks):
+            lhs = Fraction(d.sigma, N) if N else f"{d.sigma}/0"
             rhs = sum((1 - Fraction(1, k) for k in ks), Fraction(0))
             out.append(f"{v!r}: sigma/N={lhs} != {rhs}")
     return out
@@ -676,10 +669,11 @@ def _chk_ndstar_bound(a: Analysis) -> list[str]:
 def _chk_root_facts(a: Analysis) -> list[str]:
     out = []
     root = a.tree.root
-    if any(n in a.tree.arrows for n in a.tree.neighbors(root)):
+    fold = a.table.fold
+    if fold.arrows[root]:
         out.append("arrow adjacent to root")
-    if a.tree.a_value(root) != 1:
-        out.append(f"a(root)={a.tree.a_value(root)}")
+    if fold.dead[root] != 1:
+        out.append(f"a(root)={fold.dead[root]}")
     if a.tree.valency(root) != a.table.points_at_infinity:
         out.append("root valency != points at infinity")
     if root not in a.glob.script_N:
@@ -725,7 +719,7 @@ def _chk_char_divides(a: Analysis) -> list[str]:
 def _chk_M_one_order(a: Analysis) -> list[str]:
     out = []
     for (u, e), data in sorted(a.chars.pairs.items(), key=lambda kv: str(kv[0])):
-        if data.M == 1 and not a.tree.less_than(e.other(u), u):
+        if data.M == 1 and a.tree.parent(u) != e.other(u):
             out.append(f"{u}|{e}: M=1 but u is not above")
     return out
 
@@ -780,7 +774,7 @@ def _dicritical_sums(
     bases = [(w, [(w, n) for n, _, _ in fold.vertex_edges(w)]) for w in sorted(fold.order)]
     for z in sorted(a.glob.nd):
         sources = frozenset(a.ledger.per_vertex[z].dicriticals)
-        N, F, _ = source_multiplicities(fold, sources)
+        N, F = source_multiplicities(fold, sources)
         hs = node_h_products(fold, sources)
         for w, keys in bases:
             sxh = sum(map(F.__getitem__, keys))
@@ -806,31 +800,6 @@ def _chk_dic_sum_div(a: Analysis) -> list[str]:
     return out
 
 
-def _R_table_at(a: Analysis, u: CellRef) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """The R table at u over one denominator L: (L, L*base(u), and per pair
-    at u, in edge order, (L*term, L*eta, side defect)), so that the R
-    identities over many edge sets at u add integers."""
-    base = a.ledger.per_vertex[u].R_base
-    data = [a.chars.pairs[u, e] for e in a.chars.edges_at[u]]
-    L = lcm(
-        base.denominator,
-        *(d.term.denominator for d in data),
-        *(d.eta.denominator for d in data),
-    )
-    return (
-        L,
-        base.numerator * (L // base.denominator),
-        [
-            (
-                d.term.numerator * (L // d.term.denominator),
-                d.eta.numerator * (L // d.eta.denominator),
-                d.side_dt,
-            )
-            for d in data
-        ],
-    )
-
-
 def _chk_R_identity(a: Analysis) -> list[str]:
     # R + (epsilon - |A| - 1)(1 - 1/N) = 1 + (Delta-bar - 1 - sum eta)/N,
     # multiplied through by N*L
@@ -838,9 +807,13 @@ def _chk_R_identity(a: Analysis) -> list[str]:
     per = a.ledger.per_vertex
     for u in sorted(per):
         N = a.table.N[u]
-        L, base, rows = _R_table_at(a, u)
+        table = R_table(a.ledger, a.chars, u)
+        if table is None:
+            out.append(f"{u!r}: R undefined")
+            continue
+        L, base, rows = table
         for size in range(0, min(3, len(rows)) + 1):
-            for A in combinations(rows, size):
+            for A in combinations(rows.values(), size):
                 R = base + sum(term for term, _, _ in A)
                 bar = per[u].delta_tilde + sum(side for _, _, side in A)
                 eta_sum = sum(eta for _, eta, _ in A)
@@ -858,9 +831,13 @@ def _chk_global_R(a: Analysis) -> list[str]:
     out = []
     dt_N = a.glob.delta_tilde_N
     for u in sorted(a.ledger.per_vertex):
-        L, base, rows = _R_table_at(a, u)
-        R = base + sum(term for term, _, _ in rows)
-        eta_sum = sum(eta for _, eta, _ in rows)
+        table = R_table(a.ledger, a.chars, u)
+        if table is None:
+            out.append(f"{u!r}: R undefined")
+            continue
+        L, base, rows = table
+        R = base + sum(term for term, _, _ in rows.values())
+        eta_sum = sum(eta for _, eta, _ in rows.values())
         if dt_N * L != (R - 2 * L) * a.table.N[u] + 2 * L + eta_sum:
             out.append(f"{u!r}")
     return out
@@ -954,7 +931,7 @@ def _chk_tooth_facts(a: Analysis) -> list[str]:
     for start, walk in a.struct.walks.items():
         if per[start].delta_tilde > 0:
             continue
-        if a.tree.less_than(walk[-1], walk[-2]):
+        if a.tree.parent(walk[-2]) == walk[-1]:
             if (walk in a.struct.Gamma) != (per[walk[-1]].delta_tilde > 0):
                 out.append(f"walk from {start!r}: Gamma membership")
     return out
@@ -997,7 +974,7 @@ def _chk_omega(a: Analysis) -> list[str]:
             out.append("no spanning chain but several loose ends")
         for z in sorted(st.Omega):
             walk = st.walks.get(z)
-            if walk is None or not a.tree.less_than(walk[-2], walk[-1]):
+            if walk is None or a.tree.parent(walk[-1]) != walk[-2]:
                 out.append(f"maximal chain from {z!r} does not ascend")
     return out
 
@@ -1077,10 +1054,12 @@ def _chk_fan(a: Analysis) -> list[str]:
     degs = [a.info.degree[u] for u in sorted(a.glob.script_D)]
     if degs and gcd(*degs) == 1 and gcd(*(en.d for en in fan.entries)) != 1:
         out.append("degree gcd transfer failed")
-    edges_at_root = a.chars.edges_at.get(a.tree.root, ())
-    R = R_of(a.ledger, a.chars, a.tree.root, edges_at_root)
-    if R != sum((1 - Fraction(1, en.k) for en in fan.entries), Fraction(0)):
-        out.append("R(root) != sum(1 - 1/k)")
+    # an entry with k < 1 fails its clause above and leaves no 1/k to sum
+    if all(en.k >= 1 for en in fan.entries):
+        edges_at_root = a.chars.edges_at.get(a.tree.root, ())
+        R = R_of(a.ledger, a.chars, a.tree.root, edges_at_root)
+        if R != sum((1 - Fraction(1, en.k) for en in fan.entries), Fraction(0)):
+            out.append("R(root) != sum(1 - 1/k)")
     if fan.delta > 3:
         sum_d = sum(en.d for en in fan.entries)
         if not (
@@ -1147,7 +1126,7 @@ def _chk_decompositions(a: Analysis) -> list[str]:
                     r1 != 0
                     or st.t[cls.u] != 0
                     or not a.chars.pairs[cls.greatest].nonpositive
-                    or not a.tree.less_than(e_top.other(cls.u), cls.u)
+                    or a.tree.parent(cls.u) != e_top.other(cls.u)
                 ):
                     out.append(f"{tag}: class {ci} tight-bound consequences")
         covered: set[str] = set()

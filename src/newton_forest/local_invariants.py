@@ -4,16 +4,15 @@ The subtree script-N collects the vertices of positive multiplicity; script-D
 the dicriticals.  For v in script-N the ledger carries the dead-end value a,
 the vertex-neighbour count r, the node data (adjacent dicriticals, their
 degrees and k-values, the sorted type), sigma, epsilon, the genus defects
-Delta and Delta-tilde, the degree gcd d(v), the unit-degree weight xi, purity,
-the auxiliary epsilon' = a* + b + epsilon, and base(v), the part of R(v, A)
-that does not depend on A.
+Delta and Delta-tilde, the degree gcd d(v), the unit-degree weight xi, purity
+and the auxiliary epsilon' = a* + b + epsilon.  The part of R(v, A) that does
+not depend on A is read from a and the k's (`characteristic.R_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping
 
 from .errors import InternalInconsistencyError, NotMinimallyCompleteError
@@ -39,9 +38,6 @@ class VertexData:
     a_star: int
     b: int
     epsilon_prime: int
-    # (1 - 1/a) plus (1 - 1/k) per adjacent dicritical: R(v, A) without the
-    # terms of the edges in A
-    R_base: Fraction
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,6 @@ def vertex_ledger(
         pure = all(du in (1, N) for du in typ)
         a_star = 1 if a > 1 else 0
         b = sum(1 for u in dics if info.degree[u] < N)
-        den = lcm(a, *k.values())
-        R_base = Fraction(sum(den - den // m for m in (a, *k.values())), den)
 
         out[v] = VertexData(
             a=a,
@@ -131,7 +125,6 @@ def vertex_ledger(
             a_star=a_star,
             b=b,
             epsilon_prime=a_star + b + epsilon,
-            R_base=R_base,
         )
     return VertexLedger(per_vertex=out)
 

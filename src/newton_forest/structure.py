@@ -53,18 +53,18 @@ class StructureLedger:
 
 
 def _maximal_trivial_walk(
-    tree: DecoratedRootedTree, per, script_N: set[CellRef], start: CellRef
+    per, edges_at: Mapping[CellRef, tuple[Edge, ...]], start: CellRef
 ) -> tuple[CellRef, ...] | None:
     """The longest trivial chain out of a valency-one vertex of the positive
     subtree: interior cells must keep two positive neighbours and zero defect."""
     if per[start].epsilon != 1:
         return None
-    prev = start
-    (cur,) = [n for n in tree.neighbors(start) if n in script_N]
+    (e,) = edges_at[start]
+    prev, cur = start, e.other(start)
     cells = [start, cur]
     while per[cur].epsilon == 2 and per[cur].delta_tilde == 0:
-        (nxt,) = [n for n in tree.neighbors(cur) if n in script_N and n != prev]
-        prev, cur = cur, nxt
+        (e,) = [f for f in edges_at[cur] if prev not in f.ends]
+        prev, cur = cur, e.other(cur)
         cells.append(cur)
     return tuple(cells)
 
@@ -81,14 +81,14 @@ def structure_ledger(
 
     walks: dict[CellRef, tuple[CellRef, ...]] = {}
     for start in sorted(script_N):
-        walk = _maximal_trivial_walk(tree, per, script_N, start)
+        walk = _maximal_trivial_walk(per, chars.edges_at, start)
         if walk is not None:
             walks[start] = walk
     gamma = [
         w
         for start, w in walks.items()
         if per[start].delta_tilde <= 0 < ledger.delta_tilde(w)
-        and tree.less_than(w[-1], w[-2])
+        and tree.parent(w[-2]) == w[-1]
     ]
 
     V = {v: frozenset() for v in sorted(script_N)}
@@ -201,7 +201,6 @@ class CombDecomposition:
 
 
 def comb_decomposition(
-    tree: DecoratedRootedTree,
     z: CellRef,
     ledger: VertexLedger,
     chars: CharacteristicTable,
@@ -219,16 +218,20 @@ def comb_decomposition(
         raise NotInitialVertexError(f"{z!r} is not an initial vertex")
 
     # One breadth-first search from z over the skeleton, a subtree (the
-    # check `skeleton-facts` holds it connected), gives each skeleton vertex
-    # its neighbour toward z and its distance from z.  In search order,
-    # every vertex comes after its neighbour toward z.
+    # check `skeleton-facts` holds it connected), walking script-E, gives
+    # each skeleton vertex its neighbour toward z, its pair (the edge it was
+    # reached by) and its distance from z.  In search order, every vertex
+    # comes after its neighbour toward z.
     toward_z: dict[CellRef, CellRef] = {}
+    pair_of: dict[CellRef, Pair] = {}
     dist = {z: 0}
     order = [z]
     for c in order:
-        for d in tree.neighbors(c):
+        for e in chars.edges_at[c]:
+            d = e.other(c)
             if d in struct.S and d not in dist:
                 toward_z[d] = c
+                pair_of[d] = (d, e)
                 dist[d] = dist[c] + 1
                 order.append(d)
     members = order[1:]
@@ -236,7 +239,6 @@ def comb_decomposition(
         return CombDecomposition(
             z=z, O=(), classes=(), c0_index=None, quotient_edges=(), stats=None
         )
-    pair_of = {u: (u, tree.edge_between(u, toward_z[u])) for u in members}
     O = tuple(sorted(pair_of.values()))
 
     # The comb relation joins a vertex only to its neighbour p toward z,

@@ -96,10 +96,11 @@ class DecoratedRootedTree:
     never trusted from the input: `build_tree`'s breadth-first search sorts
     each cell into the vertices or the 0- or 1-arrows as it reaches it, and
     returns a tree only when every declared kind and decoration agrees.
-    `vertices`, `arrows0`, `arrows1` and `arrows` are built from those lists
-    on first use; they, the depths, the edge lookup and the axiom
-    diagnostics are the only state a tree gains, each a function of its
-    fields.  Whatever an analysis derives is kept on the analysis.
+    `vertices`, `arrows0` and `arrows1` are built from those lists on first
+    use; they and the axiom diagnostics are the only state a tree gains,
+    each a function of its fields.  Edge lookups and paths read the parent
+    edges.  Whatever an analysis derives, dead ends and a-values included,
+    is kept on the analysis.
     """
 
     cells: dict[CellRef, Cell]
@@ -119,19 +120,6 @@ class DecoratedRootedTree:
     _order: list[CellRef] = field(repr=False, compare=False)
 
     @cached_property
-    def _edge_to(self) -> dict[CellRef, dict[CellRef, Edge]]:
-        return {
-            c: {e.other(c): e for e in es} for c, es in self._incident.items()
-        }
-
-    @cached_property
-    def _depth(self) -> dict[CellRef, int]:
-        depth = {self.root: 0}
-        for c in self._order[1:]:
-            depth[c] = depth[self.parent(c)] + 1  # type: ignore[index]
-        return depth
-
-    @cached_property
     def _axiom_diagnostics(self) -> tuple[ValidationDiagnostic, ...]:
         # kept so that a tree is checked once however often it is validated
         return tuple(iter_axiom_diagnostics(self))
@@ -144,10 +132,6 @@ class DecoratedRootedTree:
     @cached_property
     def vertices(self) -> frozenset[CellRef]:
         return frozenset(self._vertex_order)
-
-    @cached_property
-    def arrows(self) -> frozenset[CellRef]:
-        return self.arrows0 | self.arrows1
 
     @cached_property
     def arrows0(self) -> frozenset[CellRef]:
@@ -176,69 +160,42 @@ class DecoratedRootedTree:
         return [e.other(c) for e in self.incident_edges(c)]
 
     def edge_between(self, a: CellRef, b: CellRef) -> Edge:
-        try:
-            return self._edge_to[a][b]
-        except KeyError:
-            raise KeyError(f"no edge between {a!r} and {b!r}") from None
+        """The edge joining `a` and `b`: the parent edge of one of them."""
+        ends = (a, b) if a <= b else (b, a)
+        for c in ends:
+            e = self._parent_edge.get(c)
+            if e is not None and e.ends == ends:
+                return e
+        raise KeyError(f"no edge between {a!r} and {b!r}")
 
-    # -- dead ends and a-values ----------------------------------------------
-
-    def dead_ends(self, v: CellRef) -> tuple[Edge, ...]:
-        """Edges at `v` whose other end is a (0)-arrow."""
-        zero = self.arrows0
-        return tuple(e for e in self.incident_edges(v) if e.other(v) in zero)
-
-    def a_value(self, v: CellRef) -> int:
-        """Dead-end decoration near `v`, or 1 when no dead end is incident."""
-        ends = self.dead_ends(v)
-        if not ends:
-            return 1
-        return ends[0].q_near(v)
-
-    # -- paths and the tree order ---------------------------------------------
+    # -- paths ----------------------------------------------------------------
 
     def parent(self, c: CellRef) -> CellRef | None:
         e = self._parent_edge[c]
         return None if e is None else e.other(c)
 
     def path(self, x: CellRef, y: CellRef) -> tuple[CellRef, ...]:
-        """The unique simple path from `x` to `y`, as a cell sequence."""
+        """The unique simple path from `x` to `y`, as a cell sequence: `x`
+        up to the root, then `y` up until it meets that walk."""
         if x not in self.cells or y not in self.cells:
             missing = x if x not in self.cells else y
             raise KeyError(f"unknown cell {missing!r}")
-        up_x: list[CellRef] = [x]
-        up_y: list[CellRef] = [y]
-        a, b = x, y
-        while self._depth[a] > self._depth[b]:
-            a = self.parent(a)  # type: ignore[assignment]
-            up_x.append(a)
-        while self._depth[b] > self._depth[a]:
-            b = self.parent(b)  # type: ignore[assignment]
-            up_y.append(b)
-        while a != b:
-            a = self.parent(a)  # type: ignore[assignment]
-            b = self.parent(b)  # type: ignore[assignment]
-            up_x.append(a)
-            up_y.append(b)
-        up_y.pop()  # meeting cell appears once
-        return tuple(up_x + up_y[::-1])
+        up = {x: 0}
+        c = self.parent(x)
+        while c is not None:
+            up[c] = len(up)
+            c = self.parent(c)
+        down = []
+        while y not in up:
+            down.append(y)
+            y = self.parent(y)  # type: ignore[assignment]
+        return (*list(up)[: up[y] + 1], *reversed(down))
 
     def path_edges(self, x: CellRef, y: CellRef) -> tuple[Edge, ...]:
         cells = self.path(x, y)
         return tuple(
             self.edge_between(cells[i], cells[i + 1]) for i in range(len(cells) - 1)
         )
-
-    def less_than(self, x: CellRef, y: CellRef) -> bool:
-        """Tree order: x < y iff x lies on the path from the root to y, x != y."""
-        if x == y:
-            return False
-        if self._depth[x] >= self._depth[y]:
-            return False
-        c = y
-        while self._depth[c] > self._depth[x]:
-            c = self.parent(c)  # type: ignore[assignment]
-        return c == x
 
     def connected(self, subset: Iterable[CellRef]) -> bool:
         """Whether every path between members of `subset` stays inside it: the
@@ -270,7 +227,6 @@ def build_tree(
     reaches the cells in, and classifies each cell as a vertex or a 0- or
     1-arrow, checking its declared kind and decoration against that; a
     given cell that passes is kept as it is, and `cells` lists them by id.
-    Depths are derived from the orientation on first use.
     """
     problems: list[str] = []
 

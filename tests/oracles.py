@@ -229,7 +229,7 @@ def oracle_c(tree: DecoratedRootedTree, u: CellRef, e: Edge) -> Fraction:
 
     def rec(u_: CellRef, e_: Edge) -> Fraction:
         u0 = e_.other(u_)
-        a0 = tree.a_value(u0)
+        a0 = a_value(tree, u0)
         d0 = _oracle_d(tree, dics, u0)
         others = [n for n in sorted(tree.neighbors(u0)) if n != u_ and n in positive]
         if not others:
@@ -243,10 +243,19 @@ def oracle_c(tree: DecoratedRootedTree, u: CellRef, e: Edge) -> Fraction:
     return rec(u, e)
 
 
+def a_value(tree: DecoratedRootedTree, v: CellRef) -> int:
+    """Decoration near `v` of its dead end, the edge to a (0)-arrow, or 1
+    when `v` has none; a vertex has at most one (axiom 2)."""
+    for e in tree.incident_edges(v):
+        if e.other(v) in tree.arrows0:
+            return e.q_near(v)
+    return 1
+
+
 def path_dead_end_product(tree: DecoratedRootedTree, x: CellRef, y: CellRef) -> int:
     """Product of dead-end values a_v over the vertices of the path x..y,
     leaving out y, walked path by path.  Equals 1 when x == y."""
-    return math.prod(tree.a_value(c) for c in tree.path(x, y)[:-1])
+    return math.prod(a_value(tree, c) for c in tree.path(x, y)[:-1])
 
 
 # ---------------------------------------------------------------------------

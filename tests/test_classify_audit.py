@@ -26,6 +26,7 @@ from newton_forest.report import Analysis
 import corpora
 from corpora import CORPUS_120_6, CORPUS_A, CORPUS_B, FIXTURES, RATIONAL
 from oracles import (
+    a_value,
     cell_node_h_products,
     cell_source_multiplicities,
     fixture_T_A,
@@ -102,7 +103,6 @@ def test_divisor_trichotomy_cases():
 
 def test_rational_structure_report_canonical():
     rep = rational_structure_report(analysis(fixture_T_B(1, 2)))
-    assert rep.is_rational
     assert str(rep.recognized) == "T_B(1,2)"
     assert rep.chain == ()
     assert rep.failures == ()
@@ -394,6 +394,94 @@ def test_comb_relation_witnesses_pinned():
     )
 
 
+def _moved_analyses():
+    """The fixtures, seeds 0..149 at 40 cells and corpus B's seeds 0..11, each
+    honest, then with a, delta-tilde and the first k moved by +1 at each of
+    its first six positive vertices, then with M moved by -1 (to 0 where it
+    is 1) and eta and the side defect by +1 at each of its first six pairs."""
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:150] + CORPUS_B[:12]):
+        yield a
+        per = a.ledger.per_vertex
+        for v in sorted(per)[:6]:
+            d = per[v]
+            moved = [dict(a=d.a + 1), dict(delta_tilde=d.delta_tilde + 1)]
+            if d.dicriticals:
+                x = d.dicriticals[0]
+                moved.append(dict(k={**d.k, x: d.k[x] + 1}))
+            for change in moved:
+                node = dataclasses.replace(d, **change)
+                ledger = dataclasses.replace(a.ledger, per_vertex={**per, v: node})
+                yield dataclasses.replace(a, ledger=ledger)
+        pairs = a.chars.pairs
+        for p in list(pairs)[:6]:
+            data = pairs[p]
+            for change in (
+                dict(M=data.M - 1), dict(eta=data.eta + 1), dict(side_dt=data.side_dt + 1)
+            ):
+                moved_pairs = {**pairs, p: dataclasses.replace(data, **change)}
+                chars = dataclasses.replace(a.chars, pairs=moved_pairs)
+                yield dataclasses.replace(a, chars=chars)
+
+
+_READ_R_OR_ORDER = (
+    "root-facts",
+    "unit-quotient-order",
+    "local-R-identity",
+    "global-R-identity",
+    "tooth-facts",
+    "loose-end-bound",
+    "single-skeleton-fan",
+    "comb-decomposition",
+    "defect-two-structure",
+    "rational-structure",
+)
+
+
+def test_R_and_order_witnesses_pinned():
+    # every witness of the checks that read R, the a-values, the dead ends
+    # or the tree order, each behind its gate, in order, on honest analyses
+    # and on copies with one value moved.  R is read from the a, k and M
+    # the report prints, so a moved one fails the R identities, and an M
+    # moved to 0 leaves R undefined.
+    checks = [(cid, gate, run) for cid, gate, run in REGISTRY if cid in _READ_R_OR_ORDER]
+    assert len(checks) == len(_READ_R_OR_ORDER)
+    digest = hashlib.sha256()
+    cases = witnesses = undefined = 0
+    for a in _moved_analyses():
+        cases += 1
+        for check_id, applies, run in checks:
+            if applies(a):
+                for witness in run(a):
+                    witnesses += 1
+                    undefined += witness.endswith("R undefined")
+                    digest.update(f"{check_id}: {witness}\n".encode())
+        digest.update(b"--\n")
+    assert (cases, witnesses, undefined) == (2330, 5863, 96)
+    assert digest.hexdigest() == (
+        "3b9a4208131b11633367491ebf8e16808453564f10345e4eb3a6303a8c919625"
+    )
+
+
+def test_zero_multiplicity_gives_witnesses():
+    # N set to 0 at each positive vertex in turn: the audit lists failures
+    # and raises nothing, where `sigma-ratio` once divided sigma by N for
+    # its witness and `single-skeleton-fan` 1 by the fan's k = N/d
+    failed = Counter()
+    copies = 0
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:200]):
+        for v in sorted(a.ledger.per_vertex):
+            N = {**a.table.N, v: 0}
+            copy = dataclasses.replace(a, table=dataclasses.replace(a.table, N=N))
+            copies += 1
+            for r in audit_analysis(copy):
+                if not r.passed and r.check_id in ("sigma-ratio", "single-skeleton-fan"):
+                    failed[r.check_id] += 1
+                    if r.check_id == "sigma-ratio":
+                        assert r.witness.startswith(f"{v!r}: sigma/N=") and "/0 != " in r.witness
+    assert copies == 443
+    assert failed == {"sigma-ratio": 362, "single-skeleton-fan": 66}
+
+
 def test_rational_report_same_at_every_initial_vertex():
     # `analyze --z z` decomposes at z alone; the rational report must not
     # depend on which initial vertex the analysis was built at
@@ -524,8 +612,8 @@ def test_carried_dead_end_products_match_the_path_products():
                     want = path_dead_end_product(a.tree, x, u)
                     assert alpha[x] == want, (top, x)
                     checked[kind] += 1
-                    checked[kind, "a(x) > 1"] += a.tree.a_value(x) > 1
-                    checked[kind, "a(u) > 1"] += a.tree.a_value(u) > 1
+                    checked[kind, "a(x) > 1"] += a_value(a.tree, x) > 1
+                    checked[kind, "a(u) > 1"] += a_value(a.tree, u) > 1
     assert checked == {
         "pairs": 1294,
         ("pairs", "a(x) > 1"): 148,

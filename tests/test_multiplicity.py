@@ -66,10 +66,10 @@ def test_x_rejects_zero_arrows():
     tab = multiplicities(t)
     assert tab.F["u", "o1"] == 0 and tab.F["u", "t1"] == 1
     # and only the (1)-arrows at the vertices the pass is given
-    N, F, _ = source_multiplicities(tab.fold, frozenset())
+    N, F = source_multiplicities(tab.fold, frozenset())
     assert set(N.values()) == set(F.values()) == {0}
     t = fixture_T_B(2, 3)
-    N, F, _ = source_multiplicities(multiplicities(t).fold, frozenset({"u1"}))
+    N, F = source_multiplicities(multiplicities(t).fold, frozenset({"u1"}))
     assert F["v0", "u1"] == 2 and F["v0", "u2"] == 0 and F["u1", "v0"] == 0
     assert N == {v: _oracle_x(t, v, "t1", hat=False) for v in t.vertices}
     assert N["v0"] == 2
@@ -149,7 +149,7 @@ def test_source_multiplicities_match_oracle():
     # generated trees carry zero decorations, which the pass must keep exact
     for tree in corpora.trees(FIXTURES + CORPUS_A[:60] + CORPUS_B[:4]):
         table = multiplicities(tree)
-        N, _, _ = source_multiplicities(table.fold, tree.vertices)
+        N, _ = source_multiplicities(table.fold, tree.vertices)
         assert N == {v: oracle_N(tree, v) for v in tree.vertices}
         # the table adds the dead ends to the pass's N and sorts it once
         assert table.N == {v: oracle_N(tree, v) for v in tree.vertices | tree.arrows0}

@@ -4,7 +4,13 @@ import pytest
 
 from newton_forest import characteristic, local_invariants, multiplicity, structure
 from newton_forest.report import Analysis
-from newton_forest.structure import quotient_tree_H, rooted_tree_H
+from newton_forest.structure import (
+    comb_decomposition,
+    quotient_tree_H,
+    rooted_tree_H,
+    structure_ledger,
+)
+from newton_forest.tree_model import DecoratedRootedTree
 
 import corpora
 from corpora import CORPUS_A, CORPUS_B, FIXTURES
@@ -168,6 +174,29 @@ def test_stage_inputs_required():
                 module.__name__,
                 name,
             )
+
+
+def test_structure_walks_script_E(monkeypatch):
+    # the trivial walks and the comb search follow the positive subtree's
+    # edges (`chars.edges_at`), and R is read from its one table: no
+    # neighbour list or tree path
+    keys = FIXTURES + CORPUS_A[:50] + CORPUS_B[:12]
+    analyses = [Analysis.build(corpora.fresh(key)) for key in keys]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the structure stage walked the tree")
+
+    for name in ("neighbors", "path"):
+        monkeypatch.setattr(DecoratedRootedTree, name, refused)
+    decompositions = 0
+    for a in analyses:
+        struct = structure_ledger(a.tree, a.ledger, a.chars)
+        assert struct == a.struct
+        for z in sorted(struct.In):
+            dec = comb_decomposition(z, a.ledger, a.chars, struct)
+            assert dec == a.decompositions[z]
+            decompositions += 1
+    assert (len(analyses), decompositions) == (70, 107)
 
 
 def _count_comb_steps(trees):

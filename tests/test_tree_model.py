@@ -39,7 +39,6 @@ def ta_parts():
 def test_build_T_A_counts():
     t = fixture_T_A()
     assert len(t.vertices) == 2
-    assert len(t.arrows) == 2
     assert t.arrows0 == {"o1"}
     assert t.arrows1 == {"t1"}
 
@@ -139,23 +138,37 @@ def test_paths_and_order():
     assert td.path("t1", "v0") == ("t1", "u", "w", "v0")
     assert td.path("w", "w") == ("w",)
 
+    # the tree order between adjacent cells is the parent relation
     ta = fixture_T_A()
-    assert ta.less_than("v0", "u")
-    assert not ta.less_than("u", "v0")
+    assert ta.parent("u") == "v0"
+    assert ta.parent("v0") is None
 
     tb = fixture_T_B(1, 1)
-    assert not tb.less_than("u1", "u2")
-    assert not tb.less_than("u2", "u1")
+    assert tb.parent("u1") == tb.parent("u2") == "v0"
 
 
-def test_order_trichotomy():
-    t = fixture_T_C((1, 2, 3))
-    ids = t.cell_ids()
-    for x in ids:
-        for y in ids:
-            flags = [t.less_than(x, y), t.less_than(y, x), x == y]
-            comparable = sum(flags)
-            assert comparable <= 1 or (x == y and comparable == 1)
+def test_edge_between_is_a_parent_edge_lookup():
+    # every incident edge is found from either end; a cell and itself, an
+    # unknown cell, and two cells at distance two (a cell and its
+    # grandparent, or two children of one cell) are joined by none
+    apart = 0
+    for tree in corpora.trees(FIXTURES + CORPUS_A[:100] + CORPUS_B[:12]):
+        for c in tree.cells:
+            for e in tree.incident_edges(c):
+                d = e.other(c)
+                assert tree.edge_between(c, d) is tree.edge_between(d, c) is e
+            pairs = [(c, c), (c, "no such cell"), ("no such cell", c)]
+            up = tree.parent(c)
+            if up is not None and tree.parent(up) is not None:
+                pairs.append((c, tree.parent(up)))
+            kids = [d for d in tree.neighbors(c) if d != up]
+            pairs += zip(kids, kids[1:])
+            for x, y in pairs:
+                for args in ((x, y), (y, x)):
+                    with pytest.raises(KeyError):
+                        tree.edge_between(*args)
+            apart += len(pairs) - 3
+    assert apart == 2233
 
 
 def test_connected_subsets():
@@ -269,7 +282,6 @@ def test_validate_bytes_pinned():
 def _reference_sets(tree):
     return {
         "vertices": frozenset(c for c, cell in tree.cells.items() if cell.kind == VERTEX),
-        "arrows": frozenset(c for c, cell in tree.cells.items() if cell.kind == ARROW),
         "arrows0": frozenset(
             c for c, cell in tree.cells.items()
             if cell.kind == ARROW and cell.arrow_decoration == 0
@@ -295,10 +307,6 @@ def test_classification_sets_match_their_definition():
     for tree in trees + mutants:
         want = _reference_sets(tree)
         assert {name: getattr(tree, name) for name in want} == want
-    # the depths, derived from the search on first use
-    for tree in trees:
-        for c in tree.cells:
-            assert tree._depth[c] == len(tree.path(tree.root, c)) - 1
 
 
 # sha256 over the outcome of 2000 single-decoration mutants of roadmap corpus
