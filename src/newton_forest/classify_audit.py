@@ -93,12 +93,14 @@ def is_rational_tree(analysis: Analysis) -> bool:
 def divisor_trichotomy(analysis: Analysis, u: CellRef) -> str | None:
     """Classify the merged divisor tuple at `u` (requires every pair at `u`
     nonpositive): 'a' all-ones, 'b' two units, 'c' the (2,b,b) shape; None
-    when no case matches."""
+    when no case matches, or when a = 0 leaves N/a undefined."""
     per = analysis.ledger.per_vertex[u]
     if not all(
         analysis.chars.pairs[(u, e)].nonpositive for e in analysis.chars.edges_at[u]
     ):
         raise ValueError(f"not every pair at {u!r} is nonpositive")
+    if not per.a:
+        return None
     N = analysis.table.N[u]
     parts: list[int] = [analysis.info.degree[x] for x in per.dicriticals]
     for e in analysis.chars.edges_at[u]:
@@ -544,6 +546,9 @@ def _chk_epsilon_r(a: Analysis) -> list[str]:
 def _chk_delta_formulas(a: Analysis) -> list[str]:
     out = []
     for v, d in sorted(a.ledger.per_vertex.items()):
+        if not d.a:
+            out.append(f"{v!r}: N/a undefined")
+            continue
         N = a.table.N[v]
         via_sigma = d.sigma + (d.epsilon - 2) * (N - 1) + (N - N // d.a)
         via_delta = d.delta - sum(du - 1 for du in d.type)
@@ -584,6 +589,9 @@ def _chk_sigma_ratio(a: Analysis) -> list[str]:
     out = []
     for v, d in sorted(a.ledger.per_vertex.items()):
         ks = [d.k[u] for u in d.dicriticals]
+        if 0 in ks:
+            out.append(f"{v!r}: 1/k undefined")
+            continue
         L = lcm(*ks)
         N = a.table.N[v]
         if d.sigma * L != N * sum(L - L // k for k in ks):
@@ -903,6 +911,9 @@ def _chk_trivial_chain_c(a: Analysis) -> list[str]:
     out = []
     per = a.ledger.per_vertex
     for start, walk in a.struct.walks.items():
+        if not per[start].a:
+            out.append(f"chain from {start!r}: d/a undefined")
+            continue
         want = Fraction(per[start].d, per[start].a)
         for i in range(1, len(walk)):
             e = a.tree.edge_between(walk[i], walk[i - 1])

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
 )
 from .multiplicity import classify, multiplicities
-from .oracle_gen import GeneratorConfig, generate
+from .oracle_gen import GeneratorConfig, generate, generate_classified
 from .report import (
     Analysis,
     ValidationFailedError,
@@ -132,11 +132,16 @@ SEEDS_PER_WORKER = 32
 
 
 def _audit_seed(seed: int, max_cells: int) -> list[str]:
-    """The `seed S: FAIL` lines of the tree generated from `seed`."""
-    tree = generate(GeneratorConfig(seed=seed, max_cells=max_cells))
+    """The `seed S: FAIL` lines of the tree generated from `seed`, analysed
+    from the multiplicity table and classification that the generator's
+    screen computed for it."""
+    tree, table, info = generate_classified(
+        GeneratorConfig(seed=seed, max_cells=max_cells)
+    )
+    analysis = Analysis.from_classification(tree, table, info, None)
     return [
         f"seed {seed}: FAIL {r.check_id} [{r.witness}]"
-        for r in audit_failures(theorem_audit(tree))
+        for r in audit_failures(audit_analysis(analysis))
     ]
 
 

@@ -13,30 +13,46 @@ solves the one linear condition per dicritical (the decoration on its
 supporting edge that makes its multiplicity vanish), and keeps the tree only
 if the real validator and classifier accept it; the rational filter reads
 2 - M - D and the dicritical degrees off the engine too, not the oracles.
-Everything is reproducible from the seed.  A fan plan is one root with dicriticals; chain, star and
-random plans each draw only a list of parent indices, and `_decorated`
-turns that list into the plan, decorating the vertices in index order.
+Everything is reproducible from the seed.  A fan plan is one root with
+dicriticals; chain, star and random plans each draw only a list of parent
+indices, and `_decorated` turns that list into the plan, decorating the
+vertices in index order.
 
-An attempt runs in this order: draw a plan; screen the plan on the axiom
-clauses that read no support (coprimality near each skeleton vertex, and
-the determinant of each skeleton edge); solve the supports on the plan;
-screen the supports on the clauses that read them (coprimality near each
-dicritical, and the determinant of its supporting edge); assemble the
-tree; and `_screen` it with `validate_axioms` and `classify`, and with the
-rational filter on the same table and classification.  `_screen` is the
-gate: every tree returned passes it.  Both screens draw nothing from
-the RNG and reject only what `_screen` would reject on the same clause, so
-they change neither the attempt count nor the seed->tree mapping.
+The draws come from `_Draws`, a `random.Random` seeded with the config's
+seed whose `randrange`, `randint` and `choice` read `getrandbits` in one
+frame each, by CPython 3.11's algorithm; the attempt mode is one `random()`
+bisected into cumulative weights, as `choices(weights=...)` does.  So the
+stream, and with it the seed->tree mapping, is `random.Random`'s, drawn
+with less work.
+
+An attempt runs in this order: draw the mode, then a plan; check the
+plan's cell count; read the plan's skeleton (`_skeleton_near`) once; screen
+the plan on the axiom clauses that read no support (coprimality near each
+skeleton vertex, and the determinant of each skeleton edge); solve the
+supports on the plan (path products once, then per-vertex arrow sums for
+each repair round); screen the supports on the clauses that read them
+(coprimality near each dicritical, and the determinant of its supporting
+edge); assemble the tree; and `_screen` it with `validate_axioms` and
+`classify`, and with the rational filter on the same table and
+classification.  `_screen` is the gate: every tree returned passes it.
+Both screens draw nothing from the RNG and reject only what `_screen` would
+reject on the same clause, so they change neither the attempt count nor
+the seed->tree mapping.  `generate_classified` returns the kept tree with
+the table and classification `_screen` computed, so that `audit --gen`
+classifies each tree once; `generate` returns the tree alone.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd, prod
+from operator import mul
 
 from .errors import GenerationError
-from .multiplicity import classify, multiplicities
+from .multiplicity import DicriticalInfo, MultiplicityTable, classify, multiplicities
 from .tree_model import (
     ARROW,
     VERTEX,
@@ -93,6 +109,50 @@ def oracle_delta_tilde_N(tree: DecoratedRootedTree) -> int:
 
 MAX_DECORATION = 6  # bound on the drawn decorations and dead ends
 MAX_ATTEMPTS = 3000
+
+
+class _Draws(random.Random):
+    """`random.Random` whose `randrange`, `randint` and `choice` each take one
+    frame, reading `getrandbits` directly.
+
+    Each draws what CPython 3.11's own draws (`_randbelow_with_getrandbits`):
+    for n values, k = n.bit_length() bits, drawn again while r >= n.  The
+    seeding, `random()` and `getrandbits` are inherited, so every other
+    method draws as `random.Random` does; only the positive ranges and
+    non-empty sequences the generator asks for are served.
+    """
+
+    def randrange(self, start: int, stop: int | None = None) -> int:
+        if stop is None:
+            start, stop = 0, start
+        n = stop - start
+        if n <= 0:
+            raise ValueError("empty range for randrange()")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return start + r
+
+    def randint(self, a: int, b: int) -> int:
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError("empty range for randint()")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return seq[r]
 
 
 @dataclass(frozen=True)
@@ -170,8 +230,12 @@ def _decorated(
     """The plan with the given parent indices (index 0 the root, each parent
     before its children), decorated vertex by vertex in index order."""
     plan = [_VertexPlan(parent) for parent in parents]
-    for i in range(len(plan)):
-        _decorate_vertex(rng, cfg, plan, i)
+    children: list[list[int]] = [[] for _ in parents]
+    for j, parent in enumerate(parents):
+        if parent is not None:
+            children[parent].append(j)
+    for p, below in zip(plan, children):
+        _decorate_vertex(rng, cfg, p, below)
     return plan
 
 
@@ -183,10 +247,8 @@ def _pick_degree(rng: random.Random, cfg: GeneratorConfig) -> int:
 
 
 def _decorate_vertex(
-    rng: random.Random, cfg: GeneratorConfig, plan: list[_VertexPlan], i: int
+    rng: random.Random, cfg: GeneratorConfig, p: _VertexPlan, children: list[int]
 ) -> None:
-    p = plan[i]
-    children = [j for j, q in enumerate(plan) if q.parent == i]
     is_root = p.parent is None
     if not is_root:
         p.down_q = rng.choice((0, 0, -1, -1, -2, 1, rng.randint(-MAX_DECORATION, 2)))
@@ -217,22 +279,31 @@ def _up_q(plan: list[_VertexPlan], i: int) -> int:
     return parent_plan.up_big if parent_plan.big_child == i else 1
 
 
-def _skeleton_near(plan: list[_VertexPlan]) -> list[list[tuple[int | None, int]]]:
-    """For each skeleton vertex, (neighbour, decoration near the vertex) on
-    each skeleton edge at it, then (None, dead end) when it has one.
+# For each skeleton vertex, its skeleton neighbours, and the decorations near
+# it: on the edge to each neighbour in the same order, then its dead end
+# when it has one.  A vertex's parent is its first neighbour.
+_Near = tuple[list[list[int]], list[list[int]]]
+
+
+def _skeleton_near(plan: list[_VertexPlan]) -> _Near:
+    """The plan's `_Near`, which the screens and the support solve read.
 
     Dicritical edges carry 1 near the vertex and are left out."""
-    near: list[list[tuple[int | None, int]]] = [[] for _ in plan]
+    nbrs: list[list[int]] = [[] for _ in plan]
+    decs: list[list[int]] = [[] for _ in plan]
     for i, p in enumerate(plan):
         if p.parent is not None:
-            near[i].append((p.parent, p.down_q))
-            near[p.parent].append((i, _up_q(plan, i)))
+            nbrs[i].append(p.parent)
+            decs[i].append(p.down_q)
+            nbrs[p.parent].append(i)
+            decs[p.parent].append(_up_q(plan, i))
+    for p, qs in zip(plan, decs):
         if p.dead_end:
-            near[i].append((None, p.dead_end))
-    return near
+            qs.append(p.dead_end)
+    return nbrs, decs
 
 
-def _plan_screen(plan: list[_VertexPlan]) -> bool:
+def _plan_screen(plan: list[_VertexPlan], near: _Near) -> bool:
     """Whether the plan passes the axiom clauses that read no support.
 
     Near a skeleton vertex the decorations are its `down_q`, the `up_q` of
@@ -242,52 +313,60 @@ def _plan_screen(plan: list[_VertexPlan]) -> bool:
     that fails here fails `validate_axioms` once assembled, whatever the
     supports.
     """
-    Q_parent = [0] * len(plan)  # Q near the parent of i, on the edge to i
-    Q_child = [0] * len(plan)  # Q near i, on the edge to its parent
-    for i, near in enumerate(_skeleton_near(plan)):
-        qs = [q for _, q in near]
+    nbrs, decs = near
+    but_one = []  # Q near each vertex on the edge to each neighbour
+    for qs in decs:
         if not pairwise_coprime(qs):
             return False
-        for (n, _), Q in zip(near, products_but_one(qs)):
-            if n is None:
-                continue
-            if n == plan[i].parent:
-                Q_child[i] = Q
-            else:
-                Q_parent[n] = Q
-    return all(
-        _up_q(plan, i) * p.down_q - Q_parent[i] * Q_child[i] < 0
-        for i, p in enumerate(plan)
-        if p.parent is not None
-    )
+        but_one.append(products_but_one(qs))
+    for i, p in enumerate(plan):
+        w = p.parent
+        if w is not None:
+            t = nbrs[w].index(i)
+            if decs[w][t] * p.down_q >= but_one[w][t] * but_one[i][0]:
+                return False
+    return True
 
 
-def _path_products(plan: list[_VertexPlan]) -> list[list[int]]:
+def _path_products(near: _Near) -> list[list[int]]:
     """g[i][k]: the product, over the skeleton vertices on the path from v_i
     to v_k, of each one's decorations on the skeleton edges and dead end off
     that path.  g[i][i] is the product of every decoration near v_i.
 
-    One walk from each vertex carries the product of the path so far; at
-    each vertex the entering edge is skipped by identity, not divided out,
-    since a decoration may be 0.  O(m^2) for m skeleton vertices.
+    One walk from each vertex carries the product of the path so far.  At a
+    vertex w entered from its neighbour c, Q_c, the product of w's
+    decorations off the edge to c, ends the path at w; to go on to the
+    neighbour t the walk also leaves out the decoration q_t, so divides Q_c
+    by it, or, when q_t is 0, multiplies the rest afresh.  O(m^2) for m
+    skeleton vertices.
     """
-    near = _skeleton_near(plan)
-    g = [[0] * len(plan) for _ in plan]
-    for i in range(len(plan)):
-        stack: list[tuple[int, int | None, int]] = [(i, None, 1)]
+    nbrs, decs = near
+    but_one = [products_but_one(qs) for qs in decs]
+    g = [[0] * len(decs) for _ in decs]
+    for i, row in enumerate(g):
+        row[i] = prod(decs[i])
+        stack = [(n, i, Q) for n, Q in zip(nbrs[i], but_one[i])]
         while stack:
             w, came, acc = stack.pop()
-            rest = [(n, q) for n, q in near[w] if n is None or n != came]
-            qs = [q for _, q in rest]
-            g[i][w] = acc * prod(qs)
-            for (n, _), Q in zip(rest, products_but_one(qs)):
-                if n is not None:
-                    stack.append((n, w, acc * Q))
+            at = nbrs[w]
+            c = at.index(came)
+            Q_c = but_one[w][c]
+            row[w] = acc * Q_c
+            if len(at) > 1:
+                qs = decs[w]
+                for t, n in enumerate(at):
+                    if t != c:
+                        q = qs[t]
+                        if q:
+                            off = Q_c // q
+                        else:
+                            off = prod(x for s, x in enumerate(qs) if s != c and s != t)
+                        stack.append((n, w, acc * off))
     return g
 
 
 def _support_screen(
-    plan: list[_VertexPlan], supports: dict[tuple[int, int], int]
+    plan: list[_VertexPlan], supports: dict[tuple[int, int], int], near: _Near
 ) -> bool:
     """Whether the solved supports pass the axiom clauses that read them.
 
@@ -299,10 +378,10 @@ def _support_screen(
     reads a support; a plan rejected here fails `validate_axioms` once
     assembled.
     """
-    Q_at = [prod(q for _, q in near) for near in _skeleton_near(plan)]
+    decs = near[1]
     for (i, j), support in supports.items():
         a_u = plan[i].dics[j][1]
-        if gcd(support, a_u) != 1 or support - Q_at[i] * a_u >= 0:
+        if gcd(support, a_u) != 1 or support - prod(decs[i]) * a_u >= 0:
             return False
     return True
 
@@ -339,84 +418,105 @@ _PLANS = {
     "fan": _plan_fan, "chain": _plan_chain, "star": _plan_star, "random": _plan_random
 }
 
+# The attempt modes and their cumulative weights.  The weights, 41, 490,
+# 235, 566, 245 and 6, compensate for per-mode acceptance rates, measured so
+# that the accepted corpus spreads over fans, chains, stars, brushes and
+# loose pairs.  `random.choices(weights=...)` accumulates them on each call
+# and bisects random() times their total; this is the same draw.
+_MODES = ("fan", "chain", "star", "random", "pair", "brush")
+_MODE_BOUNDS = list(accumulate((41, 490, 235, 566, 245, 6)))
+_MODE_TOTAL = float(_MODE_BOUNDS[-1])
 
-def _attempt(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | None:
-    # weights compensate for per-mode acceptance rates, measured so that the
-    # accepted corpus spreads over fans, chains, stars, brushes and loose pairs
-    mode = rng.choices(
-        ("fan", "chain", "star", "random", "pair", "brush"),
-        weights=(41, 490, 235, 566, 245, 6),
-    )[0]
+# A generated tree with the multiplicity table and classification that its
+# screen computed.
+Screened = tuple[DecoratedRootedTree, MultiplicityTable, DicriticalInfo]
+
+
+def _draw_mode(rng: random.Random) -> str:
+    return _MODES[
+        bisect_right(_MODE_BOUNDS, rng.random() * _MODE_TOTAL, 0, len(_MODES) - 1)
+    ]
+
+
+def _attempt(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
+    mode = _draw_mode(rng)
     if mode == "pair":
         return _attempt_pair(rng, cfg)
     if mode == "brush":
         return _attempt_brush(rng, cfg)
     plan = _PLANS[mode](rng, cfg)
-    if _plan_cells(plan) > cfg.max_cells or not _plan_screen(plan):
+    if _plan_cells(plan) > cfg.max_cells:
         return None
-    supports = _solve_supports(plan)
-    if supports is None or not _support_screen(plan, supports):
+    near = _skeleton_near(plan)
+    if not _plan_screen(plan, near):
+        return None
+    supports = _solve_supports(plan, near)
+    if supports is None or not _support_screen(plan, supports, near):
         return None
     return _screen(_assemble(plan, supports), cfg)
 
 
-def _slot_contributions(
-    plan: list[_VertexPlan],
-) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
-    """contrib[s][s2] for slots s = (i, j) and s2 = (i2, j2), s2 != s: the
-    product x-hat(u_s, alpha) for one (1)-arrow alpha at the dicritical of s2.
+def _arrow_sums(
+    g: list[list[int]], slots: list[tuple[int, int, int]], degrees: list[int]
+) -> list[int]:
+    """For each slot (i, j, a_u) at its degree: the arrow sum at its
+    dicritical u over the (1)-arrows of every other slot.
 
-    On that path the dicritical edges carry 1 near v and the supports lie on
-    the path, so the value is g[i][i2] (`_path_products`) times the dead end
-    a_u of s2, with no degree and no support in it.
+    For one (1)-arrow at the dicritical of a slot at v_k, x-hat(u, alpha)
+    is g[i][k] (`_path_products`) times that slot's dead end a_u: on that
+    path the dicritical edges carry 1 near v and the supports lie on the
+    path, so no degree and no support enters it.  Summed by vertex, with
+    W[k] the sum of degree * a_u over the slots at v_k, a slot's sum is the
+    sum over k of g[i][k] W[k], less its own term g[i][i] * degree * a_u.
+    O(m^2 + slots) for m skeleton vertices.
     """
-    g = _path_products(plan)
-    slots = [(i, j) for i, p in enumerate(plan) for j in range(len(p.dics))]
-    contrib: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for s in slots:
-        row_g = g[s[0]]
-        contrib[s] = {
-            s2: row_g[s2[0]] * plan[s2[0]].dics[s2[1]][1] for s2 in slots if s2 != s
-        }
-    return contrib
+    W = [0] * len(g)
+    for (k, _, a_u), degree in zip(slots, degrees):
+        W[k] += degree * a_u
+    through = [sum(map(mul, row, W)) for row in g]
+    return [
+        through[i] - g[i][i] * degree * a_u
+        for (i, _, a_u), degree in zip(slots, degrees)
+    ]
 
 
-def _solve_supports(plan: list[_VertexPlan]) -> dict[tuple[int, int], int] | None:
+def _solve_supports(
+    plan: list[_VertexPlan], near: _Near
+) -> dict[tuple[int, int], int] | None:
     """The decoration near each dicritical on its supporting edge that makes
     the dicritical multiplicity vanish: minus the arrow sum over the rest of
     the tree, divided by the degree.
 
-    The per-arrow contribution between two dicriticals does not depend on any
-    degree, so it is read once off the plan by `_slot_contributions`; the
-    divisibility repair loop (degrees shrink to a divisor when they spoil
-    integrality, re-coupling the other sums) is then pure arithmetic.  Cost:
-    O(m^2) for the m skeleton vertices plus O(slots^2) per repair round, at
-    most four rounds; no tree is built.
+    The path products g are read once off the skeleton; the divisibility
+    repair loop (degrees shrink to a divisor when they spoil integrality,
+    re-coupling the other sums) then recomputes only `_arrow_sums`.  Cost:
+    O(m^2) for the m skeleton vertices plus O(m^2 + slots) per repair round,
+    at most four rounds; no tree is built.
     """
-    contrib = _slot_contributions(plan)
-    slots = list(contrib)
+    slots = [(i, j, a_u) for i, p in enumerate(plan) for j, (_, a_u) in enumerate(p.dics)]
     if not slots:
         return None
-
-    degrees = {s: plan[s[0]].dics[s[1]][0] for s in slots}
-    sums: dict[tuple[int, int], int] = {}
+    g = _path_products(near)
+    degrees = [plan[i].dics[j][0] for i, j, _ in slots]
     for _ in range(4):
-        sums = {
-            s: sum(degrees[s2] * c for s2, c in contrib[s].items()) for s in slots
-        }
-        bad = [s for s in slots if sums[s] % degrees[s]]
-        if not bad:
+        sums = _arrow_sums(g, slots, degrees)
+        spoilt = False
+        for t, (total, degree) in enumerate(zip(sums, degrees)):
+            if total % degree:
+                degrees[t] = gcd(degree, abs(total))
+                spoilt = True
+        if not spoilt:
             break
-        for s in bad:
-            degrees[s] = gcd(degrees[s], abs(sums[s]))
     else:
         return None
-    for i, j in slots:
-        plan[i].dics[j] = (degrees[(i, j)], plan[i].dics[j][1])
-    return {s: -sums[s] // degrees[s] for s in slots}
+    supports = {}
+    for (i, j, a_u), total, degree in zip(slots, sums, degrees):
+        plan[i].dics[j] = (degree, a_u)
+        supports[i, j] = -total // degree
+    return supports
 
 
-def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | None:
+def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
     """Two-vertex chains with both ends loose: dicritical degrees balanced so
     both chain ends carry nonpositive defect."""
     a_p = rng.randint(1, 4)
@@ -457,7 +557,7 @@ def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTr
     return _screen(tree, cfg)
 
 
-def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedTree | None:
+def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
     """A star whose every arm hangs loose off the root: two arms carrying a
     degree-(D,1) dicritical pair each, plus a root dicritical whose dead end
     is decorated D.  For odd D all supports are integral and coprime, both
@@ -493,7 +593,10 @@ def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> DecoratedRootedT
     return _screen(tree, cfg)
 
 
-def _screen(tree: DecoratedRootedTree, cfg: GeneratorConfig) -> DecoratedRootedTree | None:
+def _screen(tree: DecoratedRootedTree, cfg: GeneratorConfig) -> Screened | None:
+    """The tree with its multiplicity table and classification, or None when
+    it breaks an axiom, is not minimally complete or fails the rational
+    filter."""
     if validate_axioms(tree):
         return None
     table = multiplicities(tree)
@@ -504,19 +607,26 @@ def _screen(tree: DecoratedRootedTree, cfg: GeneratorConfig) -> DecoratedRootedT
         degs = info.degree.values()
         if 2 - table.M_of_T - sum(degs) != 0 or gcd(*degs) != 1:
             return None
-    return tree
+    return tree, table, info
 
 
-def generate(config: GeneratorConfig) -> DecoratedRootedTree:
-    """A validated, generic, minimally complete tree, reproducible from the seed.
+def generate_classified(config: GeneratorConfig) -> Screened:
+    """`generate`'s tree, with the multiplicity table and classification
+    that its screen computed: (tree, table, info).
 
     Raises :class:`GenerationError` when `MAX_ATTEMPTS` attempts yield no
     tree, as when `max_cells` is too small for any plan or the rational
     filter rejects every tree drawn.
     """
-    rng = random.Random(config.seed)
+    rng = _Draws(config.seed)
     for _ in range(MAX_ATTEMPTS):
-        tree = _attempt(rng, config)
-        if tree is not None:
-            return tree
+        found = _attempt(rng, config)
+        if found is not None:
+            return found
     raise GenerationError(MAX_ATTEMPTS, "no tree satisfied the filters")
+
+
+def generate(config: GeneratorConfig) -> DecoratedRootedTree:
+    """A validated, generic, minimally complete tree, reproducible from the
+    seed: the first item of `generate_classified`."""
+    return generate_classified(config)[0]

@@ -1,10 +1,12 @@
 """One-stop analysis bundle and deterministic report rendering.
 
-`Analysis.build` is the one place that runs the pipeline, in order:
-validation, multiplicities, classification, ledgers, characteristic table,
-structure, and one comb decomposition per initial vertex (or at the given
-initial vertex z).  Each stage function takes every upstream result it reads
-as a required argument and computes nothing upstream itself.  The renderers
+`Analysis.build` runs the pipeline, in order: validation, multiplicities and
+classification, then `Analysis.from_classification` runs the ledgers,
+characteristic table, structure, and one comb decomposition per initial
+vertex (or at the given initial vertex z).  `audit --gen` enters at the
+latter with the table and classification that the generator's screen
+computed.  Each stage function takes every upstream result it reads as a
+required argument and computes nothing upstream itself.  The renderers
 below serialize the bundle byte-deterministically: mappings sorted by key,
 rationals printed reduced as "p/q", integers plain.  The report holds the
 tree itself, which `tree_io.json_text` writes as its canonical document.
@@ -65,7 +67,19 @@ class Analysis:
         if diagnostics:
             raise ValidationFailedError(diagnostics)
         table = multiplicities(tree)
-        info = classify(tree, table)
+        return Analysis.from_classification(tree, table, classify(tree, table), z)
+
+    @staticmethod
+    def from_classification(
+        tree: DecoratedRootedTree,
+        table: MultiplicityTable,
+        info: DicriticalInfo,
+        z: CellRef | None,
+    ) -> "Analysis":
+        """The analysis of a tree that satisfies the axioms, from its
+        multiplicity table and classification: the stages after them, in
+        order, with the decompositions at every initial vertex when z is
+        None."""
         ledger = vertex_ledger(tree, table, info)  # raises if not minimally complete
         glob = global_ledger(tree, table, info, ledger)
         chars = characteristic_numbers(tree, table, ledger)

@@ -4,8 +4,9 @@ Each corpus is generated once per session, in `corpora`.  A test of
 `generate` itself, or of the `gen` and `audit --gen` commands, is marked
 `own_generation` and may generate what it likes; outside those tests a
 config generated twice fails the session when it ends.  The summary line
-gives the counts.  `audit --gen`'s worker processes count in their own
-copies and are not seen here.
+gives the counts.  `audit --gen` generates through `generate_classified`,
+which `generate` calls and which is not counted, and its worker processes
+would count in their own copies anyway.
 """
 
 from collections import Counter
@@ -34,7 +35,7 @@ def _counted(generate):
 
 
 # Installed before any test module imports the package's command line,
-# which binds `generate` when it is imported.
+# which binds `generate`, for the `gen` command, when it is imported.
 oracle_gen.generate = _counted(oracle_gen.generate)
 
 

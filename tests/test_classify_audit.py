@@ -20,7 +20,7 @@ from newton_forest.classify_audit import (
     theorem_audit,
 )
 from newton_forest.local_invariants import VertexLedger
-from newton_forest.oracle_gen import _assemble, _solve_supports, _VertexPlan
+from newton_forest.oracle_gen import _assemble, _skeleton_near, _solve_supports, _VertexPlan
 from newton_forest.report import Analysis
 
 import corpora
@@ -482,6 +482,54 @@ def test_zero_multiplicity_gives_witnesses():
     assert failed == {"sigma-ratio": 362, "single-skeleton-fan": 66}
 
 
+def test_zero_a_or_k_gives_witnesses():
+    # a set to 0 at each positive vertex in turn, then the first k at each
+    # vertex with a dicritical: the audit lists failures and raises nothing,
+    # where `defect-formulas` once took N // a, `trivial-chain-characteristics`
+    # d / a, `rational-structure` N // a in `divisor_trichotomy`, and
+    # `sigma-ratio` L // k with L = lcm(k, ...) = 0
+    failed = {"a": Counter(), "k": Counter()}
+    copies = Counter()
+    for a in corpora.analyses(FIXTURES + CORPUS_A[:100]):
+        per = a.ledger.per_vertex
+        for v in sorted(per):
+            d = per[v]
+            changes = [("a", dict(a=0))]
+            if d.dicriticals:
+                changes.append(("k", dict(k={**d.k, d.dicriticals[0]: 0})))
+            for kind, change in changes:
+                node = dataclasses.replace(d, **change)
+                ledger = dataclasses.replace(a.ledger, per_vertex={**per, v: node})
+                copies[kind] += 1
+                for r in audit_analysis(dataclasses.replace(a, ledger=ledger)):
+                    if r.passed:
+                        continue
+                    failed[kind][r.check_id] += 1
+                    if r.check_id == "defect-formulas":
+                        assert f"{v!r}: N/a undefined" in r.witness
+                    if r.check_id == "sigma-ratio":
+                        assert r.witness == f"{v!r}: 1/k undefined"
+    assert copies == {"a": 223, "k": 217}
+    assert failed["a"] == {
+        "defect-formulas": 223,
+        "local-R-identity": 223,
+        "global-R-identity": 223,
+        "trivial-chain-characteristics": 161,
+        "low-end-vertices": 93,
+        "unit-node-budget": 47,
+        "rational-structure": 46,
+        "single-skeleton-fan": 42,
+        "unit-multiplicity-vertex": 23,
+    }
+    assert failed["k"] == {
+        "node-factorization": 217,
+        "sigma-ratio": 217,
+        "local-R-identity": 217,
+        "global-R-identity": 217,
+        "single-skeleton-fan": 42,
+    }
+
+
 def test_rational_report_same_at_every_initial_vertex():
     # `analyze --z z` decomposes at z alone; the rational report must not
     # depend on which initial vertex the analysis was built at
@@ -505,7 +553,7 @@ def test_wide_fan_audit_clean_and_linear():
     # Q re-multiplied per call, and under 0.01 s with one walk per node and
     # the Q table, so the bound leaves 5x headroom and still fails the former.
     plan = [_VertexPlan(None, 1, 1, None, 0, [(1, 1)] * 128)]
-    a = analysis(_assemble(plan, _solve_supports(plan)))
+    a = analysis(_assemble(plan, _solve_supports(plan, _skeleton_near(plan))))
     results = audit_analysis(a)
     assert {r.check_id for r in results} >= set(_REWRITTEN)
     assert audit_failures(results) == []

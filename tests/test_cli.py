@@ -548,6 +548,32 @@ def test_audit_gen_validates_each_tree_once(monkeypatch, capsys):
 
 
 @pytest.mark.own_generation
+def test_audit_gen_classifies_each_tree_once(monkeypatch, capsys):
+    # the analysis starts from the multiplicity table and classification
+    # that the generator's screen computed: one call of each per tree, in
+    # whichever package module calls it (60 seeds run in process)
+    from newton_forest import multiplicity
+
+    calls = {"multiplicities": 0, "classify": 0}
+    for name in calls:
+        real = getattr(multiplicity, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "newton_forest":
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+    assert cli._audit_workers(60) == 0
+    assert run(["audit", "--gen", "60"]) == 0
+    assert capsys.readouterr().out == "60 trees audited, 0 failures\n"
+    assert calls == {"multiplicities": 60, "classify": 60}
+
+
+@pytest.mark.own_generation
 def test_audit_gen_negative_exit_2(capsys):
     # no plan fits in 3 cells: a usage error at once, not 3000 attempts
     for argv, message in (
@@ -591,13 +617,13 @@ def _audit_gen(capsys, seed=0):
 def _count_generated(monkeypatch):
     """The seeds that this process generates from; a worker counts in its own copy."""
     seeds = []
-    real = cli.generate
+    real = cli.generate_classified
 
     def counted(config):
         seeds.append(config.seed)
         return real(config)
 
-    monkeypatch.setattr(cli, "generate", counted)
+    monkeypatch.setattr(cli, "generate_classified", counted)
     return seeds
 
 
@@ -644,14 +670,14 @@ def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
 
 
 def _fail_at_seed(monkeypatch, seed, fault):
-    real = cli.generate
+    real = cli.generate_classified
 
     def failing(config):
         if config.seed == seed:
             fault()
         return real(config)
 
-    monkeypatch.setattr(cli, "generate", failing)
+    monkeypatch.setattr(cli, "generate_classified", failing)
 
 
 def _raise(exc):

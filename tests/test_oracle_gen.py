@@ -109,6 +109,20 @@ def test_rational_filter_reads_the_screen(monkeypatch):
 
 
 @pytest.mark.own_generation
+def test_screened_analysis_equals_the_built_one():
+    """The analysis built from the table and classification that the screen
+    returned with a tree equals `Analysis.build` of that tree, and so do
+    their audits: corpus A seeds 0..199, each tree the generator's own."""
+    for config in CORPUS_A[:200]:
+        tree, table, info = og.generate_classified(config)
+        assert serialize(tree) == serialize(corpora.tree(config)), config
+        screened = Analysis.from_classification(tree, table, info, None)
+        built = Analysis.build(tree)
+        assert screened == built, config
+        assert audit_analysis(screened) == audit_analysis(built), config
+
+
+@pytest.mark.own_generation
 def test_generation_budget_error():
     # no attempt of any mode fits in 3 cells, so the whole budget is spent
     with pytest.raises(GenerationError) as err:
@@ -138,6 +152,37 @@ def test_coverage_over_a_small_corpus():
     assert all(count > 0 for count in seen.values()), seen
 
 
+def test_draws_match_random_random():
+    """`_Draws` and `random.Random`, seeded alike, return equal values for
+    random(), choices(weights=...), the attempt-mode draw, randrange with
+    one and two arguments, randint and choice, interleaved over widths
+    1..70 (so 2^k - 1, 2^k and 2^k + 1 up to 65), and end in equal states.
+    A Python whose `random` draws otherwise fails here, not only in the
+    generator pins."""
+    weights = (41, 490, 235, 566, 245, 6)
+    draws = 0
+    for seed in range(200):
+        ours, theirs = og._Draws(seed), random.Random(seed)
+        for n in range(1, 71):
+            seq = tuple(range(-3, n - 3))
+            low = n - 35
+            pairs = (
+                (ours.random(), theirs.random()),
+                (ours.choices(seq, weights=range(n, 0, -1)),
+                 theirs.choices(seq, weights=range(n, 0, -1))),
+                (og._draw_mode(ours), theirs.choices(og._MODES, weights=weights)[0]),
+                (ours.randrange(n), theirs.randrange(n)),
+                (ours.randrange(low, low + n), theirs.randrange(low, low + n)),
+                (ours.randint(low, low + n - 1), theirs.randint(low, low + n - 1)),
+                (ours.choice(seq), theirs.choice(seq)),
+            )
+            for got, want in pairs:
+                assert got == want, (seed, n, got, want)
+                draws += 1
+        assert ours.getstate() == theirs.getstate(), seed
+    assert draws == 200 * 70 * 7
+
+
 def _planned():
     """(seed, k, plan): twelve plans from the rng stream of each seed
     0..149, cycling through the fan, chain, star and random planners."""
@@ -155,11 +200,12 @@ def test_plan_screen_is_sound():
     assembled tree breaks axiom 5 or 6."""
     rejected = passed = 0
     for seed, k, plan in _planned():
-        if og._plan_screen(plan):
+        near = og._skeleton_near(plan)
+        if og._plan_screen(plan, near):
             passed += 1
             continue
         rejected += 1
-        supports = og._solve_supports(plan)
+        supports = og._solve_supports(plan, near)
         if supports is None:
             continue
         tree = og._assemble(plan, supports)
@@ -198,8 +244,11 @@ def test_screen_rejects_trees_not_minimally_complete():
 
 
 def test_slot_contributions_match_oracle():
-    """The plan-level table equals x-hat(u_s, t_{s2,0}) measured path by
-    path on the tree assembled with one arrow per dicritical."""
+    """What one (1)-arrow at the dicritical of slot s2 contributes to the
+    arrow sum of slot s, g[i][i2] (`_path_products`) times the dead end of
+    s2, equals x-hat(u_s, t_{s2,0}) measured path by path on the tree
+    assembled with one arrow per dicritical; and `_arrow_sums`, which sums
+    by vertex, equals the sum over s2 != s of degree times that value."""
     zero_down = big_up = pairs = 0
     for seed, k, plan in _planned():
         probe = [
@@ -208,11 +257,20 @@ def test_slot_contributions_match_oracle():
             for p in plan
         ]
         draft = og._assemble(probe, {})
-        for (i, j), row in og._slot_contributions(plan).items():
-            for (i2, j2), value in row.items():
-                want = _oracle_x(draft, f"u{i}_{j}", f"t{i2}_{j2}_0", hat=True)
-                assert value == want, (seed, k, (i, j), (i2, j2))
+        g = og._path_products(og._skeleton_near(plan))
+        slots = [(i, j, a_u) for i, p in enumerate(plan) for j, (_, a_u) in enumerate(p.dics)]
+        degrees = [plan[i].dics[j][0] for i, j, _ in slots]
+        sums = og._arrow_sums(g, slots, degrees)
+        for (i, j, _), total in zip(slots, sums):
+            want = 0
+            for (i2, j2, a_u2), degree in zip(slots, degrees):
+                if (i2, j2) == (i, j):
+                    continue
+                x_hat = _oracle_x(draft, f"u{i}_{j}", f"t{i2}_{j2}_0", hat=True)
+                assert g[i][i2] * a_u2 == x_hat, (seed, k, (i, j), (i2, j2))
+                want += degree * x_hat
                 pairs += 1
+            assert total == want, (seed, k, (i, j))
         zero_down += any(p.parent is not None and p.down_q == 0 for p in plan)
         big_up += any(p.big_child is not None for p in plan)
     assert zero_down > 100 and big_up > 100 and pairs > 10000, (zero_down, big_up, pairs)
@@ -231,13 +289,14 @@ def test_support_screen_is_sound():
     every plan it passes assembles into a tree with no axiom diagnostic."""
     rejected = passed = 0
     for seed, k, plan in _planned():
-        if not og._plan_screen(plan):
+        near = og._skeleton_near(plan)
+        if not og._plan_screen(plan, near):
             continue
-        supports = og._solve_supports(plan)
+        supports = og._solve_supports(plan, near)
         if supports is None:
             continue
         tree = og._assemble(plan, supports)
-        if og._support_screen(plan, supports):
+        if og._support_screen(plan, supports, near):
             passed += 1
             assert validate_axioms(tree) == [], (seed, k)
             continue
@@ -261,8 +320,9 @@ def test_support_solve_is_quadratic_on_a_wide_fan(monkeypatch):
     for _ in range(3):
         plan = [og._VertexPlan(None, 1, 1, None, 0, [(1, 1)] * 256)]
         start = time.perf_counter()
-        supports = og._solve_supports(plan)
-        ok = og._support_screen(plan, supports)
+        near = og._skeleton_near(plan)
+        supports = og._solve_supports(plan, near)
+        ok = og._support_screen(plan, supports, near)
         best = min(best, time.perf_counter() - start)
     assert ok and set(supports.values()) == {-255}
     assert best < 0.5, best

@@ -139,7 +139,7 @@ def test_gamma_paths_on_brush():
     from newton_forest.oracle_gen import GeneratorConfig, _attempt_brush
     import random
 
-    tree = _attempt_brush(random.Random(3), GeneratorConfig(seed=3))
+    tree = _attempt_brush(random.Random(3), GeneratorConfig(seed=3))[0]
     st = Analysis.build(tree).struct
     assert st.is_brush
     assert st.W == {"v0"}
@@ -151,9 +151,9 @@ def test_gamma_paths_on_brush():
 
 
 def test_stage_inputs_required():
-    # Analysis.build alone sequences the stages: no stage recomputes a
-    # missing upstream input, and the downstream modules cannot reach the
-    # upstream stage functions
+    # Analysis.build, through Analysis.from_classification, alone sequences
+    # the stages: no stage recomputes a missing upstream input, and the
+    # downstream modules cannot reach the upstream stage functions
     stages = (
         multiplicity.classify,
         local_invariants.vertex_ledger,
