@@ -17,10 +17,6 @@ L*base(u), base(u) being (1 - 1/a) plus (1 - 1/k) per adjacent dicritical,
 and per pair at u the term L*(1 - 1/M), L*eta and the side defect, the sum
 of Delta-tilde over the n-side.  R(u, A) is base(u) plus the terms of the
 edges in A, and Delta-bar(u, A) is Delta-tilde(u) plus their side defects.
-For the set A of (1)-arrows at a set of vertices, `node_h_products` gives
-h(w,A) and h-hat(w,A) for every vertex w in one walk outward from the hull
-of A over the vertices, each vertex's arrow edges folded into one term; the
-oracle module keeps the path-by-path definition.
 
 All rational arithmetic is exact (`fractions.Fraction`).  `rational_gcd` and
 `rational_divides` read numerators and denominators, which ints have too, so
@@ -31,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import AbstractSet, Iterable, Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping
 
 from .errors import InternalInconsistencyError
 from .local_invariants import VertexLedger
-from .multiplicity import MultiplicityTable, VertexFold
-from .tree_model import CellRef, DecoratedRootedTree, Edge, products_but_one
+from .multiplicity import MultiplicityTable
+from .tree_model import CellRef, DecoratedRootedTree, Edge
 
 Rational = Fraction
 
@@ -61,77 +57,6 @@ def rational_divides(a: Rational | int, b: Rational | int) -> bool:
     if den == 0:
         return b == 0
     return b.numerator * a.denominator % den == 0
-
-
-def node_h_products(
-    fold: VertexFold, sources: AbstractSet[CellRef]
-) -> dict[CellRef, tuple[int, int]]:
-    """(h(w,A), h-hat(w,A)) for every vertex w, where A, which must not be
-    empty, is the set of (1)-arrows at the vertices in `sources`, in
-    O(vertices + vertex edges).
-
-    h multiplies, over the vertices u on every path from w to A, the
-    decorations near u of the edges on none of those paths; h-hat leaves
-    out u = w.  Call an edge at u arrow-free when no arrow of A lies beyond
-    it.  A vertex with two or more arrow directions is on the hull of A:
-    h is its arrow-free product and h-hat = 1.  Any other vertex w has one
-    arrow direction, towards a neighbour n, so h-hat(w) is h-hat(n) times
-    n's arrow-free product without the edge to w (1 when n is the lone
-    arrow of A), and h(w) is h-hat(w) times w's arrow-free product.  The
-    arrow edges at a vertex w fold into one term (`VertexFold`): each of
-    its arrows in A is a direction, and the others are arrow-free, with the
-    product `dead[w]` when w is in `sources` and `Q[w]` when it is not.
-    One pass up counts the arrows below each vertex, and a walk outward
-    from the hull fills in the rest, each visit O(vertex degree) through
-    `products_but_one`; no arrow is visited.
-    """
-    order, parent, children = fold.order, fold.parent, fold.children
-    ones = fold.ones
-    below = dict.fromkeys(order, 0)  # arrows of A at and above each vertex
-    for w in sources:
-        below[w] = ones[w]
-    for c in reversed(order[1:]):
-        below[parent[c][0]] += below[c]
-    total = below[order[0]]
-    if not total:
-        raise ValueError("h-products need a nonempty arrow set")
-
-    free: dict[CellRef, list[tuple[CellRef, int]]] = {}  # arrow-free vertex neighbours
-    free_arrows: dict[CellRef, int] = {}  # product of the arrow-free arrow edges
-    h_hat: dict[CellRef, int] = {}
-    for w in order:
-        if w in sources:
-            directions = own = ones[w]
-            free_arrows[w] = fold.dead[w]
-        else:
-            directions = own = 0
-            free_arrows[w] = fold.Q[w]
-        free[w] = []
-        for n, q, _ in children[w]:
-            if below[n]:
-                directions += 1
-            else:
-                free[w].append((n, q))
-        up = parent.get(w)
-        if up is not None:
-            if total - below[w]:
-                directions += 1
-            else:
-                free[w].append(up[:2])
-        if directions > 1 or own == total:
-            h_hat[w] = 1
-
-    walk = list(h_hat)  # the hull, or the vertex next to the lone arrow
-    for n in walk:
-        rest = products_but_one([q for _, q in free[n]] + [free_arrows[n]])
-        for (w, _), q in zip(free[n], rest):
-            if w not in h_hat:  # its one arrow direction is n
-                h_hat[w] = h_hat[n] * q
-                walk.append(w)
-    return {
-        w: (h_hat[w] * prod(q for _, q in free[w]) * free_arrows[w], h_hat[w])
-        for w in order
-    }
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .characteristic import R_of, R_table, node_h_products, rational_divides
+from .characteristic import R_of, R_table, rational_divides
 from .errors import InternalInconsistencyError
-from .multiplicity import VertexFold, source_multiplicities
+from .multiplicity import VertexFold, sums_but_one
 from .report import Analysis
 from .structure import quotient_tree_H
-from .tree_model import CellRef, DecoratedRootedTree, Edge
+from .tree_model import CellRef, DecoratedRootedTree, Edge, products_but_one
 
 
 class CheckResult(NamedTuple):
@@ -767,29 +767,100 @@ def _chk_char_chain_div(a: Analysis) -> list[str]:
     return out
 
 
+def _node_sums(
+    fold: VertexFold,
+    near: dict[CellRef, list[tuple[CellRef, int, int]]],
+    z: CellRef,
+    dicriticals: tuple[CellRef, ...],
+) -> dict[CellRef, tuple[int, int, int, int]]:
+    """(N, sum of x-hat, h, h-hat) at every vertex w over the set A of
+    (1)-arrows at the dicriticals of the node z, from one walk out from z.
+    h(w) multiplies, over the vertices on every path from w to A, their
+    decorations on the edges on none of those paths; h-hat leaves out w.
+
+    Each dicritical lies next to z, so every vertex w but z and the
+    dicriticals with arrows in A (the hot ones) finds all of A through its
+    neighbour p towards z.  There the sums are F = F(w->p), the sum of
+    x-hat, and h-hat(w); the product P of w's other decorations, its arrow
+    edges folded into Q[w], gives N = P F and h = P h-hat; and its
+    neighbour c away from z gets F and h-hat both times r, the product of
+    P's factors but q(w, c).  At z and the hot dicriticals the pairs of
+    `sums_but_one` give N and the F of the edges leading out.  The hull of
+    A is z with the hot dicriticals when two or more are hot, where h-hat
+    is 1; when one dicritical u is hot, the hull is u, and h-hat(z) is u's
+    product off its arrows in A and its edge to z.  `near` holds
+    `fold.vertex_edges` of every vertex.
+    """
+    Q, S, ones, dead = fold.Q, fold.S, fold.ones, fold.dead
+    at_z = near[z]
+    if sum(n in dicriticals for n, _, _ in at_z) != len(dicriticals):
+        raise ValueError(f"a dicritical of node {z!r} does not lie next to it")
+    # the product of each hot dicritical's decorations on its edges off z
+    off = {
+        u: prod(q for m, q, _ in near[u] if m != z) for u in dicriticals if ones[u]
+    }
+    if not off:
+        raise ValueError("h-products need a nonempty arrow set")
+    # one hot dicritical u: the hull of A is u, the edge {u, z} leads to no
+    # arrow of A, and h-hat(z) is u's product off A and z
+    lone = len(off) == 1
+    F_out = {u: S[u] * q for u, q in off.items()}  # F(z->u)
+    N_z, F_in = sums_but_one([(q, F_out.get(n, 0)) for n, q, _ in at_z] + [(Q[z], 0)])
+    free_z = [q for n, q, _ in at_z if n not in off] + [Q[z]]
+    hh_z = 1
+    if lone:
+        ((u, q),) = off.items()
+        hh_z = dead[u] * q
+    sums = {z: (N_z, sum(F_out.values()), hh_z * prod(free_z), hh_z)}
+    walk = []  # (w, p, F(w->p), h-hat(w)) for each vertex w to visit
+    rest_z = iter(products_but_one(free_z) if len(free_z) > 1 else ())
+    for (n, _, q_n), F in zip(at_z, F_in):
+        if n not in off:
+            walk.append((n, z, F, hh_z * next(rest_z)))
+        elif len(near[n]) == 1:  # n's only vertex edge leads to z
+            h = dead[n] * q_n if lone else dead[n]
+            sums[n] = (F * Q[n] + q_n * S[n], F + ones[n], h, 1)
+        else:
+            edges = [(m, q) for m, q, _ in near[n] if m != z]
+            N_n, F_back = sums_but_one(
+                [(q_n, F), *((q, 0) for _, q in edges), (Q[n], S[n])]
+            )
+            free = [q for _, q in edges]
+            if lone:
+                free.append(q_n)
+            free.append(dead[n])
+            sums[n] = (N_n, F + ones[n], prod(free), 1)
+            for (m, _), F_m, r in zip(edges, F_back[1:], products_but_one(free)):
+                walk.append((m, n, F_m, r))
+    while walk:
+        w, p, F, hh = walk.pop()
+        if len(near[w]) == 1:  # w's only vertex edge leads to p
+            P = Q[w]
+            sums[w] = (P * F, F, P * hh, hh)
+            continue
+        kids = [(c, q) for c, q, _ in near[w] if c != p]
+        qs = [q for _, q in kids]
+        qs.append(Q[w])
+        P = prod(qs)
+        sums[w] = (P * F, F, P * hh, hh)
+        for (c, _), r in zip(kids, products_but_one(qs)):
+            walk.append((c, w, r * F, r * hh))
+    return sums
+
+
 def _dicritical_sums(
     a: Analysis,
 ) -> Iterator[tuple[CellRef, CellRef, int, int, int, int]]:
-    """(z, w, sum of x, sum of x-hat, h, h-hat) for every node z and base
-    vertex w, in that order, over the set A of (1)-arrows at z's
-    dicriticals.  A reaches each pass as the fold terms at those vertices:
-    one pass over the vertices per node gives N[w], the sum of x, and the F
-    of w's vertex edges, whose sum with the number of w's arrows in A is the
-    sum of x-hat; one walk out from the hull of A gives h and h-hat."""
+    """(z, w, N, sum of x-hat, h, h-hat) for every node z and base vertex
+    w, in that order, over the set A of (1)-arrows at z's dicriticals
+    (`_node_sums`)."""
     fold = a.table.fold
-    ones = fold.ones
-    # each base with the keys of F on its vertex edges
-    bases = [(w, [(w, n) for n, _, _ in fold.vertex_edges(w)]) for w in sorted(fold.order)]
+    near = {w: fold.vertex_edges(w) for w in fold.order}
+    bases = sorted(fold.order)
     for z in sorted(a.glob.nd):
-        sources = frozenset(a.ledger.per_vertex[z].dicriticals)
-        N, F = source_multiplicities(fold, sources)
-        hs = node_h_products(fold, sources)
-        for w, keys in bases:
-            sxh = sum(map(F.__getitem__, keys))
-            if w in sources:
-                sxh += ones[w]
-            h, h_hat = hs[w]
-            yield z, w, N[w], sxh, h, h_hat
+        sums = _node_sums(fold, near, z, a.ledger.per_vertex[z].dicriticals)
+        for w in bases:
+            yield (z, w, *sums[w])
 
 
 def _chk_dic_sum_div(a: Analysis) -> list[str]:

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
 )
 from .multiplicity import classify, multiplicities
-from .oracle_gen import GeneratorConfig, generate, generate_classified
+from .oracle_gen import GeneratorConfig, generate, generate_verdict
 from .report import (
     Analysis,
     ValidationFailedError,
@@ -130,19 +130,45 @@ def _audit_one_file(args) -> int:
 # when it audits at least this many seeds.
 SEEDS_PER_WORKER = 32
 
+# The failures of each distinct tree that this `audit --gen` command has
+# audited in this process, by its assembly (`generate_verdict`).  Emptied when
+# the command returns, so a worker forked for a command starts with it empty
+# and no command reads another's.
+_verdicts: dict = {}
+
+
+def _failures(screened) -> tuple[tuple[str, str], ...]:
+    """(check id, witness) of each audit check that fails on the tree,
+    analysed from the multiplicity table and classification that the
+    generator's screen computed for it."""
+    analysis = Analysis.from_classification(*screened, None)
+    return tuple((r.check_id, r.witness) for r in audit_failures(audit_analysis(analysis)))
+
 
 def _audit_seed(seed: int, max_cells: int) -> list[str]:
-    """The `seed S: FAIL` lines of the tree generated from `seed`, analysed
-    from the multiplicity table and classification that the generator's
-    screen computed for it."""
-    tree, table, info = generate_classified(
-        GeneratorConfig(seed=seed, max_cells=max_cells)
+    """The `seed S: FAIL` lines of the tree generated from `seed`, audited
+    once per distinct tree in this process."""
+    failures = generate_verdict(
+        GeneratorConfig(seed=seed, max_cells=max_cells), _failures, _verdicts
     )
-    analysis = Analysis.from_classification(tree, table, info, None)
-    return [
-        f"seed {seed}: FAIL {r.check_id} [{r.witness}]"
-        for r in audit_failures(audit_analysis(analysis))
-    ]
+    return [f"seed {seed}: FAIL {check_id} [{witness}]" for check_id, witness in failures]
+
+
+def _audit_outcome(seed: int, max_cells: int) -> list[str] | Exception:
+    """`_audit_seed`'s lines, or the exception it raised.  A worker maps its
+    seeds in chunks, and a chunk that raised would lose the lines of the
+    seeds before the faulting one."""
+    try:
+        return _audit_seed(seed, max_cells)
+    except Exception as exc:
+        return exc
+
+
+def _lines(outcome: list[str] | Exception) -> list[str]:
+    """An `_audit_outcome`'s lines; raises the exception it holds."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _audit_workers(n_seeds: int) -> int:
@@ -167,8 +193,14 @@ def _print_audits(n_seeds: int, lines_per_seed) -> int:
 
 
 def _audit_generated(args) -> int:
-    seeds = range(args.seed, args.seed + args.gen)
-    cells = repeat(args.max_cells)
+    try:
+        return _audit_seeds(range(args.seed, args.seed + args.gen), args.max_cells)
+    finally:
+        _verdicts.clear()
+
+
+def _audit_seeds(seeds: range, max_cells: int) -> int:
+    cells = repeat(max_cells)
     workers = _audit_workers(len(seeds))
     if workers:
         # imported here, so that no other command pays for the pool
@@ -183,11 +215,11 @@ def _audit_generated(args) -> int:
         else:
             chunk = len(seeds) // (4 * workers)
             with pool:
-                # map yields each seed's lines in seed order, and re-raises a
-                # worker's exception when its seed comes up
+                # map yields each seed's outcome in seed order; a seed that
+                # raised re-raises here, after the lines of every seed before
                 try:
-                    lines = pool.map(_audit_seed, seeds, cells, chunksize=chunk)
-                    return _print_audits(len(seeds), lines)
+                    outcomes = pool.map(_audit_outcome, seeds, cells, chunksize=chunk)
+                    return _print_audits(len(seeds), map(_lines, outcomes))
                 except BrokenProcessPool as exc:
                     raise InternalInconsistencyError(
                         f"an audit worker died: {exc}"

@@ -30,7 +30,7 @@ class VertexFold:
     every vertex for N, at a node's dicriticals in the audit.  At a vertex c
     the arrow edges give the pairs (q(e,c), 1) for its (1)-arrows when c is
     in D, and (q(e,c), 0) otherwise.  Pairs combine associatively (see
-    `_sums_but_one`), so they fold into the one pair (Q[c], S[c]) when c is
+    `sums_but_one`), so they fold into the one pair (Q[c], S[c]) when c is
     in D and (Q[c], 0) when it is not.
     """
 
@@ -82,7 +82,7 @@ class MultiplicityTable:
     fold: VertexFold
 
 
-def _sums_but_one(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+def sums_but_one(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
     """For pairs (q_i, F_i), S = sum over j of F_j times the product of every
     other q_i: S over all pairs, and S with each pair left out in turn.
 
@@ -152,7 +152,7 @@ def source_multiplicities(
     is S over the pairs of all vertex edges at v and v's fold term.  One
     pass up the vertices gives F on the edges directed away from the root,
     one pass down gives the rest, each visit O(vertex degree) through
-    `_sums_but_one`; no arrow is visited.
+    `sums_but_one`; no arrow is visited.
     """
     order, parent, children = fold.order, fold.parent, fold.children
     Q, S = fold.Q, fold.S
@@ -172,7 +172,7 @@ def source_multiplicities(
         if up is not None:
             pairs.append((up[1], F[c, up[0]]))
         pairs.append((Q[c], S[c] if c in sources else 0))
-        N[c], but_one = _sums_but_one(pairs)
+        N[c], but_one = sums_but_one(pairs)
         for (k, _, _), s in zip(kids, but_one):
             F[k, c] = s
     return N, F
@@ -197,7 +197,7 @@ def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
             continue
         pairs = [(q, one) for _, q, one in arrows]
         pairs += [(q, F[c, n]) for n, q, _ in fold.vertex_edges(c)]
-        _, but_one = _sums_but_one(pairs)
+        _, but_one = sums_but_one(pairs)
         for (alpha, _, one), s in zip(arrows, but_one):
             F[c, alpha] = one
             F[alpha, c] = s

@@ -32,14 +32,19 @@ skeleton vertex, and the determinant of each skeleton edge); solve the
 supports on the plan (path products once, then per-vertex arrow sums for
 each repair round); screen the supports on the clauses that read them
 (coprimality near each dicritical, and the determinant of its supporting
-edge); assemble the tree; and `_screen` it with `validate_axioms` and
-`classify`, and with the rational filter on the same table and
-classification.  `_screen` is the gate: every tree returned passes it.
-Both screens draw nothing from the RNG and reject only what `_screen` would
-reject on the same clause, so they change neither the attempt count nor
-the seed->tree mapping.  `generate_classified` returns the kept tree with
-the table and classification `_screen` computed, so that `audit --gen`
-classifies each tree once; `generate` returns the tree alone.
+edge); assemble the tree's cells and edges; in `generate_verdict` only,
+look that assembly up in the memo, and on a hit take the outcome stored
+for it; and otherwise build the tree and `_screen` it with
+`validate_axioms` and `classify`, and with the rational filter on the same
+table and classification.  `_screen` is the gate: every tree returned
+passes it.  Both screens draw nothing from the RNG and reject only what
+`_screen` would reject on the same clause, and the memo's outcome for an
+assembly is what `_screen` and the verdict gave it before, so none of them
+changes the attempt count or the seed->tree mapping.
+`generate_classified` returns the kept tree with the table and
+classification `_screen` computed, so that an analysis classifies each
+tree once; `generate` returns the tree alone; `generate_verdict` returns a
+verdict on the tree, which `audit --gen` takes once per distinct tree.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd, prod
 from operator import mul
+from typing import Callable, Iterator, TypeVar
 
 from .errors import GenerationError
 from .multiplicity import DicriticalInfo, MultiplicityTable, classify, multiplicities
@@ -386,9 +392,13 @@ def _support_screen(
     return True
 
 
+# The cells and edges of a tree, for `build_tree` with the root "v0".
+Assembly = tuple[list[Cell], list[Edge]]
+
+
 def _assemble(
     plan: list[_VertexPlan], supports: dict[tuple[int, int], int]
-) -> DecoratedRootedTree:
+) -> Assembly:
     cells: list[Cell] = []
     edges: list[Edge] = []
     for i, p in enumerate(plan):
@@ -411,7 +421,7 @@ def _assemble(
                 t = f"t{i}_{j}_{r}"
                 cells.append(Cell(t, ARROW, 1))
                 edges.append(make_edge(u, 1, t, 1))
-    return build_tree(cells, edges, "v0")
+    return cells, edges
 
 
 _PLANS = {
@@ -438,7 +448,7 @@ def _draw_mode(rng: random.Random) -> str:
     ]
 
 
-def _attempt(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
+def _attempt(rng: random.Random, cfg: GeneratorConfig) -> Assembly | None:
     mode = _draw_mode(rng)
     if mode == "pair":
         return _attempt_pair(rng, cfg)
@@ -453,7 +463,7 @@ def _attempt(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
     supports = _solve_supports(plan, near)
     if supports is None or not _support_screen(plan, supports, near):
         return None
-    return _screen(_assemble(plan, supports), cfg)
+    return _assemble(plan, supports)
 
 
 def _arrow_sums(
@@ -516,7 +526,7 @@ def _solve_supports(
     return supports
 
 
-def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
+def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> Assembly | None:
     """Two-vertex chains with both ends loose: dicritical degrees balanced so
     both chain ends carry nonpositive defect."""
     a_p = rng.randint(1, 4)
@@ -553,11 +563,10 @@ def _attempt_pair(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
     for r in range(d_q):
         cells.append(Cell(f"t1_{r}", ARROW, 1))
         edges.append(make_edge("u1_0", 1, f"t1_{r}", 1))
-    tree = build_tree(cells, edges, "v0")
-    return _screen(tree, cfg)
+    return cells, edges
 
 
-def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
+def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> Assembly | None:
     """A star whose every arm hangs loose off the root: two arms carrying a
     degree-(D,1) dicritical pair each, plus a root dicritical whose dead end
     is decorated D.  For odd D all supports are integral and coprime, both
@@ -589,8 +598,7 @@ def _attempt_brush(rng: random.Random, cfg: GeneratorConfig) -> Screened | None:
             edges.append(make_edge(ud, 1, f"t{i}_0_{r}", 1))
         cells.append(Cell(f"t{i}_1_0", ARROW, 1))
         edges.append(make_edge(um, 1, f"t{i}_1_0", 1))
-    tree = build_tree(cells, edges, "v0")
-    return _screen(tree, cfg)
+    return cells, edges
 
 
 def _screen(tree: DecoratedRootedTree, cfg: GeneratorConfig) -> Screened | None:
@@ -610,6 +618,16 @@ def _screen(tree: DecoratedRootedTree, cfg: GeneratorConfig) -> Screened | None:
     return tree, table, info
 
 
+def _assemblies(config: GeneratorConfig) -> Iterator[Assembly]:
+    """The assembly of each of the `MAX_ATTEMPTS` attempts that reaches one,
+    in attempt order."""
+    rng = _Draws(config.seed)
+    for _ in range(MAX_ATTEMPTS):
+        assembly = _attempt(rng, config)
+        if assembly is not None:
+            yield assembly
+
+
 def generate_classified(config: GeneratorConfig) -> Screened:
     """`generate`'s tree, with the multiplicity table and classification
     that its screen computed: (tree, table, info).
@@ -618,9 +636,8 @@ def generate_classified(config: GeneratorConfig) -> Screened:
     tree, as when `max_cells` is too small for any plan or the rational
     filter rejects every tree drawn.
     """
-    rng = _Draws(config.seed)
-    for _ in range(MAX_ATTEMPTS):
-        found = _attempt(rng, config)
+    for assembly in _assemblies(config):
+        found = _screen(build_tree(*assembly, "v0"), config)
         if found is not None:
             return found
     raise GenerationError(MAX_ATTEMPTS, "no tree satisfied the filters")
@@ -630,3 +647,51 @@ def generate(config: GeneratorConfig) -> DecoratedRootedTree:
     """A validated, generic, minimally complete tree, reproducible from the
     seed: the first item of `generate_classified`."""
     return generate_classified(config)[0]
+
+
+# `generate_verdict` stores no more outcomes than this in one memo.  An
+# outcome costs its key, about 0.5 KB at 40 cells, and the verdict.
+MEMO_BOUND = 2048
+
+V = TypeVar("V")
+
+
+def _assembly_key(cells: list[Cell], edges: list[Edge]) -> str:
+    """One text per assembly: equal texts, equal cells and edges in the same
+    order, as no id the generator gives holds a space, colon or comma.  A
+    text holds about 12 bytes per cell, where the cells and edges
+    themselves hold about 150."""
+    return " ".join(
+        [f"{c}:{kind[0]}{deco}" for c, kind, deco in cells]
+        + [f"{a},{b}:{qa},{qb}" for (a, b), (qa, qb) in edges]
+    )
+
+
+def generate_verdict(
+    config: GeneratorConfig,
+    verdict: Callable[[Screened], V],
+    memo: dict[str, V | None],
+) -> V:
+    """`verdict` of `generate_classified`'s result, taken once per distinct
+    tree that `memo` has room for.
+
+    `memo` maps the key of each assembly met so far to its outcome: None
+    when `_screen` rejected the tree, else the verdict on it, which must not
+    be None.  An assembly met again takes its stored outcome, with no build,
+    screen or verdict, so one memo serves one `verdict` and one `rational`.
+    Past `MEMO_BOUND` outcomes nothing more is stored, and an exception
+    leaves nothing stored.  Raises :class:`GenerationError` as
+    `generate_classified` does.
+    """
+    for assembly in _assemblies(config):
+        key = _assembly_key(*assembly)
+        if key in memo:
+            outcome = memo[key]
+        else:
+            found = _screen(build_tree(*assembly, "v0"), config)
+            outcome = None if found is None else verdict(found)
+            if len(memo) < MEMO_BOUND:
+                memo[key] = outcome
+        if outcome is not None:
+            return outcome
+    raise GenerationError(MAX_ATTEMPTS, "no tree satisfied the filters")

@@ -4,9 +4,9 @@ Each corpus is generated once per session, in `corpora`.  A test of
 `generate` itself, or of the `gen` and `audit --gen` commands, is marked
 `own_generation` and may generate what it likes; outside those tests a
 config generated twice fails the session when it ends.  The summary line
-gives the counts.  `audit --gen` generates through `generate_classified`,
-which `generate` calls and which is not counted, and its worker processes
-would count in their own copies anyway.
+gives the counts.  `audit --gen` generates through `generate_verdict`,
+which is not counted, and its worker processes would count in their own
+copies anyway.
 """
 
 from collections import Counter

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from newton_forest import structure
-from newton_forest.multiplicity import _sums_but_one
+from newton_forest.multiplicity import sums_but_one
 from newton_forest.oracle_gen import (  # re-exported
     _oracle_dicriticals,
     _oracle_x,
@@ -340,7 +340,7 @@ def cell_source_multiplicities(tree, arrows):
         if tree.is_arrow(d):
             F[c, d] = 1 if d in arrows else 0
         else:
-            F[c, d], _ = _sums_but_one(
+            F[c, d], _ = sums_but_one(
                 [(e.q_near(d), F[d, e.other(d)]) for e in children[d]]
             )
     N = {}
@@ -353,7 +353,7 @@ def cell_source_multiplicities(tree, arrows):
         pairs = [(e.q_near(c), F[c, e.other(c)]) for e in kids]
         if up is not None:
             pairs.append((up.q_near(c), F[c, up.other(c)]))
-        N[c], but_one = _sums_but_one(pairs)
+        N[c], but_one = sums_but_one(pairs)
         for e, s in zip(kids, but_one):
             F[e.other(c), c] = s
     return N, F

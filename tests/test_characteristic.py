@@ -8,7 +8,6 @@ import pytest
 from newton_forest.characteristic import (
     R_of,
     characteristic_numbers,
-    node_h_products,
     rational_divides,
     rational_gcd,
 )
@@ -217,44 +216,6 @@ def test_h_products_T_C_own_fan():
 def test_h_products_need_arrows():
     with pytest.raises(ValueError):
         oracle_h(fixture_T_A(), "v0", [])
-
-
-def _arrows_at(tree, sources):
-    """The (1)-arrows at the vertices in `sources`, sorted."""
-    return sorted(
-        alpha for u in sources for alpha in tree.neighbors(u) if alpha in tree.arrows1
-    )
-
-
-def test_node_h_products_match_definition():
-    # the walk outward from the hull equals the path-by-path definition for
-    # every vertex: on the (1)-arrows at each node's dicriticals, and at
-    # random sets of 1-3 vertices that carry (1)-arrows, which reach |A| = 1
-    # and hulls no node arrow set has
-    rng = random.Random(0)
-    checked = lone = 0
-    for a in corpora.analyses(FIXTURES + CORPUS_A[:200] + CORPUS_B[:4]):
-        tree = a.tree
-        fold = a.table.fold
-        carriers = sorted(v for v in tree.vertices if fold.ones[v])
-        sets = [a.ledger.per_vertex[z].dicriticals for z in sorted(a.glob.nd)]
-        sets += [rng.sample(carriers, min(k, len(carriers))) for k in (1, 2, 3)]
-        for sources in sets:
-            A = _arrows_at(tree, sources)
-            lone += len(A) == 1
-            hs = node_h_products(fold, frozenset(sources))
-            assert set(hs) == tree.vertices
-            for w in sorted(tree.vertices):
-                assert hs[w] == oracle_h(tree, w, A), (w, A)
-                checked += 1
-    assert checked > 6000 and lone > 100
-
-
-def test_node_h_products_need_arrows():
-    fold = multiplicities(fixture_T_A()).fold
-    for sources in (frozenset(), frozenset({"v0"})):  # v0 carries no (1)-arrow
-        with pytest.raises(ValueError):
-            node_h_products(fold, sources)
 
 
 def test_monotonicity_on_chain():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -10,6 +11,7 @@ from newton_forest.classify_audit import (
     REGISTRY,
     _dead_end_products,
     _dicritical_sums,
+    _node_sums,
     audit_analysis,
     audit_failures,
     divisor_trichotomy,
@@ -20,8 +22,10 @@ from newton_forest.classify_audit import (
     theorem_audit,
 )
 from newton_forest.local_invariants import VertexLedger
+from newton_forest.multiplicity import multiplicities
 from newton_forest.oracle_gen import _assemble, _skeleton_near, _solve_supports, _VertexPlan
 from newton_forest.report import Analysis
+from newton_forest.tree_model import build_tree
 
 import corpora
 from corpora import CORPUS_120_6, CORPUS_A, CORPUS_B, FIXTURES, RATIONAL
@@ -33,6 +37,7 @@ from oracles import (
     fixture_T_B,
     fixture_T_C,
     fixture_T_D,
+    oracle_h,
     path_dead_end_product,
 )
 
@@ -81,7 +86,7 @@ def test_recognize_canonical_families():
 
 def test_recognition_requires_exact_family_data():
     # a single degree-2 dicritical is a valid fan but matches no family
-    from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
+    from newton_forest.tree_model import ARROW, VERTEX, Cell, make_edge
 
     cells = [Cell("v0", VERTEX), Cell("u", VERTEX), Cell("t1", ARROW, 1),
              Cell("t2", ARROW, 1), Cell("o1", ARROW, 0)]
@@ -553,7 +558,8 @@ def test_wide_fan_audit_clean_and_linear():
     # Q re-multiplied per call, and under 0.01 s with one walk per node and
     # the Q table, so the bound leaves 5x headroom and still fails the former.
     plan = [_VertexPlan(None, 1, 1, None, 0, [(1, 1)] * 128)]
-    a = analysis(_assemble(plan, _solve_supports(plan, _skeleton_near(plan))))
+    supports = _solve_supports(plan, _skeleton_near(plan))
+    a = analysis(build_tree(*_assemble(plan, supports), "v0"))
     results = audit_analysis(a)
     assert {r.check_id for r in results} >= set(_REWRITTEN)
     assert audit_failures(results) == []
@@ -616,6 +622,83 @@ def test_divisor_trichotomy_case_c():
         table=dataclasses.replace(a.table, N={**a.table.N, "v0": 6}),
     )
     assert divisor_trichotomy(a, "v0") == "c"
+
+
+def _random_tree(rng):
+    """A tree of 2-8 vertices, each with up to two (1)-arrows and one dead
+    end, at least one arrow in all, and decorations in -2..3: the axioms
+    need not hold, but any vertex may carry (1)-arrows and lie between
+    others."""
+    from newton_forest.tree_model import ARROW, VERTEX, Cell, make_edge
+
+    def q():
+        return rng.randint(-2, 3)
+
+    m = rng.randint(2, 8)
+    cells = [Cell(f"v{i}", VERTEX) for i in range(m)]
+    edges = [make_edge(f"v{rng.randrange(i)}", q(), f"v{i}", q()) for i in range(1, m)]
+    for i in range(m):
+        ones = rng.choice((0, 1, 1, 2))
+        for k in range(ones):
+            cells.append(Cell(f"t{i}_{k}", ARROW, 1))
+            edges.append(make_edge(f"v{i}", q(), f"t{i}_{k}", 1))
+        if not ones or rng.random() < 0.5:  # a vertex has an arrow
+            cells.append(Cell(f"o{i}", ARROW, 0))
+            edges.append(make_edge(f"v{i}", q(), f"o{i}", 1))
+    return build_tree(cells, edges, "v0")
+
+
+def test_node_sums_match_definition():
+    # the walk out from z equals the path-by-path definitions at every
+    # vertex: on the (1)-arrows at each node's dicriticals, and at random
+    # sets of 1-3 neighbours of a random vertex that carry (1)-arrows, on
+    # the corpora and on random trees, whose vertices with (1)-arrows may
+    # have other vertex edges
+    rng = random.Random(0)
+    checked = lone = one_hot = off_z = 0
+    trees = [(a.tree, a.table.fold, a.ledger, a.glob.nd)
+             for a in corpora.analyses(FIXTURES + CORPUS_A[:200] + CORPUS_B[:4])]
+    for _ in range(150):
+        tree = _random_tree(rng)
+        trees.append((tree, multiplicities(tree).fold, None, ()))
+    for tree, fold, ledger, nodes in trees:
+        near = {w: fold.vertex_edges(w) for w in fold.order}
+        sets = [(z, ledger.per_vertex[z].dicriticals) for z in sorted(nodes)]
+        for z in rng.sample(sorted(tree.vertices), min(3, len(tree.vertices))):
+            carriers = sorted(n for n, _, _ in near[z] if fold.ones[n])
+            sets += [(z, tuple(rng.sample(carriers, min(k, len(carriers))))) for k in (1, 2, 3)]
+        for z, sources in sets:
+            A = sorted(x for u in sources for x in tree.neighbors(u) if x in tree.arrows1)
+            if not A:
+                continue
+            lone += len(A) == 1
+            one_hot += len(sources) == 1
+            off_z += any(len(near[u]) > 1 for u in sources)
+            N, F = cell_source_multiplicities(tree, frozenset(A))
+            sums = _node_sums(fold, near, z, sources)
+            assert set(sums) == tree.vertices
+            for w in sorted(tree.vertices):
+                sxh = sum(F[w, n] for n in tree.neighbors(w))
+                assert sums[w] == (N[w], sxh, *oracle_h(tree, w, A)), (z, w, A)
+                checked += 1
+    counts = (checked, lone, one_hot, off_z)
+    assert min(c - b for c, b in zip(counts, (12000, 900, 1400, 700))) > 0, counts
+
+
+def test_node_sums_need_arrows_next_to_the_node():
+    a = analysis(fixture_T_C((1, 1, 1)))
+    fold = a.table.fold
+    near = {w: fold.vertex_edges(w) for w in fold.order}
+    (z,) = a.glob.nd
+    dics = a.ledger.per_vertex[z].dicriticals
+    assert set(_node_sums(fold, near, z, dics)) == a.tree.vertices
+    for at, sources in ((z, ()), (dics[0], (z,))):  # z carries no (1)-arrow
+        with pytest.raises(ValueError, match="nonempty arrow set"):
+            _node_sums(fold, near, at, sources)
+    # a dicritical away from z: the walk would take the arrows at it to
+    # lie past z's edge to it, so it refuses the set
+    with pytest.raises(ValueError, match="does not lie next to it"):
+        _node_sums(fold, near, dics[0], dics[1:])
 
 
 def test_dicritical_sums_match_the_cell_level_passes():

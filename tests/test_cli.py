@@ -14,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from newton_forest import cli
+from newton_forest import cli, oracle_gen
+from newton_forest.classify_audit import audit_analysis, audit_failures
 from newton_forest.cli import run
 from newton_forest.errors import GenerationError, InternalInconsistencyError
+from newton_forest.oracle_gen import GeneratorConfig, generate, generate_classified
+from newton_forest.report import Analysis
 from newton_forest.tree_io import parse, serialize
 from newton_forest.tree_model import (
     ARROW,
@@ -528,12 +531,22 @@ def test_audit_gen(capsys):
     assert "12 trees audited, 0 failures" in out
 
 
+def _distinct_trees(n_seeds, max_cells=40):
+    """The number of distinct trees that seeds 0..n_seeds-1 generate."""
+    return len(
+        {serialize(generate(GeneratorConfig(seed=s, max_cells=max_cells))) for s in range(n_seeds)}
+    )
+
+
 @pytest.mark.own_generation
 def test_audit_gen_validates_each_tree_once(monkeypatch, capsys):
-    # the generator's screen validates each tree it keeps; the analysis
-    # reuses those diagnostics instead of checking the tree again
+    # the generator's screen validates each distinct tree it keeps, once per
+    # command; the analysis reuses those diagnostics instead of checking
+    # the tree again
     import newton_forest.tree_model as tree_model
 
+    distinct = _distinct_trees(30)
+    assert distinct < 30
     checked = []
     real = tree_model.iter_axiom_diagnostics
 
@@ -544,14 +557,12 @@ def test_audit_gen_validates_each_tree_once(monkeypatch, capsys):
     monkeypatch.setattr(tree_model, "iter_axiom_diagnostics", counted)
     assert run(["audit", "--gen", "30"]) == 0
     assert capsys.readouterr().out == "30 trees audited, 0 failures\n"
-    assert len(checked) == 30
+    assert len(checked) == distinct
 
 
-@pytest.mark.own_generation
-def test_audit_gen_classifies_each_tree_once(monkeypatch, capsys):
-    # the analysis starts from the multiplicity table and classification
-    # that the generator's screen computed: one call of each per tree, in
-    # whichever package module calls it (60 seeds run in process)
+def _count_classifications(monkeypatch):
+    """Counts of the `multiplicities` and `classify` calls of this process,
+    in whichever package module makes them."""
     from newton_forest import multiplicity
 
     calls = {"multiplicities": 0, "classify": 0}
@@ -567,10 +578,21 @@ def test_audit_gen_classifies_each_tree_once(monkeypatch, capsys):
                 for attr, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.own_generation
+def test_audit_gen_classifies_each_tree_once(monkeypatch, capsys):
+    # the analysis starts from the multiplicity table and classification
+    # that the generator's screen computed: one call of each per distinct
+    # tree (60 seeds run in process)
+    distinct = _distinct_trees(60)
+    assert distinct < 60
+    calls = _count_classifications(monkeypatch)
     assert cli._audit_workers(60) == 0
     assert run(["audit", "--gen", "60"]) == 0
     assert capsys.readouterr().out == "60 trees audited, 0 failures\n"
-    assert calls == {"multiplicities": 60, "classify": 60}
+    assert calls == {"multiplicities": distinct, "classify": distinct}
 
 
 @pytest.mark.own_generation
@@ -617,13 +639,13 @@ def _audit_gen(capsys, seed=0):
 def _count_generated(monkeypatch):
     """The seeds that this process generates from; a worker counts in its own copy."""
     seeds = []
-    real = cli.generate_classified
+    real = cli.generate_verdict
 
-    def counted(config):
+    def counted(config, verdict, memo):
         seeds.append(config.seed)
-        return real(config)
+        return real(config, verdict, memo)
 
-    monkeypatch.setattr(cli, "generate_classified", counted)
+    monkeypatch.setattr(cli, "generate_verdict", counted)
     return seeds
 
 
@@ -643,9 +665,9 @@ def test_audit_gen_pool_prints_the_in_process_bytes(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.own_generation
-def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
-    # one check fails on every tree with an odd number of cells
+def _fail_odd_trees(monkeypatch):
+    """Make the first check also fail on every tree with an odd number of
+    cells; its id."""
     import newton_forest.classify_audit as classify_audit
 
     check_id, applies, check = classify_audit.REGISTRY[0]
@@ -655,6 +677,12 @@ def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
 
     registry = ((check_id, applies, odd),) + classify_audit.REGISTRY[1:]
     monkeypatch.setattr(classify_audit, "REGISTRY", registry)
+    return check_id
+
+
+@pytest.mark.own_generation
+def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
+    check_id = _fail_odd_trees(monkeypatch)
     _cpus(monkeypatch, 2)
     pooled = _audit_gen(capsys)
     _cpus(monkeypatch, 1)
@@ -669,15 +697,17 @@ def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-def _fail_at_seed(monkeypatch, seed, fault):
-    real = cli.generate_classified
+def _fail_at_seed(monkeypatch, seeds, fault):
+    """Make generation fault at each seed in `seeds`, a container the
+    caller may change."""
+    real = cli.generate_verdict
 
-    def failing(config):
-        if config.seed == seed:
+    def failing(config, verdict, memo):
+        if config.seed in seeds:
             fault()
-        return real(config)
+        return real(config, verdict, memo)
 
-    monkeypatch.setattr(cli, "generate_classified", failing)
+    monkeypatch.setattr(cli, "generate_verdict", failing)
 
 
 def _raise(exc):
@@ -694,7 +724,7 @@ def test_audit_gen_worker_errors_exit_as_in_process(monkeypatch, capsys):
         (ValueError("math domain error"), 3),
         (GenerationError(3000, "no tree satisfied the filters"), 1),
     ):
-        _fail_at_seed(monkeypatch, 50, _raise(exc))
+        _fail_at_seed(monkeypatch, {50}, _raise(exc))
         _cpus(monkeypatch, 2)
         pooled = _audit_gen(capsys)
         _cpus(monkeypatch, 1)
@@ -705,8 +735,89 @@ def test_audit_gen_worker_errors_exit_as_in_process(monkeypatch, capsys):
 
 
 @pytest.mark.own_generation
+def test_audit_gen_pool_keeps_the_lines_before_a_fault(monkeypatch, capsys):
+    # a worker maps its seeds in chunks (48..55 is one at two workers); a
+    # seed that raises mid-chunk keeps the lines of the seeds before it
+    _fail_odd_trees(monkeypatch)
+    fault = set()
+    _fail_at_seed(monkeypatch, fault, _raise(InternalInconsistencyError("at the fault")))
+    mid_chunk = 0
+    for seed in range(48, 56):
+        fault.add(seed)
+        _cpus(monkeypatch, 2)
+        pooled = _audit_gen(capsys)
+        _cpus(monkeypatch, 1)
+        assert _audit_gen(capsys) == pooled
+        code, out, err = pooled
+        assert code == 3 and err == "internal inconsistency: at the fault\n"
+        failed = [int(line.split(":")[0].split()[1]) for line in out.splitlines()]
+        assert failed and max(failed) < seed
+        mid_chunk += max(failed) >= 48
+        fault.clear()
+    assert mid_chunk >= 4
+    assert multiprocessing.active_children() == []
+
+
+def _memo_free_lines(seeds, max_cells):
+    """The lines of `audit --gen` over `seeds`, each tree generated,
+    analysed and audited on its own."""
+    lines = []
+    for seed in seeds:
+        tree, table, info = generate_classified(GeneratorConfig(seed=seed, max_cells=max_cells))
+        results = audit_analysis(Analysis.from_classification(tree, table, info, None))
+        lines += [f"seed {seed}: FAIL {r.check_id} [{r.witness}]" for r in audit_failures(results)]
+    return lines
+
+
+@pytest.mark.own_generation
+def test_audit_gen_memo_changes_no_output(monkeypatch, capsys):
+    # a repeated tree takes its failures from the memo: the output is the
+    # seed-by-seed output, pooled or not, with the memo bounded or not
+    check_id = _fail_odd_trees(monkeypatch)
+    lines = _memo_free_lines(range(300), 40)
+    want = "".join(f"{line}\n" for line in lines)
+    want += f"300 trees audited, {len(lines)} failures\n"
+    texts = {}
+    for seed in range(300):
+        texts.setdefault(serialize(generate(GeneratorConfig(seed=seed))), []).append(seed)
+    failed = {int(line.split(":")[0].split()[1]) for line in lines}
+    repeats = [seeds for seeds in texts.values() if len(seeds) > 1 and seeds[0] in failed]
+    assert repeats
+    for seeds in repeats:  # each seed of a failing tree prints its own line
+        assert all(f"seed {s}: FAIL {check_id} [odd]" in want for s in seeds)
+
+    argv = ["audit", "--gen", "300", "--max-cells", "40"]
+    sizes = []
+    real = cli.generate_verdict
+
+    def watched(config, verdict, memo):
+        found = real(config, verdict, memo)
+        sizes.append(len(memo))
+        return found
+
+    monkeypatch.setattr(cli, "generate_verdict", watched)
+    calls = _count_classifications(monkeypatch)
+    _cpus(monkeypatch, 1)
+    for _ in range(2):  # a second command reads nothing the first stored
+        assert run(argv) == 3
+        assert capsys.readouterr() == (want, "")
+        assert calls == {"multiplicities": len(texts), "classify": len(texts)}
+        assert max(sizes) == len(texts) and cli._verdicts == {}
+        calls.update(dict.fromkeys(calls, 0))
+        sizes.clear()
+    monkeypatch.setattr(oracle_gen, "MEMO_BOUND", 2)
+    assert run(argv) == 3
+    assert capsys.readouterr() == (want, "")
+    assert max(sizes) == 2 and len(sizes) == 300
+    _cpus(monkeypatch, 2)
+    assert run(argv) == 3
+    assert capsys.readouterr() == (want, "")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.own_generation
 def test_audit_gen_dead_worker_exit_3(monkeypatch, capsys):
-    _fail_at_seed(monkeypatch, 50, lambda: os._exit(1))
+    _fail_at_seed(monkeypatch, {50}, lambda: os._exit(1))
     _cpus(monkeypatch, 2)
     code, out, err = _audit_gen(capsys)
     assert code == 3

@@ -14,7 +14,7 @@ from newton_forest.multiplicity import multiplicities
 from newton_forest.oracle_gen import GeneratorConfig, generate
 from newton_forest.report import Analysis, analysis_to_dict
 from newton_forest.tree_io import json_text, serialize
-from newton_forest.tree_model import DecoratedRootedTree, validate_axioms
+from newton_forest.tree_model import DecoratedRootedTree, build_tree, validate_axioms
 
 import corpora
 from corpora import CORPUS_A, CORPUS_B, FIXTURES, RATIONAL
@@ -123,6 +123,39 @@ def test_screened_analysis_equals_the_built_one():
 
 
 @pytest.mark.own_generation
+def test_generate_verdict_screens_each_assembly_once(monkeypatch):
+    """`generate_verdict` returns the verdict on `generate`'s tree, with one
+    screen per distinct assembly and one verdict per distinct tree kept:
+    over corpus A's seeds 0..199, and the rational filter's seeds 0..99,
+    whose screen rejects 190 assembled trees, some again on later seeds."""
+    want = {c: serialize(t) for c, t in zip(RATIONAL[:100], corpora.trees(RATIONAL[:100]))}
+    want.update((c, serialize(t)) for c, t in zip(CORPUS_A[:200], corpora.trees(CORPUS_A[:200])))
+    screened = []
+    real = og._screen
+
+    def counted(tree, cfg):
+        screened.append(tree)
+        return real(tree, cfg)
+
+    monkeypatch.setattr(og, "_screen", counted)
+    for configs in (CORPUS_A[:200], RATIONAL[:100]):
+        screened.clear()
+        memo, judged = {}, []
+
+        def verdict(found):
+            judged.append(found[0])
+            return serialize(found[0])
+
+        for config in configs:
+            assert og.generate_verdict(config, verdict, memo) == want[config]
+        kept = {want[config] for config in configs}
+        assert len(judged) == len(kept) < len(configs)
+        assert len(screened) == len(memo)
+        assert sorted(v for v in memo.values() if v is not None) == sorted(kept)
+    assert len(memo) - len(kept) == 190
+
+
+@pytest.mark.own_generation
 def test_generation_budget_error():
     # no attempt of any mode fits in 3 cells, so the whole budget is spent
     with pytest.raises(GenerationError) as err:
@@ -208,7 +241,7 @@ def test_plan_screen_is_sound():
         supports = og._solve_supports(plan, near)
         if supports is None:
             continue
-        tree = og._assemble(plan, supports)
+        tree = build_tree(*og._assemble(plan, supports), "v0")
         assert og._screen(tree, GeneratorConfig(seed=seed)) is None, (seed, k)
         assert {d.axiom_id for d in validate_axioms(tree)} & {5, 6}, (seed, k)
     assert rejected > 600 and passed > 300, (rejected, passed)
@@ -219,7 +252,7 @@ def test_screen_rejects_trees_not_minimally_complete():
     # decorated 1 at v0: both trees satisfy the axioms, but q = -3 is not
     # generic and q = 0 is complete without being minimally complete
     from newton_forest.multiplicity import classify
-    from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
+    from newton_forest.tree_model import ARROW, VERTEX, Cell, make_edge
 
     for q in (-3, 0):
         tree = build_tree(
@@ -256,7 +289,7 @@ def test_slot_contributions_match_oracle():
                            [(1, a_u) for _deg, a_u in p.dics])
             for p in plan
         ]
-        draft = og._assemble(probe, {})
+        draft = build_tree(*og._assemble(probe, {}), "v0")
         g = og._path_products(og._skeleton_near(plan))
         slots = [(i, j, a_u) for i, p in enumerate(plan) for j, (_, a_u) in enumerate(p.dics)]
         degrees = [plan[i].dics[j][0] for i, j, _ in slots]
@@ -295,7 +328,7 @@ def test_support_screen_is_sound():
         supports = og._solve_supports(plan, near)
         if supports is None:
             continue
-        tree = og._assemble(plan, supports)
+        tree = build_tree(*og._assemble(plan, supports), "v0")
         if og._support_screen(plan, supports, near):
             passed += 1
             assert validate_axioms(tree) == [], (seed, k)

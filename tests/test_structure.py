@@ -137,9 +137,10 @@ def test_quotient_H_on_generated_multicomb():
 
 def test_gamma_paths_on_brush():
     from newton_forest.oracle_gen import GeneratorConfig, _attempt_brush
+    from newton_forest.tree_model import build_tree
     import random
 
-    tree = _attempt_brush(random.Random(3), GeneratorConfig(seed=3))[0]
+    tree = build_tree(*_attempt_brush(random.Random(3), GeneratorConfig(seed=3)), "v0")
     st = Analysis.build(tree).struct
     assert st.is_brush
     assert st.W == {"v0"}
