@@ -107,7 +107,7 @@ def characteristic_numbers(
         for u in sorted(per)
     }
     parent_edge = tree._parent_edge
-    order = [u for u in tree._order if u in per]  # every parent before its children
+    order = [u for u in table.fold.order if u in per]  # parents before children
     if order and (
         order[0] != tree.root
         or any(parent_edge[u].other(u) not in per for u in order[1:])

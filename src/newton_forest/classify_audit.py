@@ -41,11 +41,9 @@ class CheckResult(NamedTuple):
 
 class RootFanEdge(NamedTuple):
     edge: Edge
-    far_end: CellRef
     a: int
     d: int
     k: int
-    x: int
 
 
 class RootFanData(NamedTuple):
@@ -152,9 +150,7 @@ def root_fan_data(analysis: Analysis) -> RootFanData:
             a = data.p // d
         if d <= 0 or N % d:
             raise InternalInconsistencyError(f"fan degree {d} does not divide {N}")
-        entries.append(
-            RootFanEdge(edge=e, far_end=far, a=a, d=d, k=N // d, x=e.q_near(far))
-        )
+        entries.append(RootFanEdge(edge=e, a=a, d=d, k=N // d))
     return RootFanData(N=N, delta=tree.valency(root), entries=tuple(entries))
 
 

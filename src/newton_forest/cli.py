@@ -145,23 +145,18 @@ def _failures(screened) -> tuple[tuple[str, str], ...]:
     return tuple((r.check_id, r.witness) for r in audit_failures(audit_analysis(analysis)))
 
 
-def _audit_seed(seed: int, max_cells: int) -> list[str]:
-    """The `seed S: FAIL` lines of the tree generated from `seed`, audited
-    once per distinct tree in this process."""
-    failures = generate_verdict(
-        GeneratorConfig(seed=seed, max_cells=max_cells), _failures, _verdicts
-    )
-    return [f"seed {seed}: FAIL {check_id} [{witness}]" for check_id, witness in failures]
-
-
 def _audit_outcome(seed: int, max_cells: int) -> list[str] | Exception:
-    """`_audit_seed`'s lines, or the exception it raised.  A worker maps its
-    seeds in chunks, and a chunk that raised would lose the lines of the
-    seeds before the faulting one."""
+    """The `seed S: FAIL` lines of the tree generated from `seed`, audited
+    once per distinct tree in this process, or the exception that raised.
+    A worker maps its seeds in chunks, and a chunk that raised would lose
+    the lines of the seeds before the faulting one."""
     try:
-        return _audit_seed(seed, max_cells)
+        failures = generate_verdict(
+            GeneratorConfig(seed=seed, max_cells=max_cells), _failures, _verdicts
+        )
     except Exception as exc:
         return exc
+    return [f"seed {seed}: FAIL {check_id} [{witness}]" for check_id, witness in failures]
 
 
 def _lines(outcome: list[str] | Exception) -> list[str]:
@@ -224,7 +219,8 @@ def _audit_seeds(seeds: range, max_cells: int) -> int:
                     raise InternalInconsistencyError(
                         f"an audit worker died: {exc}"
                     ) from exc
-    return _print_audits(len(seeds), map(_audit_seed, seeds, cells))
+    outcomes = map(_audit_outcome, seeds, cells)
+    return _print_audits(len(seeds), map(_lines, outcomes))
 
 
 def _cmd_audit(args) -> int:

@@ -5,8 +5,9 @@ the dicriticals.  For v in script-N the ledger carries the dead-end value a,
 the vertex-neighbour count r, the node data (adjacent dicriticals, their
 degrees and k-values, the sorted type), sigma, epsilon, the genus defects
 Delta and Delta-tilde, the degree gcd d(v), the unit-degree weight xi, purity
-and the auxiliary epsilon' = a* + b + epsilon.  The part of R(v, A) that does
-not depend on A is read from a and the k's (`characteristic.R_table`).
+and the auxiliary epsilon' = a* + b + epsilon, b being the number of adjacent
+dicriticals of degree below N_v.  The part of R(v, A) that does not depend on
+A is read from a and the k's (`characteristic.R_table`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class VertexData:
     xi: int
     pure: bool
     a_star: int
-    b: int
     epsilon_prime: int
 
 
@@ -123,22 +123,16 @@ def vertex_ledger(
             xi=xi,
             pure=pure,
             a_star=a_star,
-            b=b,
             epsilon_prime=a_star + b + epsilon,
         )
     return VertexLedger(per_vertex=out)
 
 
-def global_ledger(
-    tree: DecoratedRootedTree,
-    table: MultiplicityTable,
-    info: DicriticalInfo,
-    ledger: VertexLedger,
-) -> GlobalLedger:
-    """Global invariants.  The genus defect is the per-vertex sum; its other
-    routes (delta_N - D' and 2 - M - D) are compared by the audit check
-    `global-defect-routes`."""
-    script_N = frozenset(v for v in tree.vertices if table.N[v] > 0)
+def global_ledger(info: DicriticalInfo, ledger: VertexLedger) -> GlobalLedger:
+    """Global invariants, script-N being the ledger's vertices.  The genus
+    defect is the per-vertex sum; its other routes (delta_N - D' and
+    2 - M - D) are compared by the audit check `global-defect-routes`."""
+    script_N = frozenset(ledger.per_vertex)
     script_D = frozenset(info.dicriticals)
     nd = frozenset(v for v in script_N if ledger.per_vertex[v].is_node)
     nd_star = frozenset(v for v in nd if ledger.per_vertex[v].d == 1)

@@ -6,18 +6,19 @@ path; the hatted variant drops the edges incident to v itself.  N_v sums
 x(v,b) over all (1)-arrows.  No table of x is kept: for an edge directed
 from c to d, F(c->d) is the sum of x-hat(c,b) over the (1)-arrows b beyond
 d, so N_c is the sum of Q(e,c) F(c->d) over the edges e = {c,d} at c.  One
-rerooting pass over the directed vertex edges computes N for every vertex
-and F on every vertex edge, with each vertex's arrow edges folded into one
-term (`VertexFold`); the pair numbers p and p' and the audit checks read
-their sums of x-hat from F.  The fold is also where the analysis reads each
-vertex's (1)-arrows and dead ends, and so its dead-end value a.  The oracle
-module recomputes x arrow by arrow from the definition.
+rerooting pass over the directed vertex edges computes F on every vertex
+edge, with each vertex's arrow edges folded into one term (`VertexFold`),
+and then N for every vertex and dead end from the pairs at each vertex; the
+pair numbers p and p' and the audit checks read their sums of x-hat from
+F.  The fold is also where the analysis reads each vertex's (1)-arrows and
+dead ends, and so its dead-end value a.  The oracle module recomputes x
+arrow by arrow from the definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import Mapping
 
 from .tree_model import CellRef, DecoratedRootedTree
 
@@ -26,12 +27,12 @@ from .tree_model import CellRef, DecoratedRootedTree
 class VertexFold:
     """The tree on its vertices, each vertex's arrow edges folded into one term.
 
-    A pass sums over the (1)-arrows at the vertices of a source set D: at
-    every vertex for N, at a node's dicriticals in the audit.  At a vertex c
-    the arrow edges give the pairs (q(e,c), 1) for its (1)-arrows when c is
-    in D, and (q(e,c), 0) otherwise.  Pairs combine associatively (see
-    `sums_but_one`), so they fold into the one pair (Q[c], S[c]) when c is
-    in D and (Q[c], 0) when it is not.
+    At a vertex c the arrow edges give the pairs (q(e,c), 1) for its
+    (1)-arrows and (q(e,c), 0) for its (0)-arrows.  Pairs combine
+    associatively (see `sums_but_one`), so they fold into the one pair
+    (Q[c], S[c]).  `multiplicities` sums over every (1)-arrow; the audit's
+    node sums (`classify_audit._node_sums`) read the pair at a node's
+    dicriticals only, and (Q[c], 0) elsewhere.
     """
 
     order: list[CellRef]  # the vertices, every parent before its children
@@ -72,8 +73,9 @@ class VertexFold:
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """N over vertices and (0)-arrows, F on every directed edge (c, d), M(T),
-    the number of points at infinity, and the fold the passes read."""
+    """N over vertices and (0)-arrows, F on every directed vertex edge
+    (c, d), M(T), the number of points at infinity, and the fold the passes
+    read."""
 
     N: Mapping[CellRef, int]
     F: Mapping[tuple[CellRef, CellRef], int]
@@ -138,72 +140,48 @@ def _vertex_fold(tree: DecoratedRootedTree) -> VertexFold:
     return VertexFold(order, parent, children, arrows, Q, S, ones, dead)
 
 
-def source_multiplicities(
-    fold: VertexFold, sources: AbstractSet[CellRef]
-) -> tuple[dict[CellRef, int], dict[tuple[CellRef, CellRef], int]]:
-    """N over the vertices and F on every directed vertex edge, summed over
-    the (1)-arrows at the vertices in `sources`.  A source set costs what the
-    vertices cost: their edges to each other plus one fold term per vertex,
-    however many arrows hang off them.
+def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
+    """Compute the multiplicity table for a structurally valid tree.
 
-    For a vertex edge e directed from c to d, F(c->d) sums x-hat(c,b) over
-    those arrows b on d's side: the sum S over the pairs (q(e',d),
-    F(d->d')) of d's other vertex edges e' = {d,d'} and d's fold term.  N_v
-    is S over the pairs of all vertex edges at v and v's fold term.  One
-    pass up the vertices gives F on the edges directed away from the root,
-    one pass down gives the rest, each visit O(vertex degree) through
-    `sums_but_one`; no arrow is visited.
+    One visit per cell builds the fold; a rerooting pass over the vertices
+    then gives F on the vertex edges.  For a vertex edge e directed from c
+    to d, F(c->d) sums x-hat(c,b) over the (1)-arrows b on d's side: the sum
+    S over the pairs (q(e',d), F(d->d')) of d's other vertex edges e' =
+    {d,d'} and d's fold term.  One pass up the vertices gives F on the edges
+    directed away from the root, each visit O(vertex degree) with no arrow
+    visited.  One pass down combines at each vertex c the pairs of its
+    vertex edges with those of its arrow edges, (q(e,c), 1) on a (1)-arrow
+    and (q(e,c), 0) on a (0)-arrow: S over all of them is N_c, and
+    `sums_but_one` leaves each out in turn for F on the edges toward c and
+    for the N of each dead end.  The dead-end relation N_v = q(e,v) *
+    N_alpha is not re-checked here; the audit check `dead-end-multiplicity`
+    owns it.
     """
+    fold = _vertex_fold(tree)
     order, parent, children = fold.order, fold.parent, fold.children
-    Q, S = fold.Q, fold.S
+    Q, S, ones = fold.Q, fold.S, fold.ones
 
     F: dict[tuple[CellRef, CellRef], int] = {}
     for d in reversed(order[1:]):
-        q_d, s_d = Q[d], S[d] if d in sources else 0
+        q_d, s_d = Q[d], S[d]
         for c, q, _ in children[d]:
             q_d, s_d = q_d * q, s_d * q + q_d * F[d, c]
         F[parent[d][0], d] = s_d
 
     N: dict[CellRef, int] = {}
     for c in order:
-        kids = children[c]
+        kids, arrows = children[c], fold.arrows[c]
         pairs = [(q, F[c, k]) for k, q, _ in kids]
         up = parent.get(c)
         if up is not None:
             pairs.append((up[1], F[c, up[0]]))
-        pairs.append((Q[c], S[c] if c in sources else 0))
+        pairs += [(q, one) for _, q, one in arrows]
         N[c], but_one = sums_but_one(pairs)
         for (k, _, _), s in zip(kids, but_one):
             F[k, c] = s
-    return N, F
-
-
-def multiplicities(tree: DecoratedRootedTree) -> MultiplicityTable:
-    """Compute the multiplicity table for a structurally valid tree.
-
-    One visit per cell builds the fold; the rerooting pass over the
-    vertices (`source_multiplicities`, every vertex a source) gives N on the
-    vertices and F on the vertex edges.  At each vertex c the pairs of its
-    arrow edges then combine with those of its vertex edges, (q(e,c),
-    F(c->n)) for e = {c, n}: F(c->b) is 1 on a (1)-arrow b and 0 on a
-    (0)-arrow, and F(b->c), the N of a dead end b, is the sum at c with b's
-    pair left out.  The dead-end relation N_v = q(e,v) * N_alpha is not
-    re-checked here; the audit check `dead-end-multiplicity` owns it.
-    """
-    fold = _vertex_fold(tree)
-    N, F = source_multiplicities(fold, tree.vertices)
-    for c, arrows in fold.arrows.items():
-        if not arrows:
-            continue
-        pairs = [(q, one) for _, q, one in arrows]
-        pairs += [(q, F[c, n]) for n, q, _ in fold.vertex_edges(c)]
-        _, but_one = sums_but_one(pairs)
-        for (alpha, _, one), s in zip(arrows, but_one):
-            F[c, alpha] = one
-            F[alpha, c] = s
-            if not one:
-                N[alpha] = s
-    N = dict(sorted(N.items()))
+        dead = arrows[ones[c]:]  # the arrows' pairs come last, (1)-arrows first
+        for (alpha, _, _), s in zip(dead, but_one[len(pairs) - len(dead):]):
+            N[alpha] = s
     M = -sum(N[v] * (tree.valency(v) - 2) for v in N)
 
     # the points at infinity are the root's edges but its dead end

@@ -41,10 +41,9 @@ passes it.  Both screens draw nothing from the RNG and reject only what
 `_screen` would reject on the same clause, and the memo's outcome for an
 assembly is what `_screen` and the verdict gave it before, so none of them
 changes the attempt count or the seed->tree mapping.
-`generate_classified` returns the kept tree with the table and
-classification `_screen` computed, so that an analysis classifies each
-tree once; `generate` returns the tree alone; `generate_verdict` returns a
-verdict on the tree, which `audit --gen` takes once per distinct tree.
+`generate` returns the kept tree; `generate_verdict` returns a verdict on
+the tree, its multiplicity table and classification as `_screen` computed
+them, so that `audit --gen` classifies and audits each distinct tree once.
 """
 
 from __future__ import annotations
@@ -628,9 +627,9 @@ def _assemblies(config: GeneratorConfig) -> Iterator[Assembly]:
             yield assembly
 
 
-def generate_classified(config: GeneratorConfig) -> Screened:
-    """`generate`'s tree, with the multiplicity table and classification
-    that its screen computed: (tree, table, info).
+def generate(config: GeneratorConfig) -> DecoratedRootedTree:
+    """A validated, generic, minimally complete tree, reproducible from the
+    seed: the first assembly whose tree passes `_screen`.
 
     Raises :class:`GenerationError` when `MAX_ATTEMPTS` attempts yield no
     tree, as when `max_cells` is too small for any plan or the rational
@@ -639,14 +638,8 @@ def generate_classified(config: GeneratorConfig) -> Screened:
     for assembly in _assemblies(config):
         found = _screen(build_tree(*assembly, "v0"), config)
         if found is not None:
-            return found
+            return found[0]
     raise GenerationError(MAX_ATTEMPTS, "no tree satisfied the filters")
-
-
-def generate(config: GeneratorConfig) -> DecoratedRootedTree:
-    """A validated, generic, minimally complete tree, reproducible from the
-    seed: the first item of `generate_classified`."""
-    return generate_classified(config)[0]
 
 
 # `generate_verdict` stores no more outcomes than this in one memo.  An
@@ -672,16 +665,16 @@ def generate_verdict(
     verdict: Callable[[Screened], V],
     memo: dict[str, V | None],
 ) -> V:
-    """`verdict` of `generate_classified`'s result, taken once per distinct
-    tree that `memo` has room for.
+    """`verdict` of `_screen`'s (tree, table, info) for `generate`'s tree,
+    taken once per distinct tree that `memo` has room for.
 
     `memo` maps the key of each assembly met so far to its outcome: None
     when `_screen` rejected the tree, else the verdict on it, which must not
     be None.  An assembly met again takes its stored outcome, with no build,
     screen or verdict, so one memo serves one `verdict` and one `rational`.
     Past `MEMO_BOUND` outcomes nothing more is stored, and an exception
-    leaves nothing stored.  Raises :class:`GenerationError` as
-    `generate_classified` does.
+    leaves nothing stored.  Raises :class:`GenerationError` as `generate`
+    does.
     """
     for assembly in _assemblies(config):
         key = _assembly_key(*assembly)

@@ -81,7 +81,7 @@ class Analysis:
         order, with the decompositions at every initial vertex when z is
         None."""
         ledger = vertex_ledger(tree, table, info)  # raises if not minimally complete
-        glob = global_ledger(tree, table, info, ledger)
+        glob = global_ledger(info, ledger)
         chars = characteristic_numbers(tree, table, ledger)
         struct = structure_ledger(tree, ledger, chars)
         starts = sorted(struct.In) if z is None else [z]  # z must lie in In

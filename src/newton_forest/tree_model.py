@@ -97,10 +97,10 @@ class DecoratedRootedTree:
     each cell into the vertices or the 0- or 1-arrows as it reaches it, and
     returns a tree only when every declared kind and decoration agrees.
     `vertices`, `arrows0` and `arrows1` are built from those lists on first
-    use; they and the axiom diagnostics are the only state a tree gains,
-    each a function of its fields.  Edge lookups and paths read the parent
-    edges.  Whatever an analysis derives, dead ends and a-values included,
-    is kept on the analysis.
+    use; they are the only state a tree gains, each a function of its
+    fields.  Edge lookups and paths read the parent edges.  Whatever an
+    analysis derives, dead ends and a-values included, is kept on the
+    analysis.
     """
 
     cells: dict[CellRef, Cell]
@@ -116,13 +116,6 @@ class DecoratedRootedTree:
     # and below belong to the tree; readers must not change them.
     _incident: dict[CellRef, list[Edge]] = field(repr=False, compare=False)
     _parent_edge: dict[CellRef, Edge | None] = field(repr=False, compare=False)
-    # The breadth-first order from the root (every parent before its children)
-    _order: list[CellRef] = field(repr=False, compare=False)
-
-    @cached_property
-    def _axiom_diagnostics(self) -> tuple[ValidationDiagnostic, ...]:
-        # kept so that a tree is checked once however often it is validated
-        return tuple(iter_axiom_diagnostics(self))
 
     # -- basic sets ---------------------------------------------------------
 
@@ -272,7 +265,6 @@ def build_tree(
     # a tree, which the counts detect.  A cell reached with one edge is an
     # arrow; the others are vertices, expanded in the order reached.
     parent_edge: dict[CellRef, Edge | None] = {root: None}
-    order = [root]
     vertices = [root]
     arrows0: list[CellRef] = []
     arrows1: list[CellRef] = []
@@ -290,7 +282,6 @@ def build_tree(
             if d in parent_edge:
                 continue
             parent_edge[d] = e
-            order.append(d)
             if len(incident[d]) != 1:
                 vertices.append(d)
                 continue
@@ -303,7 +294,7 @@ def build_tree(
                 arrows0.append(d)
             else:
                 misfits.append(d)
-    if len(order) != len(by_id):
+    if len(parent_edge) != len(by_id):
         missing = sorted(set(by_id) - set(parent_edge))
         problems.append(f"disconnected: unreachable cells {missing}")
     if problems:
@@ -339,7 +330,6 @@ def build_tree(
         _arrows1=arrows1,
         _incident=incident,
         _parent_edge=parent_edge,
-        _order=order,
     )
 
 
@@ -400,11 +390,9 @@ def _coprime_diagnostics(
 def validate_axioms(tree: DecoratedRootedTree) -> list[ValidationDiagnostic]:
     """Check the six defining axioms; an empty list means the tree passes all.
 
-    The list of :func:`iter_axiom_diagnostics`, in its order.  The tree
-    keeps the diagnostics, so validating it again returns a copy of them
-    without checking anything.
+    The list of :func:`iter_axiom_diagnostics`, in its order.
     """
-    return list(tree._axiom_diagnostics)
+    return list(iter_axiom_diagnostics(tree))
 
 
 def iter_axiom_diagnostics(tree: DecoratedRootedTree) -> Iterator[ValidationDiagnostic]:

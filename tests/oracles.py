@@ -327,10 +327,25 @@ def comb_steps(a):
 # one walk over every cell for h and h-hat.
 
 
+def _breadth_first(tree):
+    """Each cell's edge toward the root (None at the root) and the cells in
+    breadth-first order from the root, every parent before its children:
+    the oracles' own walk over `incident_edges`."""
+    parent_edge = {tree.root: None}
+    order = [tree.root]
+    for c in order:
+        for e in tree.incident_edges(c):
+            d = e.other(c)
+            if d not in parent_edge:
+                parent_edge[d] = e
+                order.append(d)
+    return parent_edge, order
+
+
 def cell_source_multiplicities(tree, arrows):
     """N over vertices and (0)-arrows and F on every directed edge, summed
     over the (1)-arrows in `arrows`, by one rerooting pass over every cell."""
-    parent_edge, order = tree._parent_edge, tree._order
+    parent_edge, order = _breadth_first(tree)
     children = {
         c: [e for e in tree.incident_edges(c) if e is not parent_edge[c]] for c in order
     }
@@ -362,7 +377,7 @@ def cell_source_multiplicities(tree, arrows):
 def cell_node_h_products(tree, arrows):
     """(h, h-hat) at every vertex for the arrow set `arrows`, by one walk
     outward from its hull over every cell."""
-    parent_edge, order = tree._parent_edge, tree._order
+    parent_edge, order = _breadth_first(tree)
     below = dict.fromkeys(order, 0)
     for c in reversed(order[1:]):
         if c in arrows:

@@ -56,7 +56,7 @@ def test_root_fan_data_T_A():
     fan = root_fan_data(analysis(fixture_T_A()))
     assert fan.delta == 1 and fan.N == 1
     (entry,) = fan.entries
-    assert (entry.a, entry.d, entry.k, entry.x) == (1, 1, 1, 0)
+    assert (entry.a, entry.d, entry.k) == (1, 1, 1)
 
 
 def test_root_fan_data_T_C_1_2_3():

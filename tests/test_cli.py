@@ -18,7 +18,7 @@ from newton_forest import cli, oracle_gen
 from newton_forest.classify_audit import audit_analysis, audit_failures
 from newton_forest.cli import run
 from newton_forest.errors import GenerationError, InternalInconsistencyError
-from newton_forest.oracle_gen import GeneratorConfig, generate, generate_classified
+from newton_forest.oracle_gen import GeneratorConfig, generate, generate_verdict
 from newton_forest.report import Analysis
 from newton_forest.tree_io import parse, serialize
 from newton_forest.tree_model import (
@@ -541,8 +541,8 @@ def _distinct_trees(n_seeds, max_cells=40):
 @pytest.mark.own_generation
 def test_audit_gen_validates_each_tree_once(monkeypatch, capsys):
     # the generator's screen validates each distinct tree it keeps, once per
-    # command; the analysis reuses those diagnostics instead of checking
-    # the tree again
+    # command; the analysis is built from the screen's classification and
+    # does not validate the tree again
     import newton_forest.tree_model as tree_model
 
     distinct = _distinct_trees(30)
@@ -763,7 +763,8 @@ def _memo_free_lines(seeds, max_cells):
     analysed and audited on its own."""
     lines = []
     for seed in seeds:
-        tree, table, info = generate_classified(GeneratorConfig(seed=seed, max_cells=max_cells))
+        config = GeneratorConfig(seed=seed, max_cells=max_cells)
+        tree, table, info = generate_verdict(config, lambda s: s, {})
         results = audit_analysis(Analysis.from_classification(tree, table, info, None))
         lines += [f"seed {seed}: FAIL {r.check_id} [{r.witness}]" for r in audit_failures(results)]
     return lines

@@ -184,3 +184,55 @@ def test_no_shipped_name_serves_only_the_tests():
             if defs[node] in reached:
                 reached |= reads[node]
     assert PERFBENCH_ORACLES <= reached
+
+
+# Annotated fields ("Class.field") that `src` may keep without reading them
+# as an attribute.  Empty: a field that nothing reads is computed and stored
+# for nothing.
+UNREAD_FIELDS: set[str] = set()
+
+
+def test_every_stored_field_is_read():
+    # Each annotated field of each class defined in `src` is read somewhere
+    # in `src` as an attribute, in its own class's methods or anywhere else.
+    # Names are matched as written: a field counts as read wherever an
+    # attribute of its name is loaded.
+    modules = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    fields = []
+    read = set()
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef):
+                fields += [
+                    (node.name, member.target.id)
+                    for member in node.body
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(fields) > 50
+    unread = {f"{cls}.{name}" for cls, name in fields if name not in read}
+    assert unread == UNREAD_FIELDS
+
+
+def test_perfbench_tracer_targets_resolve():
+    # `perfbench/run.py --trace 1` rebinds each (module, function) of the
+    # tracer's TARGETS by name, and swaps `cli.json` and
+    # `classify_audit.REGISTRY` when it installs; a rename in `src` would
+    # break it with no other test failing.  The tracer imports only the
+    # standard library, so its source runs here as it is, and no bytecode
+    # is written next to it.
+    import importlib
+
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    namespace = {"__name__": "perfbench_tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    targets = namespace["TARGETS"]
+    assert len(targets) > 10
+    for module, function, *_ in targets:
+        owner = importlib.import_module(f"newton_forest.{module}")
+        assert callable(getattr(owner, function, None)), (module, function)
+    from newton_forest import classify_audit, cli
+
+    assert cli.json.dumps
+    assert classify_audit.REGISTRY

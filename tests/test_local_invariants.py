@@ -89,8 +89,9 @@ def test_epsilon_prime_components():
     led = Analysis.build(fixture_T_D()).ledger
     w = led.per_vertex["w"]
     assert w.a_star == 1  # dead end decorated 2
-    assert w.b == 1  # its one dicritical has degree 3 < N_w = 6
-    assert w.epsilon_prime == 3 == w.a_star + w.b + w.epsilon
+    # b = 1: its one dicritical has degree 3 < N_w = 6
+    assert w.epsilon_prime - w.a_star - w.epsilon == 1
+    assert w.epsilon_prime == 3
 
 
 def test_requires_minimal_completeness():

@@ -1,11 +1,12 @@
-from newton_forest.multiplicity import classify, multiplicities, source_multiplicities
+import math
+
+from newton_forest.multiplicity import classify, multiplicities
 from newton_forest.tree_model import ARROW, VERTEX, Cell, build_tree, make_edge
 
 import corpora
 from corpora import CORPUS_A, CORPUS_B, FIXTURES
 from oracles import (
     Q,
-    _oracle_x,
     fixture_T_A,
     fixture_T_B,
     fixture_T_C,
@@ -16,22 +17,23 @@ from oracles import (
 
 
 def _assert_F_sums_x(tree, table):
-    # F(c->d) sums x-hat(c, .) over the (1)-arrows beyond d, and
-    # N_c = sum over the edges e = {c, d} at c of Q(e, c) F(c->d)
-    for c in tree.cell_ids():
-        edges = tree.incident_edges(c)
+    # F(c->d) sums x-hat(c, .) over the (1)-arrows beyond the vertex d, and
+    # N_c = sum over the vertex edges e = {c, d} at c of Q(e, c) F(c->d),
+    # plus c's arrow terms: the fold's S[c] times the product of c's
+    # vertex-edge decorations
+    for c in tree.vertices:
+        edges = [e for e in tree.incident_edges(c) if e.other(c) in tree.vertices]
         for e in edges:
             assert table.F[c, e.other(c)] == oracle_F(tree, c, e.other(c))
-        if c in table.N:
-            assert table.N[c] == sum(Q(tree, e, c) * table.F[c, e.other(c)] for e in edges)
+        arrows = math.prod(e.q_near(c) for e in edges) * table.fold.S[c]
+        vertex_terms = sum(Q(tree, e, c) * table.F[c, e.other(c)] for e in edges)
+        assert table.N[c] == vertex_terms + arrows
 
 
 def test_x_values_T_A():
     t = fixture_T_A()
     tab = multiplicities(t)
     assert tab.F["v0", "u"] == 1  # x(v0, t1) = 1
-    # x(u, t1) = 0: Q near u carries the zero decoration toward v0
-    assert Q(t, t.edge_between("u", "t1"), "u") * tab.F["u", "t1"] == 0
     _assert_F_sums_x(t, tab)
 
 
@@ -56,23 +58,14 @@ def test_x_hat_T_D():
     # x-hat(v0, b) = 2 for each of the three arrows, all beyond w
     assert tab.F["v0", "w"] == 3 * 2
     assert tab.F["w", "u"] == 3
-    assert all(tab.F["u", b] == 1 for b in ("t1", "t2", "t3"))
     _assert_F_sums_x(t, tab)
 
 
 def test_x_rejects_zero_arrows():
-    # only (1)-arrows are summed over: F toward a (0)-arrow is 0
-    t = fixture_T_A()
-    tab = multiplicities(t)
-    assert tab.F["u", "o1"] == 0 and tab.F["u", "t1"] == 1
-    # and only the (1)-arrows at the vertices the pass is given
-    N, F = source_multiplicities(tab.fold, frozenset())
-    assert set(N.values()) == set(F.values()) == {0}
-    t = fixture_T_B(2, 3)
-    N, F = source_multiplicities(multiplicities(t).fold, frozenset({"u1"}))
-    assert F["v0", "u1"] == 2 and F["v0", "u2"] == 0 and F["u1", "v0"] == 0
-    assert N == {v: _oracle_x(t, v, "t1", hat=False) for v in t.vertices}
-    assert N["v0"] == 2
+    # only (1)-arrows are summed over: u's (0)-arrow o1 adds no term to its
+    # fold, whose S would read 2 were o1 a (1)-arrow
+    tab = multiplicities(fixture_T_A())
+    assert tab.fold.ones["u"] == 1 and tab.fold.S["u"] == 1
 
 
 def test_x_factorization():
@@ -146,11 +139,8 @@ def test_classify_non_generic():
 
 
 def test_source_multiplicities_match_oracle():
-    # generated trees carry zero decorations, which the pass must keep exact
+    # generated trees carry zero decorations, which the pass must keep
+    # exact; N covers the vertices and the dead ends
     for tree in corpora.trees(FIXTURES + CORPUS_A[:60] + CORPUS_B[:4]):
-        table = multiplicities(tree)
-        N, _ = source_multiplicities(table.fold, tree.vertices)
-        assert N == {v: oracle_N(tree, v) for v in tree.vertices}
-        # the table adds the dead ends to the pass's N and sorts it once
-        assert table.N == {v: oracle_N(tree, v) for v in tree.vertices | tree.arrows0}
-        assert list(table.N) == sorted(table.N)
+        N = multiplicities(tree).N
+        assert N == {v: oracle_N(tree, v) for v in tree.vertices | tree.arrows0}

@@ -114,7 +114,7 @@ def test_screened_analysis_equals_the_built_one():
     returned with a tree equals `Analysis.build` of that tree, and so do
     their audits: corpus A seeds 0..199, each tree the generator's own."""
     for config in CORPUS_A[:200]:
-        tree, table, info = og.generate_classified(config)
+        tree, table, info = og.generate_verdict(config, lambda s: s, {})
         assert serialize(tree) == serialize(corpora.tree(config)), config
         screened = Analysis.from_classification(tree, table, info, None)
         built = Analysis.build(tree)
@@ -365,10 +365,10 @@ def test_support_solve_is_quadratic_on_a_wide_fan(monkeypatch):
 def test_generated_trees_carry_no_analysis_cache():
     # a caller may keep many generated trees alive, as the benchmark's
     # corpus-small keeps 1000: the screen may leave on a tree only its own
-    # fields and the diagnostics and cell sets it reads, not the fold of
-    # `multiplicities` or any other per-analysis view
+    # fields and the cell sets it reads, not its axiom diagnostics, the fold
+    # of `multiplicities` or any other per-analysis view
     fields = [f.name for f in dataclasses.fields(DecoratedRootedTree)]
-    allowed = set(fields) | {"_axiom_diagnostics", "arrows0", "arrows1", "vertices"}
+    allowed = set(fields) | {"arrows0", "arrows1", "vertices"}
     configs = [GeneratorConfig(seed=s) for s in range(40)]
     configs += [
         GeneratorConfig(seed=s, max_cells=400, max_dicritical_degree=120) for s in range(4)

@@ -129,14 +129,17 @@ def test_path_properties(seed):
 @TREE_SETTINGS
 @given(st.integers(0, 5000))
 def test_x_factorization_property(seed):
-    # F(c->d) is the oracle's x-hat sum beyond d; N_c = sum of Q(e,c) F(c->d)
+    # F(c->d) is the oracle's x-hat sum beyond the vertex d; N_c = sum of
+    # Q(e,c) F(c->d) over c's vertex edges, plus c's (1)-arrows' terms Q(e,c)
     tree = _tree(seed)
     table = multiplicities(tree)
     for c in sorted(tree.vertices)[:5]:
-        edges = tree.incident_edges(c)
+        edges = [e for e in tree.incident_edges(c) if e.other(c) in tree.vertices]
         for e in edges:
             assert table.F[c, e.other(c)] == oracle_F(tree, c, e.other(c))
-        assert table.N[c] == sum(Q(tree, e, c) * table.F[c, e.other(c)] for e in edges)
+        ones = [e for e in tree.incident_edges(c) if e.other(c) in tree.arrows1]
+        vertex_terms = sum(Q(tree, e, c) * table.F[c, e.other(c)] for e in edges)
+        assert table.N[c] == vertex_terms + sum(Q(tree, e, c) for e in ones)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
