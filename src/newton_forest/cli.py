@@ -126,8 +126,8 @@ def _audit_one_file(args) -> int:
     return 3 if bad else 0
 
 
-# A worker process pays for its fork and its share of the result traffic only
-# when it audits at least this many seeds.
+# A forked worker pays for its fork and for pickling its outcomes to the
+# parent only when it audits at least this many seeds.
 SEEDS_PER_WORKER = 32
 
 # The failures of each distinct tree that this `audit --gen` command has
@@ -148,8 +148,9 @@ def _failures(screened) -> tuple[tuple[str, str], ...]:
 def _audit_outcome(seed: int, max_cells: int) -> list[str] | Exception:
     """The `seed S: FAIL` lines of the tree generated from `seed`, audited
     once per distinct tree in this process, or the exception that raised.
-    A worker maps its seeds in chunks, and a chunk that raised would lose
-    the lines of the seeds before the faulting one."""
+    A worker sends the parent each seed's outcome and stops at its first
+    exception, so the parent prints the lines of every seed before the
+    faulting one and raises there, as in process."""
     try:
         failures = generate_verdict(
             GeneratorConfig(seed=seed, max_cells=max_cells), _failures, _verdicts
@@ -169,11 +170,12 @@ def _lines(outcome: list[str] | Exception) -> list[str]:
 def _audit_workers(n_seeds: int) -> int:
     """Worker processes for auditing `n_seeds` seeds: one per usable CPU while
     each gets `SEEDS_PER_WORKER` seeds, and 0 (audit in process) when fewer
-    than two would.  Also 0 while the process runs other threads: a forked
-    worker inherits no thread but every lock they held."""
+    than two would.  At most 255, so that a worker's number fits in a byte.
+    Also 0 while the process runs other threads: a forked worker inherits no
+    thread but every lock they held."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 0
-    workers = min(len(os.sched_getaffinity(0)), n_seeds // SEEDS_PER_WORKER)
+    workers = min(len(os.sched_getaffinity(0)), n_seeds // SEEDS_PER_WORKER, 255)
     return workers if workers >= 2 else 0
 
 
@@ -195,32 +197,109 @@ def _audit_generated(args) -> int:
 
 
 def _audit_seeds(seeds: range, max_cells: int) -> int:
-    cells = repeat(max_cells)
     workers = _audit_workers(len(seeds))
     if workers:
-        # imported here, so that no other command pays for the pool
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        try:
-            # forked, a worker starts with the package already imported
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-        except (OSError, NotImplementedError):
-            pass  # no POSIX semaphores for the pool's queues: audit in process
-        else:
-            chunk = len(seeds) // (4 * workers)
-            with pool:
-                # map yields each seed's outcome in seed order; a seed that
-                # raised re-raises here, after the lines of every seed before
-                try:
-                    outcomes = pool.map(_audit_outcome, seeds, cells, chunksize=chunk)
-                    return _print_audits(len(seeds), map(_lines, outcomes))
-                except BrokenProcessPool as exc:
-                    raise InternalInconsistencyError(
-                        f"an audit worker died: {exc}"
-                    ) from exc
-    outcomes = map(_audit_outcome, seeds, cells)
+        code = _audit_in_workers(seeds, max_cells, workers)
+        if code is not None:
+            return code
+    outcomes = map(_audit_outcome, seeds, repeat(max_cells))
     return _print_audits(len(seeds), map(_lines, outcomes))
+
+
+def _audit_in_workers(seeds: range, max_cells: int, workers: int) -> int | None:
+    """Audit `seeds` in up to `workers` forked processes and print what the
+    in-process audit prints, or return None, having started none, when the
+    first pipe or fork fails.
+
+    The seeds are cut into `min(255, 4 * workers)` chunks, one byte each in
+    the task pipe.  A worker takes the next byte, posts (chunk, worker) on
+    the claims pipe, writes each seed's pickled `_audit_outcome` to its own
+    pipe, flushed after each chunk and with nothing after its first
+    exception, and leaves when the bytes run out.  The parent learns from
+    the claims which worker holds each chunk and reads the chunks in seed
+    order, so a worker whose pipe is full waits while the parent reads the
+    chunks before its own.  Whatever way the command ends, every worker is
+    killed and reaped."""
+    import pickle
+
+    chunks = min(255, 4 * workers)
+    bounds = [len(seeds) * c // chunks for c in range(chunks + 1)]
+
+    def work(worker: int, w: int) -> None:
+        """The whole life of the forked worker `worker`: claim chunks until
+        the task pipe runs out, and write their outcomes to the pipe end `w`."""
+        try:
+            out = open(w, "wb")
+            failed = False
+            while not failed and (task := os.read(tasks, 1)):
+                os.write(claim_w, bytes((task[0], worker)))
+                for seed in seeds[bounds[task[0]] : bounds[task[0] + 1]]:
+                    outcome = _audit_outcome(seed, max_cells)
+                    pickle.dump(outcome, out)
+                    if failed := isinstance(outcome, Exception):
+                        break
+                out.flush()
+        finally:
+            os._exit(0)
+
+    def lines_per_seed():
+        holder = {}  # chunk -> the worker that claimed it
+        for chunk in range(chunks):
+            while chunk not in holder:
+                claim = os.read(claims, 2)
+                if len(claim) < 2:
+                    raise InternalInconsistencyError("an audit worker died")
+                holder[claim[0]] = claim[1]
+            for _ in range(bounds[chunk], bounds[chunk + 1]):
+                try:
+                    outcome = pickle.load(readers[holder[chunk]])
+                except (EOFError, pickle.UnpicklingError):
+                    raise InternalInconsistencyError("an audit worker died") from None
+                yield _lines(outcome)
+
+    held: list[int] = []  # the read ends that this process holds
+    pids: list[int] = []
+    readers = []  # each worker's pipe, buffered
+    try:
+        try:
+            tasks, task_w = os.pipe()
+            held.append(tasks)
+            with open(task_w, "wb") as fh:  # closed before any fork: the tasks run out
+                fh.write(bytes(range(chunks)))
+            claims, claim_w = os.pipe()
+            held.append(claims)
+            try:
+                for worker in range(workers):
+                    r, w = os.pipe()
+                    held.append(r)
+                    try:
+                        if (pid := os.fork()) == 0:
+                            work(worker, w)
+                    finally:
+                        os.close(w)
+                    pids.append(pid)
+                    readers.append(open(r, "rb", closefd=False))
+            finally:
+                os.close(claim_w)
+        except OSError:
+            if not pids:
+                return None  # no pipe or no process to spare: audit in process
+        return _print_audits(len(seeds), lines_per_seed())
+    finally:
+        for fd in held:
+            os.close(fd)
+        _reap(pids)
+
+
+def _reap(pids: list[int]) -> None:
+    """Kill each worker, done or not, and wait for it, so that none outlives
+    the command."""
+    import signal
+
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+    for pid in pids:
+        os.waitpid(pid, 0)
 
 
 def _cmd_audit(args) -> int:
@@ -296,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run the theorem audits")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--gen", type=_count, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--seed", type=_count, default=0, metavar="S")
     p.add_argument("--max-cells", type=_cell_budget, default=40, metavar="K")
     p.set_defaults(func=_cmd_audit)
 
@@ -306,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dot)
 
     p = sub.add_parser("gen", help="emit a generated tree document")
-    p.add_argument("--seed", type=int, required=True, metavar="S")
+    p.add_argument("--seed", type=_count, required=True, metavar="S")
     p.add_argument("--max-cells", type=_cell_budget, default=40, metavar="K")
     p.add_argument("--rational", action="store_true")
     p.set_defaults(func=_cmd_gen)

@@ -3,9 +3,9 @@ import errno
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import re
+import signal
 import sys
 import threading
 import time
@@ -603,6 +603,8 @@ def test_audit_gen_negative_exit_2(capsys):
         (["audit", "--gen", "1", "--max-cells", "-3"], "must not be negative"),
         (["gen", "--seed", "1", "--max-cells", "-3"], "must not be negative"),
         (["gen", "--seed", "0", "--max-cells", "3"], "fewer than 4 cells"),
+        (["gen", "--seed", "-7"], "must not be negative"),
+        (["audit", "--gen", "10", "--seed", "-5"], "must not be negative"),
         (["audit", "--gen", "2", "--max-cells", "3"], "fewer than 4 cells"),
     ):
         assert run(argv) == 2
@@ -630,10 +632,16 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _audit_gen(capsys, seed=0):
-    code = run(["audit", "--gen", str(POOLED_GEN), "--seed", str(seed), "--max-cells", "20"])
+def _audit_gen(capsys, seed=0, n=POOLED_GEN):
+    code = run(["audit", "--gen", str(n), "--seed", str(seed), "--max-cells", "20"])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _count_generated(monkeypatch):
@@ -662,7 +670,7 @@ def test_audit_gen_pool_prints_the_in_process_bytes(monkeypatch, capsys):
         seeds.clear()
         assert pooled == alone
         assert pooled == (0, f"{POOLED_GEN} trees audited, 0 failures\n", "")
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def _fail_odd_trees(monkeypatch):
@@ -682,19 +690,24 @@ def _fail_odd_trees(monkeypatch):
 
 @pytest.mark.own_generation
 def test_audit_gen_pool_keeps_seed_order(monkeypatch, capsys):
+    # also with eight workers racing for 32 chunks on fewer cores: a chunk
+    # claimed twice or never would show as a line out of place
     check_id = _fail_odd_trees(monkeypatch)
-    _cpus(monkeypatch, 2)
-    pooled = _audit_gen(capsys)
-    _cpus(monkeypatch, 1)
-    assert _audit_gen(capsys) == pooled
-    code, out, err = pooled
-    failed = [int(line.split(":")[0].split()[1]) for line in out.splitlines()[:-1]]
-    assert code == 3 and err == ""
-    assert 0 < len(failed) < POOLED_GEN
-    assert failed == sorted(set(failed))
-    assert out.endswith(f"{POOLED_GEN} trees audited, {len(failed)} failures\n")
-    assert f"seed {failed[0]}: FAIL {check_id} [odd]" in out
-    assert multiprocessing.active_children() == []
+    for cpus in (2, 8):
+        n = cpus * cli.SEEDS_PER_WORKER
+        _cpus(monkeypatch, cpus)
+        assert cli._audit_workers(n) == cpus
+        pooled = _audit_gen(capsys, n=n)
+        _cpus(monkeypatch, 1)
+        assert _audit_gen(capsys, n=n) == pooled
+        code, out, err = pooled
+        failed = [int(line.split(":")[0].split()[1]) for line in out.splitlines()[:-1]]
+        assert code == 3 and err == ""
+        assert 0 < len(failed) < n
+        assert failed == sorted(set(failed))
+        assert out.endswith(f"{n} trees audited, {len(failed)} failures\n")
+        assert f"seed {failed[0]}: FAIL {check_id} [odd]" in out
+        _assert_no_child()
 
 
 def _fail_at_seed(monkeypatch, seeds, fault):
@@ -731,7 +744,7 @@ def test_audit_gen_worker_errors_exit_as_in_process(monkeypatch, capsys):
         assert _audit_gen(capsys) == pooled
         assert pooled[0] == code
         assert pooled[2].count("\n") == 1 and str(exc) in pooled[2]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 @pytest.mark.own_generation
@@ -755,7 +768,7 @@ def test_audit_gen_pool_keeps_the_lines_before_a_fault(monkeypatch, capsys):
         mid_chunk += max(failed) >= 48
         fault.clear()
     assert mid_chunk >= 4
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def _memo_free_lines(seeds, max_cells):
@@ -813,7 +826,7 @@ def test_audit_gen_memo_changes_no_output(monkeypatch, capsys):
     _cpus(monkeypatch, 2)
     assert run(argv) == 3
     assert capsys.readouterr() == (want, "")
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 @pytest.mark.own_generation
@@ -825,11 +838,12 @@ def test_audit_gen_dead_worker_exit_3(monkeypatch, capsys):
     assert err.startswith("internal inconsistency: an audit worker died")
     assert err.count("\n") == 1
     assert "trees audited" not in out
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 @pytest.mark.own_generation
-def test_audit_gen_without_semaphores_runs_in_process(monkeypatch, capsys):
+def test_audit_gen_needs_no_semaphores(monkeypatch, capsys):
+    # the workers share only pipes: without POSIX semaphores they still run
     import _multiprocessing
 
     def no_semaphores(*args, **kwargs):
@@ -841,7 +855,101 @@ def test_audit_gen_without_semaphores_runs_in_process(monkeypatch, capsys):
     seeds = _count_generated(monkeypatch)
     _cpus(monkeypatch, 2)
     assert _audit_gen(capsys) == alone
-    assert len(seeds) == POOLED_GEN
+    assert seeds == []  # every tree was audited in a worker
+    _assert_no_child()
+
+
+@pytest.mark.own_generation
+def test_audit_gen_without_fork_runs_in_process(monkeypatch, capsys):
+    _cpus(monkeypatch, 1)
+    alone = _audit_gen(capsys)
+    real = os.fork
+    forks = []
+
+    def fork_fails_after(n):
+        def fork():
+            forks.append(n)
+            if len(forks) > n:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        return fork
+
+    seeds = _count_generated(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork_fails_after(0))
+    assert _audit_gen(capsys) == alone
+    assert len(seeds) == POOLED_GEN and len(forks) == 1
+    _assert_no_child()
+    # a fork that fails after the first leaves the seeds to the one worker
+    seeds.clear()
+    forks.clear()
+    monkeypatch.setattr(os, "fork", fork_fails_after(1))
+    assert _audit_gen(capsys) == alone
+    assert seeds == [] and len(forks) == 2
+    _assert_no_child()
+
+
+class _Stuck(BaseException):
+    """Raised by the alarm of a test that waited too long."""
+
+
+@pytest.mark.own_generation
+def test_audit_gen_fault_stops_the_workers(monkeypatch, capsys):
+    # the command exits at the first fault in seed order: it neither waits
+    # for the seeds after it nor leaves their workers running
+    _fail_odd_trees(monkeypatch)
+    argv = ["audit", "--gen", "50", "--max-cells", "20"]
+    _cpus(monkeypatch, 1)
+    assert run(argv) == 3
+    before = capsys.readouterr().out.splitlines(keepends=True)[:-1]
+    assert before
+    _fail_at_seed(monkeypatch, {50}, _raise(InternalInconsistencyError("at the fault")))
+    _fail_at_seed(monkeypatch, range(200, 640), lambda: time.sleep(30))
+
+    def stuck(signum, frame):
+        raise _Stuck
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(40)
+    try:
+        _cpus(monkeypatch, 2)
+        started = time.monotonic()
+        code = run(["audit", "--gen", "640", "--max-cells", "20"])
+        elapsed = time.monotonic() - started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and elapsed < 10
+    assert capsys.readouterr() == ("".join(before), "internal inconsistency: at the fault\n")
+    _assert_no_child()
+
+
+@pytest.mark.own_generation
+def test_audit_gen_pool_outgrows_a_pipe(monkeypatch, capsys):
+    # every tree fails with a 500-byte witness, so each worker's lines
+    # exceed a pipe's 64 KB; while seed 0 holds up the first chunk, the
+    # other worker fills its pipe and waits for the parent to read it
+    import newton_forest.classify_audit as classify_audit
+
+    check_id, applies, check = classify_audit.REGISTRY[0]
+
+    def long_witness(analysis):
+        return check(analysis) + ["w" * 500]
+
+    registry = ((check_id, applies, long_witness),) + classify_audit.REGISTRY[1:]
+    monkeypatch.setattr(classify_audit, "REGISTRY", registry)
+    _fail_at_seed(monkeypatch, {0}, lambda: time.sleep(1))
+    argv = ["audit", "--gen", "320", "--max-cells", "20"]
+    _cpus(monkeypatch, 2)
+    pooled = run(argv), capsys.readouterr()
+    _cpus(monkeypatch, 1)
+    assert (run(argv), capsys.readouterr()) == pooled
+    code, (out, err) = pooled
+    assert code == 3 and err == ""
+    assert out.endswith("320 trees audited, 320 failures\n")
+    assert len(out) > 2 * 64 * 1024
+    _assert_no_child()
 
 
 @pytest.mark.own_generation

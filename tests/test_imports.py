@@ -89,19 +89,25 @@ CLI_MODULES = [
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # `audit --gen` imports the pool when it uses one; every other command
-    # would pay its ~30 ms and ~1.5 MB at start-up.  Nor does the import
-    # load a package module beyond CLI_MODULES.
+    # `audit --gen` forks its own workers and talks to them over pipes; the
+    # pool modules would cost every process that runs it ~1.3 MB and ~25 ms,
+    # and the import of every other command too.  Nor does the import load a
+    # package module beyond CLI_MODULES.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     script = (
-        "import sys, newton_forest.cli\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'newton_forest'))"
+        "import os, sys, newton_forest.cli\n"
+        "pool = {'multiprocessing', 'concurrent.futures'}\n"
+        "print(sorted(pool & set(sys.modules)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'newton_forest'))\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "assert newton_forest.cli._audit_workers(64) == 2\n"
+        "print(newton_forest.cli.run(['audit', '--gen', '64', '--max-cells', '20']))\n"
+        "print(sorted(pool & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    assert out == f"[]\n{CLI_MODULES}\n"
+    assert out == f"[]\n{CLI_MODULES}\n64 trees audited, 0 failures\n0\n[]\n"
 
 
 # Definitions that `src` keeps only because perfbench/workloads.py reads
